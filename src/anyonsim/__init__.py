@@ -1,7 +1,7 @@
 """anyonsim: two-particle exchange statistics in the punctured plane.
 
 Desk-scale machinery for winding-number classification of two-particle paths,
-brute-force winding-resolved lattice propagators, anyonic phase weights, the
+exact winding-resolved lattice propagators, anyonic phase weights, the
 operational boson/fermion combination rules, and the discretized exchange
 experiment that ties them together into a total exchange phase exp(i phi).
 """

@@ -1,9 +1,11 @@
 """Amplitudes: discretized actions, winding-resolved propagators, and the
 operational combination rules.
 
-A propagator between two lattice configurations is computed by brute force:
-every valid walk contributes exp(i S / hbar) with S the free kinetic action,
-and contributions are grouped by the winding class of the walk.  The total
+A propagator between two lattice configurations is a sum over walks: every
+valid walk contributes exp(i S / hbar) with S the free kinetic action, and
+contributions are grouped by the winding class of the walk.  The walks are
+not visited one by one; the exact walk census counts them per (winding,
+squared displacement), and the action depends on nothing else.  The total
 over classes reproduces the unrestricted walk sum exactly; reweighting class
 w by exp(i theta w) before summing turns the pair into anyons of statistics
 angle theta.
@@ -24,6 +26,7 @@ from .config_space import (
     DiscretePath,
     EndpointPair,
     LatticeSpec,
+    check_finite_positive,
     swap,
     validate_path,
     walk_census,
@@ -38,7 +41,7 @@ from .errors import (
 )
 from .homotopy import HomotopyClass, Kind
 
-#: default cap on the brute-force joint-move sequence count
+#: default cap on the joint-move sequence count (moves**2)**n_steps
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -166,16 +169,17 @@ def resolved_kernel(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> ResolvedKernel:
-    """Brute-force propagator resolved by winding class.
+    """Lattice propagator resolved by winding class.
 
-    partials[w] sums exp(i S / hbar) over every enumerated walk of winding w;
+    partials[w] sums exp(i S / hbar) over every valid walk of winding w;
     classes without walks are absent.  Endpoints must be closed or swapped,
-    otherwise winding has no absolute half-integer value.  The enumeration is
-    refused up front when the joint-move sequence bound exceeds the budget.
+    otherwise winding has no absolute half-integer value.  The request is
+    refused up front when the joint-move sequence bound (moves**2)**n_steps,
+    25**n_steps for the default moves, exceeds the budget.  workers is
+    accepted and ignored; it is kept for compatibility.
     """
     kind = endpoint_kind(endpoints)
-    if dt <= 0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
+    check_finite_positive("dt", dt)
     estimate = (len(lattice.moves) ** 2) ** n_steps
     if estimate > budget:
         raise BudgetExceeded(

@@ -222,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_file")
     p.set_defaults(func=_cmd_winding)
 
-    p = sub.add_parser("kernel", help="brute-force winding-resolved propagator")
+    p = sub.add_parser("kernel", help="winding-resolved lattice propagator")
     p.add_argument("--extent", type=int, required=True)
     p.add_argument("--spacing", type=float, default=1.0)
     p.add_argument("--steps", type=int, required=True)
@@ -235,8 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--resolve", action="store_true", help="emit per-class partials")
-    p.add_argument("--budget", type=int, default=None, help=f"walk budget (or ${ENV_BUDGET})")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"cap on the 25^steps joint-move sequence bound (or ${ENV_BUDGET})")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored; kept for compatibility")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("sweep", help="exchange phase across statistics angles (CSV)")

@@ -4,8 +4,9 @@ Coincidence of the two particles is forbidden: removing the diagonal from the
 two-particle space punctures the plane of the relative coordinate r = p1 - p2,
 and it is that puncture which gives discrete paths a well-defined winding.
 This module holds the value types (vectors, configurations, paths, lattices),
-path validation, and the brute-force lattice walk enumeration that the
-propagator machinery is built on.
+path validation, and the two lattice walk counts that the propagator
+machinery is built on: the walk-by-walk enumeration kept as an oracle, and
+the transfer-matrix census bucketed by winding.
 
 A path is valid when no configuration is coincident and the relative vector
 turns by strictly less than pi radians per step.  Steps that flip r exactly
@@ -16,14 +17,12 @@ step would be ambiguous.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import (
     CoincidenceAtStep,
     EndpointOffLattice,
-    RoundingInconsistency,
     TurnTooLargeAtStep,
     ValidationError,
 )
@@ -32,6 +31,12 @@ from .errors import (
 DEFAULT_MOVES: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
 _SNAP_TOL = 1e-9
+
+
+def check_finite_positive(name: str, value) -> None:
+    """Raise ValidationError unless value is a finite number > 0."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +91,7 @@ class DiscretePath:
 
     def __post_init__(self):
         object.__setattr__(self, "configs", tuple(self.configs))
-        if not (isinstance(self.dt, (int, float)) and self.dt > 0):
-            raise ValidationError(f"dt must be > 0, got {self.dt}")
+        check_finite_positive("dt", self.dt)
         if len(self.configs) < 2:
             raise ValidationError("a path needs at least two configurations")
 
@@ -132,6 +136,15 @@ class LatticeSpec:
 
     def config(self, site1: tuple[int, int], site2: tuple[int, int]) -> TwoParticleConfig:
         return TwoParticleConfig(self.site(*site1), self.site(*site2))
+
+
+def upper_half_plane(rx: float, ry: float) -> bool:
+    """True when the polar angle of (rx, ry) lies in [0, pi).
+
+    Exactly one of r and -r satisfies this for r != 0.  The comparisons are
+    exact, with no trigonometry.
+    """
+    return ry > 0 or (ry == 0 and rx > 0)
 
 
 def validate_path(path: DiscretePath) -> None:
@@ -196,7 +209,7 @@ def path_from_json_dict(data: dict) -> DiscretePath:
     return DiscretePath(dt=dt, configs=configs)
 
 
-# --- lattice walk enumeration ------------------------------------------------
+# --- lattice walks -----------------------------------------------------------
 
 
 def _snap_to_sites(lattice: LatticeSpec, config: TwoParticleConfig) -> tuple[int, int, int, int]:
@@ -232,34 +245,31 @@ def _check_endpoints(start4: tuple[int, ...], end4: tuple[int, ...], n_steps: in
         raise ValidationError("end configuration is coincident")
 
 
-def enumerate_walks(
-    lattice: LatticeSpec,
-    endpoints: EndpointPair,
-    n_steps: int,
-    dt: float = 1.0,
-) -> Iterator[DiscretePath]:
-    """Yield every valid n_steps-walk between the endpoints.
+def _successors(lattice: LatticeSpec, end4: tuple[int, int, int, int]):
+    """The step rule of every lattice walk, as a generator function.
 
-    Each particle makes one lattice move per step; no configuration along a
-    yielded walk is coincident and every step turns the relative vector by
-    less than pi.  Walks are produced in lexicographic order of joint move
-    indices, so the stream is deterministic.
+    The returned ``step(sites, left)`` yields ``(next_sites, ssq, dh)`` for
+    each joint move, in joint-move order, that keeps both particles on the
+    lattice, avoids coincidence, does not flip the relative vector exactly
+    antiparallel, and leaves the end sites reachable in the remaining
+    ``left - 1`` steps.  ``ssq`` is the squared site displacement of the
+    move.  ``dh`` is the change of the half-turn sheet index: the step turns
+    r by less than pi, so it is sign(cross) when r changes half-plane under
+    :func:`upper_half_plane` and 0 otherwise.
     """
-    start4 = _snap_to_sites(lattice, endpoints.start)
-    end4 = _snap_to_sites(lattice, endpoints.end)
-    _check_endpoints(start4, end4, n_steps)
     joint = _joint_moves(lattice.moves)
     extent = lattice.extent
+    # one move shortens a particle's Manhattan distance to its end site by at most reach
+    reach = max((abs(dx) + abs(dy) for dx, dy in lattice.moves), default=0)
     e1x, e1y, e2x, e2y = end4
-    sp = lattice.spacing
 
-    def rec(x1, y1, x2, y2, rx, ry, left, trail):
-        if left == 0:
-            if x1 == e1x and y1 == e1y and x2 == e2x and y2 == e2y:
-                yield trail
-            return
-        rem = left - 1
-        for dx1, dy1, dx2, dy2, _cost in joint:
+    def step(sites, left):
+        x1, y1, x2, y2 = sites
+        rx = x1 - x2
+        ry = y1 - y2
+        upper = upper_half_plane(rx, ry)
+        slack = (left - 1) * reach
+        for dx1, dy1, dx2, dy2, cost in joint:
             nx1 = x1 + dx1
             ny1 = y1 + dy1
             if nx1 > extent or nx1 < -extent or ny1 > extent or ny1 < -extent:
@@ -275,79 +285,53 @@ def enumerate_walks(
             cross = rx * nry - ry * nrx
             if cross == 0 and rx * nrx + ry * nry < 0:
                 continue
-            if abs(nx1 - e1x) + abs(ny1 - e1y) > rem:
+            if abs(nx1 - e1x) + abs(ny1 - e1y) > slack:
                 continue
-            if abs(nx2 - e2x) + abs(ny2 - e2y) > rem:
+            if abs(nx2 - e2x) + abs(ny2 - e2y) > slack:
                 continue
-            yield from rec(nx1, ny1, nx2, ny2, nrx, nry, rem, trail + ((nx1, ny1, nx2, ny2),))
+            if upper_half_plane(nrx, nry) == upper:
+                dh = 0
+            else:
+                dh = 1 if cross > 0 else -1
+            yield (nx1, ny1, nx2, ny2), cost, dh
 
-    sx1, sy1, sx2, sy2 = start4
-    for trail in rec(sx1, sy1, sx2, sy2, sx1 - sx2, sy1 - sy2, n_steps, (start4,)):
+    return step
+
+
+def enumerate_walks(
+    lattice: LatticeSpec,
+    endpoints: EndpointPair,
+    n_steps: int,
+    dt: float = 1.0,
+) -> Iterator[DiscretePath]:
+    """Yield every valid n_steps-walk between the endpoints.
+
+    Each particle makes one lattice move per step; no configuration along a
+    yielded walk is coincident and every step turns the relative vector by
+    less than pi.  Walks are produced in lexicographic order of joint move
+    indices, so the stream is deterministic.  This walk-by-walk enumeration
+    is the reference that :func:`walk_census` is tested against.
+    """
+    start4 = _snap_to_sites(lattice, endpoints.start)
+    end4 = _snap_to_sites(lattice, endpoints.end)
+    _check_endpoints(start4, end4, n_steps)
+    step = _successors(lattice, end4)
+    sp = lattice.spacing
+
+    def rec(sites, left, trail):
+        # reachability leaves only the end sites once no step is left
+        if left == 0:
+            yield trail
+            return
+        for nxt, _cost, _dh in step(sites, left):
+            yield from rec(nxt, left - 1, trail + (nxt,))
+
+    for trail in rec(start4, n_steps, (start4,)):
         configs = tuple(
             TwoParticleConfig(Vec2(a * sp, b * sp), Vec2(c * sp, d * sp))
             for a, b, c, d in trail
         )
         yield DiscretePath(dt=dt, configs=configs)
-
-
-# --- winding/action census, the aggregation behind resolved kernels ----------
-#
-# Counting walks bucketed by (doubled winding, total squared site displacement)
-# keeps the aggregation in exact integer arithmetic: the census of a walk set
-# is identical no matter how the enumeration is partitioned across workers.
-
-_ROUND_TOL = 2e-9  # on doubled winding, i.e. 1e-9 in full turns
-
-
-def _census_rec(joint, extent, x1, y1, x2, y2, rx, ry, end4, left, angle, ssq, counts):
-    if left == 0:
-        if (x1, y1, x2, y2) == end4:
-            half_turns = angle / math.pi
-            w2 = round(half_turns)
-            if abs(half_turns - w2) > _ROUND_TOL:
-                raise RoundingInconsistency(
-                    f"accumulated turning {angle} rad is not near a half-integer winding"
-                )
-            key = (w2, ssq)
-            counts[key] = counts.get(key, 0) + 1
-        return
-    e1x, e1y, e2x, e2y = end4
-    rem = left - 1
-    atan2 = math.atan2
-    for dx1, dy1, dx2, dy2, cost in joint:
-        nx1 = x1 + dx1
-        ny1 = y1 + dy1
-        if nx1 > extent or nx1 < -extent or ny1 > extent or ny1 < -extent:
-            continue
-        nx2 = x2 + dx2
-        ny2 = y2 + dy2
-        if nx2 > extent or nx2 < -extent or ny2 > extent or ny2 < -extent:
-            continue
-        nrx = nx1 - nx2
-        nry = ny1 - ny2
-        if nrx == 0 and nry == 0:
-            continue
-        cross = rx * nry - ry * nrx
-        dot = rx * nrx + ry * nry
-        if cross == 0:
-            if dot < 0:
-                continue
-            na = angle
-        else:
-            na = angle + atan2(cross, dot)
-        if abs(nx1 - e1x) + abs(ny1 - e1y) > rem:
-            continue
-        if abs(nx2 - e2x) + abs(ny2 - e2y) > rem:
-            continue
-        _census_rec(joint, extent, nx1, ny1, nx2, ny2, nrx, nry, end4, rem, na, ssq + cost, counts)
-
-
-def _census_task(args) -> dict[tuple[int, int], int]:
-    joint, extent, state, end4, left = args
-    x1, y1, x2, y2, angle, ssq = state
-    counts: dict[tuple[int, int], int] = {}
-    _census_rec(joint, extent, x1, y1, x2, y2, x1 - x2, y1 - y2, end4, left, angle, ssq, counts)
-    return counts
 
 
 def walk_census(
@@ -361,55 +345,30 @@ def walk_census(
     Keys are (w2, ssq) where w2 = 2 * winding in full turns (an integer for
     any closed-or-swapped endpoint pair) and ssq is the sum over steps of the
     squared site displacement of both particles.  Values are exact walk
-    counts, so the result is independent of enumeration partitioning; with
-    workers > 1 the first step is fanned out over a process pool.
+    counts.
+
+    One transfer-matrix pass over the steps carries exact integer counts per
+    (sites, h, ssq).  h indexes the half-turn sheet [h*pi, (h+1)*pi) of the
+    lifted polar angle of r, counted from the start's sheet, so the final h
+    is w2 itself: no angles and no rounding.  workers is accepted and
+    ignored; it is kept for compatibility.
     """
     start4 = _snap_to_sites(lattice, endpoints.start)
     end4 = _snap_to_sites(lattice, endpoints.end)
     _check_endpoints(start4, end4, n_steps)
-    joint = _joint_moves(lattice.moves)
-    extent = lattice.extent
+    step = _successors(lattice, end4)
 
-    # expand the first step by hand so it can be partitioned across workers
-    x1, y1, x2, y2 = start4
-    rx, ry = x1 - x2, y1 - y2
-    rem = n_steps - 1
-    tasks = []
-    for dx1, dy1, dx2, dy2, cost in joint:
-        nx1 = x1 + dx1
-        ny1 = y1 + dy1
-        if nx1 > extent or nx1 < -extent or ny1 > extent or ny1 < -extent:
-            continue
-        nx2 = x2 + dx2
-        ny2 = y2 + dy2
-        if nx2 > extent or nx2 < -extent or ny2 > extent or ny2 < -extent:
-            continue
-        nrx = nx1 - nx2
-        nry = ny1 - ny2
-        if nrx == 0 and nry == 0:
-            continue
-        cross = rx * nry - ry * nrx
-        dot = rx * nrx + ry * nry
-        if cross == 0:
-            if dot < 0:
-                continue
-            na = 0.0
-        else:
-            na = math.atan2(cross, dot)
-        if abs(nx1 - end4[0]) + abs(ny1 - end4[1]) > rem:
-            continue
-        if abs(nx2 - end4[2]) + abs(ny2 - end4[3]) > rem:
-            continue
-        tasks.append((joint, extent, (nx1, ny1, nx2, ny2, na, cost), end4, rem))
-
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partial_counts = list(pool.map(_census_task, tasks))
-    else:
-        partial_counts = [_census_task(t) for t in tasks]
-
-    counts: dict[tuple[int, int], int] = {}
-    for part in partial_counts:
-        for key, n in part.items():
-            counts[key] = counts.get(key, 0) + n
-    return counts
+    frontier = {start4: {(0, 0): 1}}
+    for left in range(n_steps, 0, -1):
+        following: dict[tuple, dict[tuple[int, int], int]] = {}
+        for sites, buckets in frontier.items():
+            for nxt, cost, dh in step(sites, left):
+                target = following.get(nxt)
+                if target is None:
+                    target = following[nxt] = {}
+                for (h, ssq), n in buckets.items():
+                    key = (h + dh, ssq + cost)
+                    target[key] = target.get(key, 0) + n
+        frontier = following
+    # reachability leaves only the end sites after the last step
+    return frontier.get(end4, {})

@@ -41,6 +41,8 @@ from .config_space import (
     EndpointPair,
     TwoParticleConfig,
     Vec2,
+    check_finite_positive,
+    upper_half_plane,
     validate_path,
 )
 from .errors import (
@@ -71,12 +73,10 @@ class ExchangeGeometry:
     center: Vec2 = Vec2(0.0, 0.0)
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValidationError(f"radius must be > 0, got {self.radius}")
+        check_finite_positive("radius", self.radius)
         if self.n_steps < 2:
             raise ValidationError(f"n_steps must be >= 2, got {self.n_steps}")
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be > 0, got {self.dt}")
+        check_finite_positive("dt", self.dt)
 
     @property
     def duration(self) -> float:
@@ -107,9 +107,8 @@ def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
 
 
 def _upper_half_plane(config: TwoParticleConfig) -> bool:
-    # polar angle of the relative vector in [0, pi); exact arithmetic, no trig
     r = config.relative
-    return r.y > 0.0 or (r.y == 0.0 and r.x > 0.0)
+    return upper_half_plane(r.x, r.y)
 
 
 @dataclass(frozen=True)
@@ -211,6 +210,8 @@ def dephasing_exponent(
     dts = sorted(set(float(v) for v in dt_grid), reverse=True)
     if len(dts) < 3 or any(v <= 0 for v in dts):
         raise DegenerateGrid("need at least 3 distinct positive dt values")
+    for dt in dts:
+        check_finite_positive("dt", dt)
     duration = geom.duration
     samples = []
     for dt in dts:

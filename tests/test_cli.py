@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -233,3 +234,21 @@ class TestExchange:
         code, _, err = run(capsys, ["exchange", "--direction", "cw"])
         assert code == 2
         assert "NoDominantClass" in err
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dephase", "--dt-grid", "nan,0.1,0.05"],
+            ["dephase", "--dt-grid", "0.2,0.1,0.05", "--duration", "inf"],
+            ["exchange", "--dt", "inf"],
+            KERNEL_ARGS + ["--dt", "inf"],
+        ],
+        ids=["dephase-nan-grid", "dephase-inf-duration", "exchange-inf-dt", "kernel-inf-dt"],
+    )
+    def test_refused_with_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"anyonsim: \w+: [^\n]+\n", err)

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonsim import (
     DiscretePath,
@@ -8,6 +11,7 @@ from anyonsim import (
     LatticeSpec,
     TwoParticleConfig,
     Vec2,
+    classify,
     concat_paths,
     enumerate_walks,
     path_from_json_dict,
@@ -23,7 +27,9 @@ from anyonsim.errors import (
     TurnTooLargeAtStep,
     ValidationError,
 )
-from helpers import brute_force_walks, lattice_path, random_valid_walk
+from helpers import MOVES, brute_force_walks, lattice_path, random_valid_walk
+
+KING_MOVES = MOVES + ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
 def cfg(x1, y1, x2, y2):
@@ -181,6 +187,25 @@ class TestEnumerateWalks:
         with pytest.raises(EndpointOffLattice):
             next(enumerate_walks(lattice, ep, 1))
 
+    def test_diagonal_moves_match_brute_force_oracle(self):
+        # particle 1 needs three diagonal moves: Manhattan distance 6 in 3 steps
+        moves = ((0, 0), (1, 1), (-1, -1), (1, 0))
+        start, end = (-2, -2, 0, 1), (1, 1, 0, 1)
+        lattice = LatticeSpec(extent=2, moves=moves)
+        ep = EndpointPair(
+            lattice.config(start[:2], start[2:]), lattice.config(end[:2], end[2:])
+        )
+        walks = [
+            tuple(
+                (round(c.p1.x), round(c.p1.y), round(c.p2.x), round(c.p2.y))
+                for c in w.configs
+            )
+            for w in enumerate_walks(lattice, ep, 3)
+        ]
+        oracle = brute_force_walks(2, start, end, 3, moves=moves)
+        assert oracle
+        assert sorted(walks) == sorted(oracle)
+
     def test_deterministic_order(self):
         lattice = LatticeSpec(extent=1)
         ep = EndpointPair(lattice.config((0, 0), (1, 0)), lattice.config((0, 0), (1, 0)))
@@ -235,8 +260,6 @@ class TestLatticeSpec:
 
 class TestWalkCensus:
     def test_matches_enumeration_counts(self):
-        from anyonsim import classify
-
         lattice = LatticeSpec(extent=2)
         ep = EndpointPair(lattice.config((-1, 0), (1, 0)), lattice.config((1, 0), (-1, 0)))
         census = walk_census(lattice, ep, 4)
@@ -260,3 +283,78 @@ class TestWalkCensus:
         rng = random.Random(123)
         for _ in range(25):
             validate_path(random_valid_walk(rng, extent=2, n_steps=6))
+
+
+@st.composite
+def census_instances(draw):
+    extent = draw(st.integers(1, 2))
+    spacing = draw(st.sampled_from([1.0, 0.5, 2.5]))
+    moves = tuple(draw(st.lists(st.sampled_from(KING_MOVES), min_size=1, max_size=5, unique=True)))
+    site = st.tuples(st.integers(-extent, extent), st.integers(-extent, extent))
+    p1 = draw(site)
+    p2 = draw(site.filter(lambda s: s != p1))
+    lattice = LatticeSpec(extent=extent, spacing=spacing, moves=moves)
+    start = lattice.config(p1, p2)
+    end = swap(start) if draw(st.booleans()) else start
+    return lattice, EndpointPair(start, end), draw(st.integers(1, 4))
+
+
+def _census_by_enumeration(lattice, endpoints, n_steps):
+    sp = lattice.spacing
+    counts = {}
+    for walk in enumerate_walks(lattice, endpoints, n_steps):
+        w2 = round(2 * classify(walk).winding)
+        ssq = 0
+        for a, b in zip(walk.configs, walk.configs[1:]):
+            for d in (b.p1 - a.p1, b.p2 - a.p2):
+                ssq += round(d.x / sp) ** 2 + round(d.y / sp) ** 2
+        counts[(w2, ssq)] = counts.get((w2, ssq), 0) + 1
+    return counts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(census_instances())
+def test_census_equals_enumeration_oracle(instance):
+    lattice, endpoints, n_steps = instance
+    assert walk_census(lattice, endpoints, n_steps) == _census_by_enumeration(
+        lattice, endpoints, n_steps
+    )
+
+
+def _step_matrix(extent):
+    """Valid single steps between ordered pairs of distinct sites; its
+    powers count walks with no winding and no pruning."""
+    sites = [(x, y) for x in range(-extent, extent + 1) for y in range(-extent, extent + 1)]
+    pairs = [(a, b) for a in sites for b in sites if a != b]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    matrix = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
+    for (a, b), i in index.items():
+        r = complex(a[0] - b[0], a[1] - b[1])
+        for da in MOVES:
+            for db in MOVES:
+                na = (a[0] + da[0], a[1] + da[1])
+                nb = (b[0] + db[0], b[1] + db[1])
+                j = index.get((na, nb))
+                if j is None:
+                    continue  # off the lattice or coincident
+                turn = complex(na[0] - nb[0], na[1] - nb[1]) * r.conjugate()
+                if turn.imag == 0 and turn.real < 0:
+                    continue  # exactly antiparallel
+                matrix[i, j] += 1
+    return matrix, index
+
+
+def test_census_exact_beyond_enumeration():
+    # 8.7e12 walks: far past enumeration, still exact integer counts
+    extent, n_steps = 2, 12
+    lattice = LatticeSpec(extent=extent)
+    start, end = ((-1, 0), (1, 0)), ((1, 0), (-1, 0))
+    census = walk_census(lattice, EndpointPair(lattice.config(*start), lattice.config(*end)), n_steps)
+    matrix, index = _step_matrix(extent)
+    row = np.zeros(len(index), dtype=np.int64)
+    row[index[start]] = 1
+    for _ in range(n_steps):
+        row = row @ matrix
+    assert sum(census.values()) == int(row[index[end]]) > 10**12
+    # reflection y -> -y fixes both endpoints and negates every winding
+    assert all(census.get((-w2, ssq)) == n for (w2, ssq), n in census.items())
