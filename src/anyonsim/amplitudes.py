@@ -36,7 +36,6 @@ from .errors import (
     EndpointsNotClosedOrExchanged,
     IncompleteMap,
     NonSquare,
-    RoundingInconsistency,
     ValidationError,
 )
 from .homotopy import HomotopyClass, Kind
@@ -53,8 +52,8 @@ class PhysicsParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (self.mass > 0 and self.hbar > 0):
-            raise ValidationError("mass and hbar must be positive")
+        check_finite_positive("mass", self.mass)
+        check_finite_positive("hbar", self.hbar)
 
 
 class OpClass(enum.Enum):
@@ -75,10 +74,6 @@ class StatisticsSpec:
     def __post_init__(self):
         if not math.isfinite(self.theta):
             raise ValidationError(f"theta must be finite, got {self.theta}")
-
-    @property
-    def canonical_theta(self) -> float:
-        return self.theta % (4.0 * math.pi)
 
 
 def endpoint_kind(endpoints: EndpointPair) -> Kind:
@@ -190,12 +185,7 @@ def resolved_kernel(
     action_unit = params.mass * lattice.spacing**2 / (2.0 * dt * params.hbar)
     phases: dict[int, complex] = {}
     partials: dict[HomotopyClass, complex] = {}
-    direct = kind is Kind.DIRECT
     for w2 in sorted({key[0] for key in counts}):
-        if (w2 % 2 == 0) != direct:
-            raise RoundingInconsistency(
-                f"walk of doubled winding {w2} in a {kind.value} kernel"
-            )
         amp = 0j
         for ssq in sorted(ssq for w, ssq in counts if w == w2):
             phase = phases.get(ssq)

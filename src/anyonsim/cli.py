@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -117,6 +118,9 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 def _sweep_grid(args: argparse.Namespace) -> list[amplitudes.StatisticsSpec]:
     if args.points < 1:
         raise BadRange(f"points must be >= 1, got {args.points}")
+    for flag, value in (("theta-min", args.theta_min), ("theta-max", args.theta_max)):
+        if not math.isfinite(value):
+            raise BadRange(f"{flag} must be finite, got {value}")
     if args.theta_max < args.theta_min:
         raise BadRange(f"theta-max {args.theta_max} is below theta-min {args.theta_min}")
     if args.points == 1:
@@ -183,15 +187,11 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
     )
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
     path = exchange.build_exchange_path(geom)
-    cls = homotopy.classify(path)
+    kernel = exchange.path_kernel(path, params)
+    (cls,) = kernel.partials
     factors = exchange.step_factors(path, params)
     stats = amplitudes.StatisticsSpec(
         theta=args.theta, op_class=amplitudes.OpClass(args.op_class)
-    )
-    kernel = amplitudes.ResolvedKernel(
-        endpoints=config_space.EndpointPair(path.start, path.end),
-        n_steps=path.n_steps,
-        partials={cls: amplitudes.path_amplitude(path, params)},
     )
     result = exchange.exchange_phase(kernel, stats)
     report = {

@@ -4,9 +4,10 @@ Coincidence of the two particles is forbidden: removing the diagonal from the
 two-particle space punctures the plane of the relative coordinate r = p1 - p2,
 and it is that puncture which gives discrete paths a well-defined winding.
 This module holds the value types (vectors, configurations, paths, lattices),
-path validation, and the two lattice walk counts that the propagator
-machinery is built on: the walk-by-walk enumeration kept as an oracle, and
-the transfer-matrix census bucketed by winding.
+path validation, the half-turn sheet step that every winding count uses, and
+the two lattice walk counts that the propagator machinery is built on: the
+walk-by-walk enumeration kept as an oracle, and the transfer-matrix census
+bucketed by winding.
 
 A path is valid when no configuration is coincident and the relative vector
 turns by strictly less than pi radians per step.  Steps that flip r exactly
@@ -23,6 +24,7 @@ from typing import Iterator, Sequence
 from .errors import (
     CoincidenceAtStep,
     EndpointOffLattice,
+    RoundingInconsistency,
     TurnTooLargeAtStep,
     ValidationError,
 )
@@ -127,8 +129,7 @@ class LatticeSpec:
     def __post_init__(self):
         if self.extent < 1:
             raise ValidationError(f"extent must be >= 1, got {self.extent}")
-        if not self.spacing > 0:
-            raise ValidationError(f"spacing must be > 0, got {self.spacing}")
+        check_finite_positive("spacing", self.spacing)
         object.__setattr__(self, "moves", tuple(tuple(m) for m in self.moves))
 
     def site(self, i: int, j: int) -> Vec2:
@@ -145,6 +146,27 @@ def upper_half_plane(rx: float, ry: float) -> bool:
     exact, with no trigonometry.
     """
     return ry > 0 or (ry == 0 and rx > 0)
+
+
+def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
+    """Change of the half-turn sheet index when r = (rx, ry) steps to (nrx, nry).
+
+    Sheet h holds the lifted polar angles in [h*pi, (h+1)*pi).  A step turns
+    r by less than pi, so h changes only when r leaves its
+    :func:`upper_half_plane` half, and then by the sign of the cross product;
+    summed along a path this is twice the winding.  A cross product with no
+    sign (underflow to 0, or NaN from overflow) raises RoundingInconsistency.
+    """
+    if upper_half_plane(nrx, nry) == upper_half_plane(rx, ry):
+        return 0
+    cross = rx * nry - ry * nrx
+    if cross > 0:
+        return 1
+    if cross < 0:
+        return -1
+    raise RoundingInconsistency(
+        f"turn from ({rx}, {ry}) to ({nrx}, {nry}) changes half-plane but has no sign"
+    )
 
 
 def validate_path(path: DiscretePath) -> None:
@@ -253,9 +275,8 @@ def _successors(lattice: LatticeSpec, end4: tuple[int, int, int, int]):
     lattice, avoids coincidence, does not flip the relative vector exactly
     antiparallel, and leaves the end sites reachable in the remaining
     ``left - 1`` steps.  ``ssq`` is the squared site displacement of the
-    move.  ``dh`` is the change of the half-turn sheet index: the step turns
-    r by less than pi, so it is sign(cross) when r changes half-plane under
-    :func:`upper_half_plane` and 0 otherwise.
+    move.  ``dh`` is the change of the half-turn sheet index,
+    :func:`sheet_step`.
     """
     joint = _joint_moves(lattice.moves)
     extent = lattice.extent
@@ -267,7 +288,6 @@ def _successors(lattice: LatticeSpec, end4: tuple[int, int, int, int]):
         x1, y1, x2, y2 = sites
         rx = x1 - x2
         ry = y1 - y2
-        upper = upper_half_plane(rx, ry)
         slack = (left - 1) * reach
         for dx1, dy1, dx2, dy2, cost in joint:
             nx1 = x1 + dx1
@@ -289,11 +309,7 @@ def _successors(lattice: LatticeSpec, end4: tuple[int, int, int, int]):
                 continue
             if abs(nx2 - e2x) + abs(ny2 - e2y) > slack:
                 continue
-            if upper_half_plane(nrx, nry) == upper:
-                dh = 0
-            else:
-                dh = 1 if cross > 0 else -1
-            yield (nx1, ny1, nx2, ny2), cost, dh
+            yield (nx1, ny1, nx2, ny2), cost, sheet_step(rx, ry, nrx, nry)
 
     return step
 

@@ -42,7 +42,7 @@ class EndpointsNotClosedOrExchanged(AnyonSimError):
 
 
 class RoundingInconsistency(AnyonSimError):
-    """Accumulated turning is not close enough to a half-integer number of turns."""
+    """A half-plane crossing of the relative vector has no representable turn sign."""
 
 
 class NotComparable(AnyonSimError):

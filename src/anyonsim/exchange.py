@@ -25,7 +25,7 @@ import enum
 import math
 import statistics
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .amplitudes import (
     OpClass,
@@ -42,6 +42,7 @@ from .config_space import (
     TwoParticleConfig,
     Vec2,
     check_finite_positive,
+    swap,
     upper_half_plane,
     validate_path,
 )
@@ -88,39 +89,35 @@ class ExchangeGeometry:
         return 2.0 * self.radius
 
 
+def _exchange_config(geom: ExchangeGeometry, k: int) -> TwoParticleConfig:
+    """Configuration k of the exchange, the pair rotated by pi * k / n_steps."""
+    sign = 1.0 if geom.direction is Direction.CCW else -1.0
+    phi = sign * math.pi * k / geom.n_steps
+    dx, dy = geom.radius * math.cos(phi), geom.radius * math.sin(phi)
+    cx, cy = geom.center.x, geom.center.y
+    return TwoParticleConfig(Vec2(cx + dx, cy + dy), Vec2(cx - dx, cy - dy))
+
+
 def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
     """Discretized exchange: antipodal arcs ending exactly in the swapped
     configuration (the last configuration is snapped so the endpoints compare
     equal under exact coordinate equality)."""
-    sign = 1.0 if geom.direction is Direction.CCW else -1.0
-    cx, cy, r = geom.center.x, geom.center.y, geom.radius
-    configs = []
-    for k in range(geom.n_steps + 1):
-        phi = sign * math.pi * k / geom.n_steps
-        dx, dy = r * math.cos(phi), r * math.sin(phi)
-        configs.append(TwoParticleConfig(Vec2(cx + dx, cy + dy), Vec2(cx - dx, cy - dy)))
-    start = configs[0]
-    configs[-1] = TwoParticleConfig(start.p2, start.p1)
+    configs = [_exchange_config(geom, k) for k in range(geom.n_steps)]
+    configs.append(swap(configs[0]))
     path = DiscretePath(dt=geom.dt, configs=tuple(configs))
     validate_path(path)
     return path
 
 
-def _upper_half_plane(config: TwoParticleConfig) -> bool:
-    r = config.relative
-    return upper_half_plane(r.x, r.y)
-
-
 @dataclass(frozen=True)
 class FundamentalDomain:
-    """A chosen half of configuration space fixing which transitions are
-    direct.  Exactly one of config, swap(config) satisfies the rule; the
-    default takes relative vectors with polar angle in [0, pi)."""
-
-    rule: Callable[[TwoParticleConfig], bool] = _upper_half_plane
+    """The half of configuration space that fixes which transitions are
+    direct: relative vectors with polar angle in [0, pi).  Exactly one of
+    config, swap(config) lies in it."""
 
     def contains(self, config: TwoParticleConfig) -> bool:
-        return self.rule(config)
+        r = config.relative
+        return upper_half_plane(r.x, r.y)
 
 
 @dataclass(frozen=True)
@@ -148,10 +145,10 @@ def _sq(a: Vec2, b: Vec2) -> float:
 def step_factors(
     path: DiscretePath,
     params: PhysicsParams = PhysicsParams(),
-    domain: FundamentalDomain = FundamentalDomain(),
 ) -> tuple[StepFactor, ...]:
     """Per-step direct and opposite one-step amplitudes along a path."""
     validate_path(path)
+    domain = FundamentalDomain()
     out = []
     scale = params.mass / (2.0 * path.dt)
     inside = domain.contains(path.configs[0])
@@ -205,13 +202,19 @@ def dephasing_exponent(
     how the discretization is meant to be taken to its limit.  The slope
     approaches m D^2 / hbar; the direct-step phase shrinks linearly in dt.
     Phases come from exact per-step actions, never from arg of the amplitude,
-    which is blind to multiples of 2*pi.
+    which is blind to multiples of 2*pi.  Every step of the semicircle is
+    congruent, so only its first step is built.
     """
     dts = sorted(set(float(v) for v in dt_grid), reverse=True)
     if len(dts) < 3 or any(v <= 0 for v in dts):
         raise DegenerateGrid("need at least 3 distinct positive dt values")
     for dt in dts:
         check_finite_positive("dt", dt)
+    try:
+        predicted = params.mass * geom.separation**2 / params.hbar
+    except OverflowError:  # float ** raises where * would give inf
+        predicted = math.inf
+    check_finite_positive("predicted slope m*D^2/hbar", predicted)
     duration = geom.duration
     samples = []
     for dt in dts:
@@ -220,14 +223,15 @@ def dephasing_exponent(
             raise DegenerateGrid(
                 f"dt {dt} leaves fewer than 2 steps of the exchange of duration {duration}"
             )
-        factors = step_factors(build_exchange_path(replace(geom, n_steps=n, dt=dt)), params)
-        # every step of the semicircle is congruent; the first is representative
+        sample = replace(geom, n_steps=n, dt=dt)
+        first_step = DiscretePath(dt, (_exchange_config(sample, 0), _exchange_config(sample, 1)))
+        (factor,) = step_factors(first_step, params)
         samples.append(
             DephasingSample(
                 dt=dt,
                 n_steps=n,
-                phase_op=factors[0].action_op / params.hbar,
-                phase_dir=factors[0].action_dir / params.hbar,
+                phase_op=factor.action_op / params.hbar,
+                phase_dir=factor.action_dir / params.hbar,
             )
         )
     xs = [1.0 / s.dt for s in samples]
@@ -236,7 +240,6 @@ def dephasing_exponent(
     residual = math.sqrt(
         math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / len(xs)
     )
-    predicted = params.mass * geom.separation**2 / params.hbar
     return DephasingFit(
         slope=slope,
         intercept=intercept,
@@ -244,6 +247,15 @@ def dephasing_exponent(
         predicted=predicted,
         rel_error=abs(slope - predicted) / predicted,
         samples=tuple(samples),
+    )
+
+
+def path_kernel(path: DiscretePath, params: PhysicsParams) -> ResolvedKernel:
+    """One-path propagator: the path's own class carries exp(i S / hbar)."""
+    return ResolvedKernel(
+        endpoints=EndpointPair(path.start, path.end),
+        n_steps=path.n_steps,
+        partials={classify(path): path_amplitude(path, params)},
     )
 
 
@@ -306,12 +318,7 @@ def theta_sweep(
     stats_list = list(stats_grid)
     if not stats_list:
         return ()
-    path = build_exchange_path(geom)
-    kernel = ResolvedKernel(
-        endpoints=EndpointPair(path.start, path.end),
-        n_steps=path.n_steps,
-        partials={classify(path): path_amplitude(path, params)},
-    )
+    kernel = path_kernel(build_exchange_path(geom), params)
     rows = []
     for stats in stats_list:
         result = exchange_phase(kernel, stats)

@@ -2,11 +2,12 @@
 
 For two non-coincident particles in 2D the loops of the relative coordinate
 around the puncture form the group of integers under addition: the class of a
-path is its winding number.  We compute it by the continuous-lift method,
-accumulating the signed turning of the relative vector step by step.  That is
-what makes half-integer windings possible: a path that ends in the swapped
-configuration reverses the relative vector, so its lift ends an odd multiple
-of pi away from where it started.
+path is its winding number.  We count it exactly: each signed crossing of the
+relative vector between the two half-planes (the fundamental-domain boundary)
+moves its lifted polar angle by one half-turn sheet, so the sheet steps sum to
+twice the winding, an integer, with no angles and no tolerance.  A path that
+ends in the swapped configuration reverses the relative vector, so it crosses
+an odd number of times: that is what makes half-integer windings possible.
 
 Windings are reported in full counter-clockwise turns: integers for closed
 paths (kind Direct), odd multiples of 1/2 for exchange paths.
@@ -18,19 +19,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .config_space import DiscretePath, Vec2, swap, validate_path
+from .config_space import DiscretePath, Vec2, sheet_step, swap, validate_path
 from .errors import (
     AntiparallelAmbiguity,
     EndpointsNotClosedOrExchanged,
     NotComparable,
-    RoundingInconsistency,
     ZeroVector,
 )
-
-TAU = 2.0 * math.pi
-
-#: tolerance between accumulated turning (in turns) and the nearest half-integer
-WINDING_TOL = 1e-9
 
 
 class Kind(enum.Enum):
@@ -91,23 +86,21 @@ def total_angle(path: DiscretePath) -> float:
     )
 
 
-def _nearest_half_integer(turns: float) -> float:
-    w2 = round(2.0 * turns)
-    if abs(2.0 * turns - w2) > 2.0 * WINDING_TOL:
-        raise RoundingInconsistency(
-            f"accumulated turning of {turns} turns is not near a half-integer"
-        )
-    return w2 / 2.0
+def _doubled_winding(path: DiscretePath) -> int:
+    """Validate the path, then sum the sheet steps of its relative vector."""
+    validate_path(path)
+    rs = [c.relative for c in path.configs]
+    return sum(sheet_step(a.x, a.y, b.x, b.y) for a, b in zip(rs, rs[1:]))
 
 
 def classify(path: DiscretePath) -> HomotopyClass:
     """Homotopy class of a closed (Direct) or swapped-endpoint (Exchange) path.
 
-    The winding is total_angle / 2*pi rounded to the nearest half-integer;
-    a residual beyond 1e-9 turns, or a parity that contradicts the endpoint
-    relation, fails loudly instead of being rounded away.
+    The winding is half the signed count of half-plane crossings of the
+    relative vector, so it is exact.  RoundingInconsistency is raised only
+    when a crossing step has no representable turning sign.
     """
-    angle = total_angle(path)
+    w2 = _doubled_winding(path)
     start, end = path.start, path.end
     if end == start:
         kind = Kind.DIRECT
@@ -117,28 +110,18 @@ def classify(path: DiscretePath) -> HomotopyClass:
         raise EndpointsNotClosedOrExchanged(
             "path endpoints are neither equal nor swapped"
         )
-    winding = _nearest_half_integer(angle / TAU)
-    try:
-        return HomotopyClass(kind, winding)
-    except ValueError as exc:
-        raise RoundingInconsistency(str(exc)) from exc
+    return HomotopyClass(kind, w2 / 2.0)
 
 
 def class_relative(path_a: DiscretePath, path_b: DiscretePath) -> int:
     """Winding of path_a relative to path_b; 0 means homotopic.
 
-    Both paths must share start and end configurations.  Their accumulated
-    turnings then differ by an integer number of full turns, and that integer
-    is returned.
+    Both paths must share start and end configurations.  Their lifted polar
+    angles then end a whole number of turns apart, so their half-plane
+    crossing counts differ by an even number, and half of it is returned.
     """
-    angle_a = total_angle(path_a)
-    angle_b = total_angle(path_b)
+    w2_a = _doubled_winding(path_a)
+    w2_b = _doubled_winding(path_b)
     if path_a.start != path_b.start or path_a.end != path_b.end:
         raise NotComparable("paths have different endpoints")
-    turns = (angle_a - angle_b) / TAU
-    n = round(turns)
-    if abs(turns - n) > WINDING_TOL:
-        raise RoundingInconsistency(
-            f"relative turning of {turns} turns is not near an integer"
-        )
-    return n
+    return (w2_a - w2_b) // 2

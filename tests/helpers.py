@@ -108,6 +108,26 @@ def random_valid_walk(rng: random.Random, extent=3, n_steps=8, dt=1.0):
     return lattice_path(sites, dt=dt)
 
 
+#: the float winding rule's allowance for rounding, in turns
+WINDING_TOL = 1e-9
+
+
+def turning(path):
+    """Total signed turning of the relative vector, in radians, summed as
+    the phases of the ratios of successive relative positions."""
+    rs = [complex(c.p1.x - c.p2.x, c.p1.y - c.p2.y) for c in path.configs]
+    return math.fsum(cmath.phase(b / a) for a, b in zip(rs, rs[1:]))
+
+
+def rounded_turns(turns, unit):
+    """The float winding rule: turns rounded to a multiple of unit, refused
+    (AssertionError) when more than WINDING_TOL turns away from one."""
+    n = round(turns / unit)
+    if abs(turns - n * unit) > WINDING_TOL:
+        raise AssertionError(f"{turns} turns is not near a multiple of {unit}")
+    return n * unit
+
+
 def laplace_permanent(matrix):
     """Permanent by Laplace expansion along the first row."""
     n = len(matrix)

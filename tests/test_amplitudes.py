@@ -14,7 +14,6 @@ from anyonsim import (
     PermutationAmplitudes,
     PhysicsParams,
     ResolvedKernel,
-    StatisticsSpec,
     TwoParticleConfig,
     Vec2,
     action,
@@ -179,14 +178,6 @@ class TestParams:
         ep = EndpointPair(lattice.config((0, 0), (1, 0)), lattice.config((0, 0), (1, 0)))
         with pytest.raises(ValidationError):
             resolved_kernel(lattice, ep, 1, dt=0.0)
-
-    def test_canonical_theta_reporting_range(self):
-        four_pi = 4 * math.pi
-        assert StatisticsSpec(0.0, OpClass.BOSON).canonical_theta == 0.0
-        assert StatisticsSpec(9 * math.pi, OpClass.BOSON).canonical_theta == pytest.approx(math.pi)
-        spun = StatisticsSpec(-math.pi, OpClass.FERMION).canonical_theta
-        assert 0.0 <= spun < four_pi
-        assert spun == pytest.approx(3 * math.pi)
 
 
 class TestAnyonicWeight:

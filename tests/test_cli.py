@@ -194,6 +194,13 @@ class TestSweep:
         assert code == 2
         assert "BadRange" in err
 
+    def test_infinite_bound_is_bad_range(self, capsys):
+        argv = ["sweep", "--theta-min", "0", "--theta-max", "inf", "--points", "3"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "anyonsim: BadRange: theta-max must be finite, got inf\n"
+
     def test_reruns_byte_identical(self, capsys):
         argv = [
             "sweep", "--theta-min", "0", "--theta-max", "12.0",
@@ -244,8 +251,21 @@ class TestNonFiniteTimes:
             ["dephase", "--dt-grid", "0.2,0.1,0.05", "--duration", "inf"],
             ["exchange", "--dt", "inf"],
             KERNEL_ARGS + ["--dt", "inf"],
+            KERNEL_ARGS + ["--mass", "inf"],
+            KERNEL_ARGS + ["--spacing", "inf"],
+            ["dephase", "--dt-grid", "0.2,0.1,0.05", "--mass", "inf"],
+            ["exchange", "--hbar", "inf"],
+            ["exchange", "--mass", "inf"],
+            ["dephase", "--dt-grid", "0.2,0.1,0.05", "--radius", "1e-300"],
+            ["dephase", "--dt-grid", "0.2,0.1,0.05", "--radius", "1e200"],
+            ["dephase", "--dt-grid", "0.2,0.1,0.05", "--hbar", "1e-320"],
         ],
-        ids=["dephase-nan-grid", "dephase-inf-duration", "exchange-inf-dt", "kernel-inf-dt"],
+        ids=[
+            "dephase-nan-grid", "dephase-inf-duration", "exchange-inf-dt", "kernel-inf-dt",
+            "kernel-inf-mass", "kernel-inf-spacing", "dephase-inf-mass", "exchange-inf-hbar",
+            "exchange-inf-mass", "dephase-slope-underflow", "dephase-slope-overflow",
+            "dephase-tiny-hbar",
+        ],
     )
     def test_refused_with_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, argv)

@@ -1,7 +1,10 @@
+import cmath
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anyonsim import (
     DiscretePath,
@@ -14,15 +17,24 @@ from anyonsim import (
     concat_paths,
     reverse_path,
     signed_angle,
+    swap,
     total_angle,
 )
 from anyonsim.errors import (
     AntiparallelAmbiguity,
     EndpointsNotClosedOrExchanged,
     NotComparable,
+    RoundingInconsistency,
     ZeroVector,
 )
-from helpers import antipodal_path, lattice_path, random_valid_walk, relative_path
+from helpers import (
+    antipodal_path,
+    lattice_path,
+    random_valid_walk,
+    relative_path,
+    rounded_turns,
+    turning,
+)
 
 TAU = 2 * math.pi
 
@@ -134,6 +146,15 @@ class TestClassify:
         with pytest.raises(EndpointsNotClosedOrExchanged):
             classify(path)
 
+    def test_underflowing_turn_sign_is_refused(self):
+        # a valid CCW square loop whose cross products all underflow to 0, so
+        # no half-plane crossing has a sign; the float rule read winding 0
+        tiny = 1e-200
+        corners = [(tiny, tiny), (-tiny, tiny), (-tiny, -tiny), (tiny, -tiny), (tiny, tiny)]
+        path = relative_path(corners)
+        with pytest.raises(RoundingInconsistency):
+            classify(path)
+
     def test_swapped_endpoints_need_both_particles_swapped(self):
         # end is p1's swap only if both coordinates exchange
         path = lattice_path([(0, 0, 2, 0), (0, 1, 2, 0), (0, 0, 2, 1)])
@@ -173,3 +194,43 @@ class TestWindingParity:
             assert cls.winding == int(cls.winding)
             found += 1
         assert found > 10
+
+
+@st.composite
+def float_path_pairs(draw):
+    """Two valid float paths from one start to one end, closed or swapped.
+
+    Relative vectors have magnitudes within a factor 2 of a scale in
+    [1e-3, 1e3] and turn by less than 3.1 radians per step; the particles sit
+    at +/- r/2, so the swapped end is exact.
+    """
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    magnitude = st.floats(0.5, 2.0).map(lambda m: m * scale)
+    turn = st.floats(-3.1, 3.1)
+    start_angle = draw(st.floats(-math.pi, math.pi))
+    r0 = cmath.rect(draw(magnitude), start_angle)
+    swapped = draw(st.booleans())
+    end_angle = start_angle + (math.pi if swapped else 0.0)
+    paths = []
+    for _ in range(2):
+        rs, angle = [r0], start_angle
+        for step in draw(st.lists(turn, min_size=0, max_size=12)):
+            angle += step
+            rs.append(cmath.rect(draw(magnitude), angle))
+        assume(abs(math.remainder(end_angle - angle, TAU)) < 3.1)
+        configs = [
+            TwoParticleConfig(Vec2(r.real / 2, r.imag / 2), Vec2(-r.real / 2, -r.imag / 2))
+            for r in rs
+        ]
+        configs.append(swap(configs[0]) if swapped else configs[0])
+        paths.append(DiscretePath(1.0, configs))
+    return paths
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(float_path_pairs())
+def test_exact_winding_matches_float_rule(pair):
+    a, b = pair
+    for path in pair:
+        assert classify(path).winding == rounded_turns(turning(path) / TAU, 0.5)
+    assert class_relative(a, b) == rounded_turns((turning(a) - turning(b)) / TAU, 1)
