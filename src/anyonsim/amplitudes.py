@@ -137,16 +137,22 @@ class ResolvedKernel:
 
 def action(path: DiscretePath, params: PhysicsParams = PhysicsParams()) -> float:
     """Free-particle kinetic action of the discretized two-particle path:
-    sum over steps of m (|dp1|^2 + |dp2|^2) / (2 dt)."""
+    sum over steps of m (|dp1|^2 + |dp2|^2) / (2 dt).  An action that
+    overflows is refused with ValidationError."""
     validate_path(path)
     dt = path.dt
     total = 0.0
-    for k in range(path.n_steps):
-        a, b = path.configs[k], path.configs[k + 1]
-        d1 = b.p1 - a.p1
-        d2 = b.p2 - a.p2
-        total += (d1.x * d1.x + d1.y * d1.y + d2.x * d2.x + d2.y * d2.y) / (2.0 * dt)
-    return params.mass * total
+    configs = path.configs
+    for a, b in zip(configs, configs[1:]):
+        d1x = b.p1.x - a.p1.x
+        d1y = b.p1.y - a.p1.y
+        d2x = b.p2.x - a.p2.x
+        d2y = b.p2.y - a.p2.y
+        total += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / (2.0 * dt)
+    s = params.mass * total
+    if not math.isfinite(s):
+        raise ValidationError(f"action must be finite, got {s}")
+    return s
 
 
 def path_amplitude(path: DiscretePath, params: PhysicsParams = PhysicsParams()) -> complex:
@@ -180,9 +186,16 @@ def resolved_kernel(
         raise BudgetExceeded(
             f"estimated {estimate} joint-move sequences exceed budget {budget}"
         )
+    try:
+        action_unit = params.mass * lattice.spacing**2 / (2.0 * dt * params.hbar)
+    except (OverflowError, ZeroDivisionError):  # ** overflow, or 2*dt*hbar underflow to 0
+        action_unit = math.inf
+    if not math.isfinite(action_unit):
+        raise ValidationError(
+            f"action unit m*spacing^2/(2*dt*hbar) must be finite, got {action_unit}"
+        )
     counts = walk_census(lattice, endpoints, n_steps, workers=workers)
 
-    action_unit = params.mass * lattice.spacing**2 / (2.0 * dt * params.hbar)
     phases: dict[int, complex] = {}
     partials: dict[HomotopyClass, complex] = {}
     for w2 in sorted({key[0] for key in counts}):

@@ -17,6 +17,7 @@ step would be ambiguous.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -109,6 +110,35 @@ class DiscretePath:
     def end(self) -> TwoParticleConfig:
         return self.configs[-1]
 
+    @functools.cached_property
+    def relatives(self) -> tuple[tuple[float, float], ...]:
+        """The relative vectors r = p1 - p2 of all configurations, as (rx, ry).
+
+        Computed by the one validating pass over the path, which checks, in
+        path order for each configuration: no coincidence (CoincidenceAtStep
+        with the config index), a finite r (ValidationError), and a turn of
+        strictly less than pi from the previous r (TurnTooLargeAtStep with the
+        step index, config k -> k+1).  A path that fails raises on every
+        access; a valid one is walked once, since the path is frozen.
+        """
+        isfinite = math.isfinite
+        out = []
+        rx = ry = 0.0
+        for k, config in enumerate(self.configs):
+            p1, p2 = config.p1, config.p2
+            x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
+            if x1 == x2 and y1 == y2:
+                raise CoincidenceAtStep(k)
+            nrx = x1 - x2
+            nry = y1 - y2
+            if not (isfinite(nrx) and isfinite(nry)):
+                raise ValidationError(f"non-finite vector component ({nrx}, {nry})")
+            if k and rx * nry - ry * nrx == 0.0 and rx * nrx + ry * nry < 0.0:
+                raise TurnTooLargeAtStep(k - 1)
+            out.append((nrx, nry))
+            rx, ry = nrx, nry
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class EndpointPair:
@@ -172,24 +202,14 @@ def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
 def validate_path(path: DiscretePath) -> None:
     """Raise on the first invariant violation along the path.
 
-    Checks, in path order: no coincident configuration, and every step turns
-    the relative vector by strictly less than pi.  CoincidenceAtStep carries
-    the config index, TurnTooLargeAtStep the step index (config k -> k+1).
+    Checks, in path order: no coincident configuration, a finite relative
+    vector, and every step turns the relative vector by strictly less than
+    pi.  CoincidenceAtStep carries the config index, TurnTooLargeAtStep the
+    step index (config k -> k+1).  The checks are the pass that computes
+    :attr:`DiscretePath.relatives`, so a valid path object is validated once
+    however often this is called.
     """
-    configs = path.configs
-    if configs[0].coincident:
-        raise CoincidenceAtStep(0)
-    r = configs[0].relative
-    for k in range(len(configs) - 1):
-        nxt = configs[k + 1]
-        if nxt.coincident:
-            raise CoincidenceAtStep(k + 1)
-        nr = nxt.relative
-        cross = r.x * nr.y - r.y * nr.x
-        dot = r.x * nr.x + r.y * nr.y
-        if cross == 0.0 and dot < 0.0:
-            raise TurnTooLargeAtStep(k)
-        r = nr
+    path.relatives
 
 
 def reverse_path(path: DiscretePath) -> DiscretePath:

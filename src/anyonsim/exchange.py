@@ -146,17 +146,20 @@ def step_factors(
     path: DiscretePath,
     params: PhysicsParams = PhysicsParams(),
 ) -> tuple[StepFactor, ...]:
-    """Per-step direct and opposite one-step amplitudes along a path."""
-    validate_path(path)
-    domain = FundamentalDomain()
+    """Per-step direct and opposite one-step amplitudes along a path.
+
+    A step is flipped when its relative vector leaves the
+    :class:`FundamentalDomain` half, read from :attr:`DiscretePath.relatives`.
+    """
+    rs = path.relatives
     out = []
     scale = params.mass / (2.0 * path.dt)
-    inside = domain.contains(path.configs[0])
+    inside = upper_half_plane(*rs[0])
     for k in range(path.n_steps):
         a, b = path.configs[k], path.configs[k + 1]
         s_dir = scale * (_sq(a.p1, b.p1) + _sq(a.p2, b.p2))
         s_op = scale * (_sq(a.p1, b.p2) + _sq(a.p2, b.p1))
-        next_inside = domain.contains(b)
+        next_inside = upper_half_plane(*rs[k + 1])
         out.append(
             StepFactor(
                 alpha_dir=cmath.exp(1j * s_dir / params.hbar),
@@ -218,7 +221,12 @@ def dephasing_exponent(
     duration = geom.duration
     samples = []
     for dt in dts:
-        n = round(duration / dt)
+        steps = duration / dt
+        if not math.isfinite(steps):
+            raise DegenerateGrid(
+                f"dt {dt} gives a non-finite step count for the exchange of duration {duration}"
+            )
+        n = round(steps)
         if n < 2:
             raise DegenerateGrid(
                 f"dt {dt} leaves fewer than 2 steps of the exchange of duration {duration}"
@@ -272,14 +280,8 @@ class ExchangePhase:
     op_class: OpClass
 
 
-def exchange_phase(resolved: ResolvedKernel, stats: StatisticsSpec) -> ExchangePhase:
-    """Exchange phase of a +1/2-dominated exchange kernel.
-
-    phi = arg(exp(i theta / 2) * s) with s = +1 for operational bosons and
-    -1 for operational fermions, i.e. theta/2 or theta/2 + pi mod 2*pi.  The
-    +1/2 class must dominate the kernel in magnitude; the full interference
-    amplitude s * anyonic_kernel is reported alongside for diagnostics.
-    """
+def _check_exchange_kernel(resolved: ResolvedKernel) -> None:
+    """Refuse a kernel that is not an exchange kernel dominated by the +1/2 class."""
     if resolved.kind is not Kind.EXCHANGE:
         raise NotExchangeKernel("exchange phase requires swapped endpoints")
     dominant = abs(resolved.partials.get(_PLUS_HALF, 0j))
@@ -290,10 +292,26 @@ def exchange_phase(resolved: ResolvedKernel, stats: StatisticsSpec) -> ExchangeP
         raise NoDominantClass(
             f"|K^(+1/2)| = {dominant} does not dominate the remaining classes ({rest})"
         )
+
+
+def _phase(resolved: ResolvedKernel, stats: StatisticsSpec) -> ExchangePhase:
+    """Exchange phase of a kernel that passed :func:`_check_exchange_kernel`."""
     sign = 1.0 if stats.op_class is OpClass.BOSON else -1.0
     phi = cmath.phase(anyonic_weight(_PLUS_HALF, stats.theta) * sign) % TAU
     amplitude = sign * anyonic_kernel(resolved, stats.theta)
     return ExchangePhase(phi=phi, amplitude=amplitude, theta=stats.theta, op_class=stats.op_class)
+
+
+def exchange_phase(resolved: ResolvedKernel, stats: StatisticsSpec) -> ExchangePhase:
+    """Exchange phase of a +1/2-dominated exchange kernel.
+
+    phi = arg(exp(i theta / 2) * s) with s = +1 for operational bosons and
+    -1 for operational fermions, i.e. theta/2 or theta/2 + pi mod 2*pi.  The
+    +1/2 class must dominate the kernel in magnitude; the full interference
+    amplitude s * anyonic_kernel is reported alongside for diagnostics.
+    """
+    _check_exchange_kernel(resolved)
+    return _phase(resolved, stats)
 
 
 @dataclass(frozen=True)
@@ -319,9 +337,10 @@ def theta_sweep(
     if not stats_list:
         return ()
     kernel = path_kernel(build_exchange_path(geom), params)
+    _check_exchange_kernel(kernel)
     rows = []
     for stats in stats_list:
-        result = exchange_phase(kernel, stats)
+        result = _phase(kernel, stats)
         rows.append(
             SweepRow(
                 theta=stats.theta,

@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .config_space import DiscretePath, Vec2, sheet_step, swap, validate_path
+from .config_space import DiscretePath, Vec2, sheet_step, swap
 from .errors import (
     AntiparallelAmbiguity,
     EndpointsNotClosedOrExchanged,
@@ -77,20 +77,20 @@ def total_angle(path: DiscretePath) -> float:
 
     Additive under concatenation and negated by reversal.  Depends only on
     the relative coordinate, so translating both particles together changes
-    nothing.
+    nothing.  Each step is :func:`signed_angle`'s expression, read from the
+    validated :attr:`DiscretePath.relatives`.
     """
-    validate_path(path)
-    relatives = [c.relative for c in path.configs]
+    rs = path.relatives
     return math.fsum(
-        signed_angle(relatives[k], relatives[k + 1]) for k in range(len(relatives) - 1)
+        math.atan2(rx * nry - ry * nrx, rx * nrx + ry * nry)
+        for (rx, ry), (nrx, nry) in zip(rs, rs[1:])
     )
 
 
 def _doubled_winding(path: DiscretePath) -> int:
-    """Validate the path, then sum the sheet steps of its relative vector."""
-    validate_path(path)
-    rs = [c.relative for c in path.configs]
-    return sum(sheet_step(a.x, a.y, b.x, b.y) for a, b in zip(rs, rs[1:]))
+    """Sum the sheet steps of the path's validated relative vectors."""
+    rs = path.relatives
+    return sum(sheet_step(rx, ry, nrx, nry) for (rx, ry), (nrx, nry) in zip(rs, rs[1:]))
 
 
 def classify(path: DiscretePath) -> HomotopyClass:

@@ -128,6 +128,17 @@ def rounded_turns(turns, unit):
     return n * unit
 
 
+def vec2_action(path, mass=1.0):
+    """Kinetic action summed step by step from Vec2 differences, the
+    formula that the float arithmetic of ``amplitudes.action`` replaces."""
+    total = 0.0
+    for a, b in zip(path.configs, path.configs[1:]):
+        d1 = b.p1 - a.p1
+        d2 = b.p2 - a.p2
+        total += (d1.x * d1.x + d1.y * d1.y + d2.x * d2.x + d2.y * d2.y) / (2.0 * path.dt)
+    return mass * total
+
+
 def laplace_permanent(matrix):
     """Permanent by Laplace expansion along the first row."""
     n = len(matrix)

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from anyonsim import amplitudes
 from anyonsim import (
     EndpointPair,
     HomotopyClass,
@@ -37,6 +38,7 @@ from anyonsim.errors import (
     EndpointsNotClosedOrExchanged,
     IncompleteMap,
     NonSquare,
+    ValidationError,
 )
 from helpers import fsum_complex, lattice_path
 
@@ -53,6 +55,11 @@ class TestAction:
     def test_distance_two_in_half_time(self):
         path = lattice_path([(0, 0, 3, 0), (2, 0, 3, 0)], dt=0.5)
         assert action(path) == pytest.approx(4.0)
+
+    def test_overflowing_action_refused(self):
+        path = lattice_path([(0, 0, 2, 0), (1, 0, 2, 0)], dt=1e-10)
+        with pytest.raises(ValidationError, match="action must be finite"):
+            action(path, PhysicsParams(mass=1e308))
 
     def test_mass_scales_linearly(self):
         path = lattice_path([(0, 0, 2, 0), (1, 0, 2, 0)])
@@ -143,6 +150,20 @@ class TestResolvedKernel:
         ep = EndpointPair(lattice.config((0, 0), (2, 0)), lattice.config((0, 0), (2, 0)))
         with pytest.raises(BudgetExceeded, match="9765625"):
             resolved_kernel(lattice, ep, 5, budget=10**6)
+
+    @pytest.mark.parametrize(
+        "params,dt",
+        [(PhysicsParams(mass=1e308), 1e-10), (PhysicsParams(hbar=1e-200), 1e-200)],
+    )
+    def test_non_finite_action_unit_refused_before_census(self, monkeypatch, params, dt):
+        def no_census(*args, **kwargs):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr(amplitudes, "walk_census", no_census)
+        lattice = LatticeSpec(extent=2)
+        ep = EndpointPair(lattice.config((0, 0), (2, 0)), lattice.config((0, 0), (2, 0)))
+        with pytest.raises(ValidationError, match="action unit"):
+            resolved_kernel(lattice, ep, 3, params, dt=dt)
 
     def test_workers_give_identical_partials(self):
         lattice = LatticeSpec(extent=2)

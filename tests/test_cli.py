@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from anyonsim import ExchangeGeometry, build_exchange_path, step_factors
 from anyonsim.cli import main
 
 TAU = 2 * math.pi
@@ -237,6 +238,14 @@ class TestExchange:
         assert report["n_flipped"] == 1
         assert report["phi"] == pytest.approx(3 * math.pi / 2, abs=1e-9)
 
+    @pytest.mark.parametrize("steps", [2, 3, 32, 1001])
+    def test_n_flipped_counts_flipped_step_factors(self, capsys, steps):
+        code, out, _ = run(capsys, ["exchange", "--steps", str(steps)])
+        assert code == 0
+        geom = ExchangeGeometry(radius=1.0, n_steps=steps, dt=0.05)
+        factors = step_factors(build_exchange_path(geom))
+        assert json.loads(out)["n_flipped"] == sum(f.flipped for f in factors)
+
     def test_cw_has_no_dominant_class(self, capsys):
         code, _, err = run(capsys, ["exchange", "--direction", "cw"])
         assert code == 2
@@ -259,12 +268,23 @@ class TestNonFiniteTimes:
             ["dephase", "--dt-grid", "0.2,0.1,0.05", "--radius", "1e-300"],
             ["dephase", "--dt-grid", "0.2,0.1,0.05", "--radius", "1e200"],
             ["dephase", "--dt-grid", "0.2,0.1,0.05", "--hbar", "1e-320"],
+            ["dephase", "--dt-grid", "1e-310,1e-311,1e-312"],
+            ["exchange", "--mass", "1e308", "--radius", "1e10"],
+            ["sweep", "--theta-min", "0", "--theta-max", "1", "--points", "2",
+             "--mass", "1e308", "--radius", "1e10"],
+            ["kernel", "--extent", "1", "--steps", "3", "--start", "0", "0", "1", "0",
+             "--end", "0", "0", "1", "0", "--mass", "1e308", "--dt", "1e-10"],
+            KERNEL_ARGS + ["--dt", "1e-200", "--hbar", "1e-200"],
+            ["kernel", "--extent", "1", "--steps", "1", "--spacing", "1e200",
+             "--start", "0", "0", "1e200", "0", "--end", "0", "0", "1e200", "0"],
         ],
         ids=[
             "dephase-nan-grid", "dephase-inf-duration", "exchange-inf-dt", "kernel-inf-dt",
             "kernel-inf-mass", "kernel-inf-spacing", "dephase-inf-mass", "exchange-inf-hbar",
             "exchange-inf-mass", "dephase-slope-underflow", "dephase-slope-overflow",
-            "dephase-tiny-hbar",
+            "dephase-tiny-hbar", "dephase-infinite-step-count", "exchange-action-overflow",
+            "sweep-action-overflow", "kernel-action-unit-overflow", "kernel-dt-hbar-underflow",
+            "kernel-spacing-squared-overflow",
         ],
     )
     def test_refused_with_one_error_line(self, capsys, argv):

@@ -18,6 +18,7 @@ from anyonsim import (
     path_to_json_dict,
     reverse_path,
     swap,
+    total_angle,
     validate_path,
     walk_census,
 )
@@ -98,6 +99,24 @@ class TestValidatePath:
         path = lattice_path([(2, 0, 0, 0), (-1, 0, 0, 0)])
         with pytest.raises(TurnTooLargeAtStep):
             validate_path(path)
+
+    @pytest.mark.parametrize("check", [validate_path, classify, total_angle])
+    def test_overflowing_relative_vector_refused(self, check):
+        # both positions are finite, but r = p1 - p2 overflows to (inf, 0)
+        path = DiscretePath(dt=1.0, configs=(cfg(1e308, 0.0, -1e308, 0.0),) * 2)
+        with pytest.raises(ValidationError, match=r"^non-finite vector component \(inf, 0\.0\)$"):
+            check(path)
+
+    def test_relatives_computed_once(self):
+        path = lattice_path([(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0)])
+        assert path.relatives == ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+        assert path.relatives is path.relatives
+
+    def test_invalid_path_raises_on_every_call(self):
+        path = DiscretePath(dt=1.0, configs=(cfg(0, 0, 1, 0), cfg(1, 1, 1, 1)))
+        for _ in range(2):
+            with pytest.raises(CoincidenceAtStep):
+                validate_path(path)
 
 
 class TestPathHelpers:

@@ -177,6 +177,11 @@ class TestDephasing:
         with pytest.raises(DegenerateGrid):
             dephasing_exponent(geom, PhysicsParams(), [0.1, -0.2, 0.05])
 
+    def test_infinite_step_count_rejected(self):
+        geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)  # duration 2.0
+        with pytest.raises(DegenerateGrid, match="dt 1e-310 "):
+            dephasing_exponent(geom, PhysicsParams(), [1e-310, 1e-311, 1e-312])
+
     def test_dt_larger_than_half_duration_rejected(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)  # duration 2.0
         with pytest.raises(DegenerateGrid):
@@ -260,6 +265,20 @@ class TestThetaSweep:
         )
         for row in rows:
             assert angle_close(row.phi, row.theta / 2)
+
+    def test_rows_equal_exchange_phase(self):
+        geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
+        grid = [StatisticsSpec(t, c) for t in (-1.0, 0.0, 2.5) for c in OpClass]
+        kernel = _one_path_kernel()
+        rows = theta_sweep(geom, PhysicsParams(), grid)
+        for row, stats in zip(rows, grid):
+            result = exchange_phase(kernel, stats)
+            assert (row.phi, row.amplitude) == (result.phi, result.amplitude)
+
+    def test_cw_kernel_refused_once(self):
+        geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125, direction=Direction.CW)
+        with pytest.raises(NoDominantClass):
+            theta_sweep(geom, PhysicsParams(), [StatisticsSpec(0.0, OpClass.BOSON)])
 
     def test_empty_grid(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)

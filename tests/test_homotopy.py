@@ -10,8 +10,10 @@ from anyonsim import (
     DiscretePath,
     HomotopyClass,
     Kind,
+    PhysicsParams,
     TwoParticleConfig,
     Vec2,
+    action,
     class_relative,
     classify,
     concat_paths,
@@ -34,6 +36,7 @@ from helpers import (
     relative_path,
     rounded_turns,
     turning,
+    vec2_action,
 )
 
 TAU = 2 * math.pi
@@ -234,3 +237,13 @@ def test_exact_winding_matches_float_rule(pair):
     for path in pair:
         assert classify(path).winding == rounded_turns(turning(path) / TAU, 0.5)
     assert class_relative(a, b) == rounded_turns((turning(a) - turning(b)) / TAU, 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(float_path_pairs(), st.floats(0.25, 4.0), st.floats(0.1, 10.0))
+def test_relatives_pass_matches_vec2_formulas(pair, mass, dt):
+    for path in pair:
+        path = DiscretePath(dt, path.configs)
+        rs = [c.relative for c in path.configs]
+        assert total_angle(path) == math.fsum(signed_angle(a, b) for a, b in zip(rs, rs[1:]))
+        assert action(path, PhysicsParams(mass=mass)) == vec2_action(path, mass)
