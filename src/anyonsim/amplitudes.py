@@ -116,11 +116,11 @@ class ResolvedKernel:
         return sum((self.partials[c] for c in self.sorted_classes()), 0j)
 
     def to_json_dict(self) -> dict:
-        ep = self.endpoints
+        (sx1, sy1, sx2, sy2), (ex1, ey1, ex2, ey2) = self.endpoints.start, self.endpoints.end
         return {
             "endpoints": {
-                "start": [[ep.start.p1.x, ep.start.p1.y], [ep.start.p2.x, ep.start.p2.y]],
-                "end": [[ep.end.p1.x, ep.end.p1.y], [ep.end.p2.x, ep.end.p2.y]],
+                "start": [[sx1, sy1], [sx2, sy2]],
+                "end": [[ex1, ey1], [ex2, ey2]],
             },
             "n_steps": self.n_steps,
             "partials": [
@@ -143,11 +143,11 @@ def action(path: DiscretePath, params: PhysicsParams = PhysicsParams()) -> float
     dt = path.dt
     total = 0.0
     configs = path.configs
-    for a, b in zip(configs, configs[1:]):
-        d1x = b.p1.x - a.p1.x
-        d1y = b.p1.y - a.p1.y
-        d2x = b.p2.x - a.p2.x
-        d2y = b.p2.y - a.p2.y
+    for (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) in zip(configs, configs[1:]):
+        d1x = bx1 - ax1
+        d1y = by1 - ay1
+        d2x = bx2 - ax2
+        d2y = by2 - ay2
         total += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / (2.0 * dt)
     s = params.mass * total
     if not math.isfinite(s):
@@ -155,9 +155,17 @@ def action(path: DiscretePath, params: PhysicsParams = PhysicsParams()) -> float
     return s
 
 
+def phase_factor(phase: float) -> complex:
+    """exp(i * phase) for an action phase S/hbar.  A phase that is not finite
+    (S/hbar overflowing although S is finite) is refused with ValidationError."""
+    if not math.isfinite(phase):
+        raise ValidationError(f"phase S/hbar must be finite, got {phase}")
+    return cmath.exp(1j * phase)
+
+
 def path_amplitude(path: DiscretePath, params: PhysicsParams = PhysicsParams()) -> complex:
     """exp(i S / hbar); always unit modulus."""
-    return cmath.exp(1j * action(path, params) / params.hbar)
+    return phase_factor(action(path, params) / params.hbar)
 
 
 def resolved_kernel(
@@ -203,7 +211,7 @@ def resolved_kernel(
         for ssq in sorted(ssq for w, ssq in counts if w == w2):
             phase = phases.get(ssq)
             if phase is None:
-                phase = phases[ssq] = cmath.exp(1j * action_unit * ssq)
+                phase = phases[ssq] = phase_factor(action_unit * ssq)
             amp += counts[(w2, ssq)] * phase
         partials[HomotopyClass(kind, w2 / 2.0)] = amp
     return ResolvedKernel(endpoints=endpoints, n_steps=n_steps, partials=partials)

@@ -9,6 +9,12 @@ the two lattice walk counts that the propagator machinery is built on: the
 walk-by-walk enumeration kept as an oracle, and the transfer-matrix census
 bucketed by winding.
 
+A configuration is the tuple of its four coordinates (x1, y1, x2, y2), with
+Vec2 views of the two positions built on demand: a path is up to 10^5
+configurations, every path computation reads only those floats, and a plain
+tuple costs a fraction of the time and memory of two nested objects.  Every
+configuration is built through a check that its coordinates are finite.
+
 A path is valid when no configuration is coincident and the relative vector
 turns by strictly less than pi radians per step.  Steps that flip r exactly
 antiparallel are rejected rather than assigned a sign: the winding of such a
@@ -60,29 +66,61 @@ class Vec2:
         return Vec2(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class TwoParticleConfig:
-    """Positions of the two labeled particles.
+class TwoParticleConfig(tuple):
+    """Positions of the two labeled particles, held as (x1, y1, x2, y2).
 
-    Construction is permissive so that externally supplied data can be loaded
-    and then diagnosed; coincidence is reported by :func:`validate_path`.
+    Built from the two positions, ``TwoParticleConfig(p1, p2)``; ``p1`` and
+    ``p2`` are read back as Vec2.  Being a tuple, a configuration unpacks,
+    indexes, orders and compares equal like the plain 4-tuple of its
+    coordinates.  Construction is permissive so that externally supplied
+    data can be loaded and then diagnosed; coincidence is reported by
+    :func:`validate_path`.
     """
 
-    p1: Vec2
-    p2: Vec2
+    __slots__ = ()
+
+    def __new__(cls, p1: Vec2, p2: Vec2) -> "TwoParticleConfig":
+        return tuple.__new__(cls, (p1.x, p1.y, p2.x, p2.y))
+
+    def __getnewargs__(self) -> tuple[Vec2, Vec2]:
+        return (self.p1, self.p2)
+
+    def __repr__(self) -> str:
+        return f"TwoParticleConfig(p1={self.p1!r}, p2={self.p2!r})"
+
+    @property
+    def p1(self) -> Vec2:
+        return Vec2(self[0], self[1])
+
+    @property
+    def p2(self) -> Vec2:
+        return Vec2(self[2], self[3])
 
     @property
     def relative(self) -> Vec2:
-        return self.p1 - self.p2
+        x1, y1, x2, y2 = self
+        return Vec2(x1 - x2, y1 - y2)
 
     @property
     def coincident(self) -> bool:
-        return self.p1 == self.p2
+        x1, y1, x2, y2 = self
+        return x1 == x2 and y1 == y2
+
+
+def _config(x1: float, y1: float, x2: float, y2: float) -> TwoParticleConfig:
+    """The configuration with these coordinates, refusing non-finite ones as Vec2 does."""
+    isfinite = math.isfinite
+    if not (isfinite(x1) and isfinite(y1)):
+        raise ValidationError(f"non-finite vector component ({x1}, {y1})")
+    if not (isfinite(x2) and isfinite(y2)):
+        raise ValidationError(f"non-finite vector component ({x2}, {y2})")
+    return tuple.__new__(TwoParticleConfig, (x1, y1, x2, y2))
 
 
 def swap(config: TwoParticleConfig) -> TwoParticleConfig:
     """Exchange the two particle labels. Involutive."""
-    return TwoParticleConfig(config.p2, config.p1)
+    x1, y1, x2, y2 = config
+    return _config(x2, y2, x1, y1)
 
 
 @dataclass(frozen=True)
@@ -124,9 +162,7 @@ class DiscretePath:
         isfinite = math.isfinite
         out = []
         rx = ry = 0.0
-        for k, config in enumerate(self.configs):
-            p1, p2 = config.p1, config.p2
-            x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
+        for k, (x1, y1, x2, y2) in enumerate(self.configs):
             if x1 == x2 and y1 == y2:
                 raise CoincidenceAtStep(k)
             nrx = x1 - x2
@@ -166,7 +202,9 @@ class LatticeSpec:
         return Vec2(i * self.spacing, j * self.spacing)
 
     def config(self, site1: tuple[int, int], site2: tuple[int, int]) -> TwoParticleConfig:
-        return TwoParticleConfig(self.site(*site1), self.site(*site2))
+        (i1, j1), (i2, j2) = site1, site2
+        sp = self.spacing
+        return _config(i1 * sp, j1 * sp, i2 * sp, j2 * sp)
 
 
 def upper_half_plane(rx: float, ry: float) -> bool:
@@ -231,9 +269,7 @@ def concat_paths(first: DiscretePath, second: DiscretePath) -> DiscretePath:
 def path_to_json_dict(path: DiscretePath) -> dict:
     return {
         "dt": path.dt,
-        "configs": [
-            [[c.p1.x, c.p1.y], [c.p2.x, c.p2.y]] for c in path.configs
-        ],
+        "configs": [[[x1, y1], [x2, y2]] for x1, y1, x2, y2 in path.configs],
     }
 
 
@@ -241,7 +277,7 @@ def path_from_json_dict(data: dict) -> DiscretePath:
     try:
         dt = float(data["dt"])
         configs = tuple(
-            TwoParticleConfig(Vec2(float(p1[0]), float(p1[1])), Vec2(float(p2[0]), float(p2[1])))
+            _config(float(p1[0]), float(p1[1]), float(p2[0]), float(p2[1]))
             for p1, p2 in data["configs"]
         )
     except ValidationError:
@@ -257,7 +293,7 @@ def path_from_json_dict(data: dict) -> DiscretePath:
 def _snap_to_sites(lattice: LatticeSpec, config: TwoParticleConfig) -> tuple[int, int, int, int]:
     """Map a configuration to integer site coordinates, or fail."""
     sites = []
-    for v in (config.p1.x, config.p1.y, config.p2.x, config.p2.y):
+    for v in config:
         scaled = v / lattice.spacing
         i = round(scaled)
         if abs(scaled - i) > _SNAP_TOL or abs(i) > lattice.extent:
@@ -363,10 +399,7 @@ def enumerate_walks(
             yield from rec(nxt, left - 1, trail + (nxt,))
 
     for trail in rec(start4, n_steps, (start4,)):
-        configs = tuple(
-            TwoParticleConfig(Vec2(a * sp, b * sp), Vec2(c * sp, d * sp))
-            for a, b, c, d in trail
-        )
+        configs = tuple(_config(a * sp, b * sp, c * sp, d * sp) for a, b, c, d in trail)
         yield DiscretePath(dt=dt, configs=configs)
 
 

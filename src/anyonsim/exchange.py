@@ -35,12 +35,14 @@ from .amplitudes import (
     anyonic_kernel,
     anyonic_weight,
     path_amplitude,
+    phase_factor,
 )
 from .config_space import (
     DiscretePath,
     EndpointPair,
     TwoParticleConfig,
     Vec2,
+    _config,
     check_finite_positive,
     swap,
     upper_half_plane,
@@ -95,7 +97,7 @@ def _exchange_config(geom: ExchangeGeometry, k: int) -> TwoParticleConfig:
     phi = sign * math.pi * k / geom.n_steps
     dx, dy = geom.radius * math.cos(phi), geom.radius * math.sin(phi)
     cx, cy = geom.center.x, geom.center.y
-    return TwoParticleConfig(Vec2(cx + dx, cy + dy), Vec2(cx - dx, cy - dy))
+    return _config(cx + dx, cy + dy, cx - dx, cy - dy)
 
 
 def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
@@ -116,8 +118,8 @@ class FundamentalDomain:
     config, swap(config) lies in it."""
 
     def contains(self, config: TwoParticleConfig) -> bool:
-        r = config.relative
-        return upper_half_plane(r.x, r.y)
+        x1, y1, x2, y2 = config
+        return upper_half_plane(x1 - x2, y1 - y2)
 
 
 @dataclass(frozen=True)
@@ -137,11 +139,6 @@ class StepFactor:
     action_op: float
 
 
-def _sq(a: Vec2, b: Vec2) -> float:
-    dx, dy = b.x - a.x, b.y - a.y
-    return dx * dx + dy * dy
-
-
 def step_factors(
     path: DiscretePath,
     params: PhysicsParams = PhysicsParams(),
@@ -152,18 +149,23 @@ def step_factors(
     :class:`FundamentalDomain` half, read from :attr:`DiscretePath.relatives`.
     """
     rs = path.relatives
+    configs = path.configs
     out = []
     scale = params.mass / (2.0 * path.dt)
     inside = upper_half_plane(*rs[0])
     for k in range(path.n_steps):
-        a, b = path.configs[k], path.configs[k + 1]
-        s_dir = scale * (_sq(a.p1, b.p1) + _sq(a.p2, b.p2))
-        s_op = scale * (_sq(a.p1, b.p2) + _sq(a.p2, b.p1))
+        ax1, ay1, ax2, ay2 = configs[k]
+        bx1, by1, bx2, by2 = configs[k + 1]
+        # squared displacements p1 -> p1, p2 -> p2 (direct) and p1 -> p2, p2 -> p1 (opposite)
+        d11x, d11y, d22x, d22y = bx1 - ax1, by1 - ay1, bx2 - ax2, by2 - ay2
+        d12x, d12y, d21x, d21y = bx2 - ax1, by2 - ay1, bx1 - ax2, by1 - ay2
+        s_dir = scale * ((d11x * d11x + d11y * d11y) + (d22x * d22x + d22y * d22y))
+        s_op = scale * ((d12x * d12x + d12y * d12y) + (d21x * d21x + d21y * d21y))
         next_inside = upper_half_plane(*rs[k + 1])
         out.append(
             StepFactor(
-                alpha_dir=cmath.exp(1j * s_dir / params.hbar),
-                alpha_op=cmath.exp(1j * s_op / params.hbar),
+                alpha_dir=phase_factor(s_dir / params.hbar),
+                alpha_op=phase_factor(s_op / params.hbar),
                 flipped=inside != next_inside,
                 action_dir=s_dir,
                 action_op=s_op,
@@ -244,10 +246,18 @@ def dephasing_exponent(
         )
     xs = [1.0 / s.dt for s in samples]
     ys = [s.phase_op for s in samples]
-    slope, intercept = statistics.linear_regression(xs, ys)
-    residual = math.sqrt(
-        math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / len(xs)
-    )
+    try:
+        slope, intercept = statistics.linear_regression(xs, ys)
+        residual = math.sqrt(
+            math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / len(xs)
+        )
+        finite = math.isfinite(slope) and math.isfinite(intercept) and math.isfinite(residual)
+    except OverflowError:  # float ** raises where * would give inf
+        finite = False
+    if not finite:
+        raise DegenerateGrid(
+            f"dt grid {dts} gives a fit with a non-finite slope, intercept or residual"
+        )
     return DephasingFit(
         slope=slope,
         intercept=intercept,

@@ -86,6 +86,12 @@ class TestPathAmplitude:
         path = lattice_path([(0, 0, 2, 0), (1, 0, 2, 1), (1, 1, 2, 0)], dt=0.3)
         assert abs(path_amplitude(path, PhysicsParams(mass=1.7, hbar=0.4))) == pytest.approx(1.0)
 
+    def test_overflowing_phase_refused(self):
+        # S = 0.5 is finite; S/hbar overflows for a subnormal hbar
+        path = lattice_path([(0, 0, 2, 0), (1, 0, 2, 0)])
+        with pytest.raises(ValidationError, match=r"^phase S/hbar must be finite, got inf$"):
+            path_amplitude(path, PhysicsParams(hbar=1e-310))
+
 
 def _direct_class_sums(lattice, ep, n_steps, params, dt):
     """Independent route: enumerate, classify each walk, fsum per class."""

@@ -63,14 +63,20 @@ class TestWinding:
         assert "ParseError" in err
 
     def test_nan_coordinate_is_validation_error(self, capsys, tmp_path):
-        target = tmp_path / "nan.json"
-        target.write_text(
-            '{"dt": 1.0, "configs": [[[NaN, 0], [0, 0]], [[1, 0], [0, 0]]]}',
-            encoding="utf-8",
-        )
-        code, _, err = run(capsys, ["winding", str(target)])
-        assert code == 2
-        assert "ValidationError" in err
+        cases = [
+            ("[[NaN, 0], [0, 0]]", "(nan, 0.0)"),
+            ("[[0, Infinity], [2, 0]]", "(0.0, inf)"),
+            ("[[1, 0], [NaN, 0]]", "(nan, 0.0)"),
+            ("[[1, 0], [0, -Infinity]]", "(0.0, -inf)"),
+        ]
+        for k, (first, pair) in enumerate(cases):
+            target = tmp_path / f"non_finite{k}.json"
+            target.write_text(
+                f'{{"dt": 1.0, "configs": [{first}, [[1, 0], [0, 0]]]}}', encoding="utf-8"
+            )
+            code, out, err = run(capsys, ["winding", str(target)])
+            assert code == 2 and out == ""
+            assert err == f"anyonsim: ValidationError: non-finite vector component {pair}\n"
 
     def test_seed_flag_accepted(self, capsys, tmp_path):
         path_file = write_path_json(
@@ -277,6 +283,14 @@ class TestNonFiniteTimes:
             KERNEL_ARGS + ["--dt", "1e-200", "--hbar", "1e-200"],
             ["kernel", "--extent", "1", "--steps", "1", "--spacing", "1e200",
              "--start", "0", "0", "1e200", "0", "--end", "0", "0", "1e200", "0"],
+            ["exchange", "--hbar", "1e-310"],
+            ["sweep", "--theta-min", "0", "--theta-max", "1", "--points", "2",
+             "--hbar", "1e-310"],
+            ["kernel", "--extent", "2", "--steps", "3", "--start", "0", "0", "1", "0",
+             "--end", "0", "0", "1", "0", "--mass", "1.7e308"],
+            ["dephase", "--dt-grid", "1e-300,1e-301,1e-302", "--hbar", "1e-10"],
+            ["dephase", "--dt-grid", "1e-300,1e-301,1e-302"],
+            ["dephase", "--dt-grid", "0.2,0.1,0.05", "--hbar", "1e-200"],
         ],
         ids=[
             "dephase-nan-grid", "dephase-inf-duration", "exchange-inf-dt", "kernel-inf-dt",
@@ -284,7 +298,9 @@ class TestNonFiniteTimes:
             "exchange-inf-mass", "dephase-slope-underflow", "dephase-slope-overflow",
             "dephase-tiny-hbar", "dephase-infinite-step-count", "exchange-action-overflow",
             "sweep-action-overflow", "kernel-action-unit-overflow", "kernel-dt-hbar-underflow",
-            "kernel-spacing-squared-overflow",
+            "kernel-spacing-squared-overflow", "exchange-phase-overflow",
+            "sweep-phase-overflow", "kernel-phase-overflow", "dephase-phase-overflow",
+            "dephase-non-finite-fit", "dephase-residual-overflow",
         ],
     )
     def test_refused_with_one_error_line(self, capsys, argv):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -63,6 +65,58 @@ class TestSwap:
         for _ in range(50):
             c = cfg(*(rng.uniform(-5, 5) for _ in range(4)))
             assert swap(swap(c)) == c
+
+
+def _outcome(read):
+    """The value of read(), or the type and message of the error it raises."""
+    try:
+        return read()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+finite_coords = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestTwoParticleConfig:
+    def test_is_the_tuple_of_its_coordinates(self):
+        # declared surface: unpacks, indexes, orders and equals the plain 4-tuple
+        c = cfg(1.0, 2.0, 3.0, 4.0)
+        assert c == (1.0, 2.0, 3.0, 4.0) and hash(c) == hash((1.0, 2.0, 3.0, 4.0))
+        x1, y1, x2, y2 = c
+        assert (x1, y1, x2, y2) == (c[0], c[1], c[2], c[3]) == (1.0, 2.0, 3.0, 4.0)
+        assert c < swap(c)
+        assert repr(c) == "TwoParticleConfig(p1=Vec2(x=1.0, y=2.0), p2=Vec2(x=3.0, y=4.0))"
+        assert TwoParticleConfig(p1=Vec2(1.0, 2.0), p2=Vec2(3.0, 4.0)) == c
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy]
+        + [
+            lambda obj, proto=proto: pickle.loads(pickle.dumps(obj, protocol=proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_copy_and_pickle_round_trip(self, clone):
+        path = lattice_path([(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0)])
+        for obj in (path.configs[1], path):
+            twin = clone(obj)
+            assert type(twin) is type(obj) and twin == obj
+        assert all(type(c) is TwoParticleConfig for c in clone(path).configs)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(finite_coords, finite_coords, finite_coords, finite_coords)
+    def test_coordinate_and_vec2_construction_agree(self, x1, y1, x2, y2):
+        built = TwoParticleConfig(Vec2(x1, y1), Vec2(x2, y2))
+        loaded = path_from_json_dict({"dt": 1.0, "configs": [[[x1, y1], [x2, y2]]] * 2}).start
+        assert loaded == built and hash(loaded) == hash(built)
+        assert loaded.p1 == built.p1 == Vec2(x1, y1)
+        assert loaded.p2 == built.p2 == Vec2(x2, y2)
+        assert _outcome(lambda: loaded.relative) == _outcome(lambda: built.relative)
+        assert loaded.coincident == built.coincident == (Vec2(x1, y1) == Vec2(x2, y2))
+        assert repr(loaded) == repr(built)
+        assert swap(swap(loaded)) == loaded and swap(loaded).p1 == built.p2
 
 
 class TestDiscretePath:

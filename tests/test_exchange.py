@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -181,6 +182,26 @@ class TestDephasing:
         geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)  # duration 2.0
         with pytest.raises(DegenerateGrid, match="dt 1e-310 "):
             dephasing_exponent(geom, PhysicsParams(), [1e-310, 1e-311, 1e-312])
+
+    @pytest.mark.parametrize(
+        "grid, hbar",
+        [
+            ([1e-300, 1e-301, 1e-302], 1.0),  # 1/dt ~ 1e302 overflows the regression's sums
+            ([0.2, 0.1, 0.05], 1e-200),  # finite slope ~ 4e200, squared residuals overflow
+        ],
+        ids=["regression-overflow", "residual-overflow"],
+    )
+    def test_non_finite_fit_rejected(self, grid, hbar):
+        geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)
+        message = f"dt grid {grid} gives a fit with a non-finite slope, intercept or residual"
+        with pytest.raises(DegenerateGrid, match=f"^{re.escape(message)}$"):
+            dephasing_exponent(geom, PhysicsParams(hbar=hbar), grid)
+
+    def test_overflowing_phase_refused(self):
+        # the opposite-step action ~ 2e300 is finite, its phase S/hbar is not
+        geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)
+        with pytest.raises(ValidationError, match=r"^phase S/hbar must be finite, got inf$"):
+            dephasing_exponent(geom, PhysicsParams(hbar=1e-10), [1e-300, 1e-301, 1e-302])
 
     def test_dt_larger_than_half_duration_rejected(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)  # duration 2.0
