@@ -50,7 +50,6 @@ from .exchange import (
     ExchangePhase,
     FundamentalDomain,
     StepFactor,
-    SweepRow,
     build_exchange_path,
     dephasing_exponent,
     exchange_phase,

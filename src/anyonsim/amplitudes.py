@@ -221,9 +221,15 @@ def anyonic_weight(cls: HomotopyClass, theta: float) -> complex:
     """Topological phase exp(i theta w) of winding class w.
 
     One full CCW rotation of the pair accrues exp(i theta); an exchange is
-    half a rotation, so a +1/2 class accrues exp(i theta / 2).
+    half a rotation, so a +1/2 class accrues exp(i theta / 2).  An angle
+    theta*w that is not finite is refused with ValidationError.
     """
-    return cmath.exp(1j * theta * cls.winding)
+    angle = theta * cls.winding
+    if not math.isfinite(angle):
+        raise ValidationError(
+            f"theta*w must be finite, got {angle} (theta {theta}, w {cls.winding})"
+        )
+    return cmath.exp(1j * angle)
 
 
 def anyonic_kernel(resolved: ResolvedKernel, theta: float) -> complex:

@@ -214,9 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="anyonsim",
         description="Two-particle exchange statistics in the punctured plane.",
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized subcommands (reserved)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("winding", help="classify a path JSON file by winding")
@@ -268,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument(
         "--direction", choices=["ccw", "cw"], default="ccw",
-        help="phase extraction follows the counter-clockwise convention",
+        help="sense of the exchange; it sets the winding w = +1/2 (ccw) or -1/2 (cw) "
+        "and so the phase phi = theta*w (+ pi for fermions)",
     )
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--op-class", choices=["boson", "fermion"], default="boson")

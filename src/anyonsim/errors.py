@@ -66,11 +66,8 @@ class NonSquare(AnyonSimError):
 
 
 class NotExchangeKernel(AnyonSimError):
-    """An exchange phase was requested from a kernel that is not of exchange kind."""
-
-
-class NoDominantClass(AnyonSimError):
-    """The +1/2 winding class does not dominate the resolved kernel."""
+    """An exchange phase was requested from a kernel that is not a one-path
+    exchange kernel: not of exchange kind, or not holding exactly one class."""
 
 
 class DegenerateGrid(AnyonSimError):

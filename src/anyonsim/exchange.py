@@ -14,8 +14,10 @@ measured here:
   direct/opposite labels unambiguous, and a simple exchange path crosses its
   boundary exactly once, swapping the roles of the two factors at that step;
 * combining the surviving all-direct product with the winding weight
-  exp(i theta / 2) and the single operational sign yields the exchange phase
-  phi = theta/2 (bosons) or theta/2 + pi (fermions).
+  exp(i theta w) of the path's own class w and the single operational sign
+  yields the exchange phase phi = theta w (bosons) or theta w + pi (fermions):
+  theta/2 for the counter-clockwise exchange (w = +1/2), -theta/2 for the
+  clockwise one (w = -1/2).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .amplitudes import (
     PhysicsParams,
     ResolvedKernel,
     StatisticsSpec,
-    anyonic_kernel,
     anyonic_weight,
     path_amplitude,
     phase_factor,
@@ -48,12 +49,7 @@ from .config_space import (
     upper_half_plane,
     validate_path,
 )
-from .errors import (
-    DegenerateGrid,
-    NoDominantClass,
-    NotExchangeKernel,
-    ValidationError,
-)
+from .errors import DegenerateGrid, NotExchangeKernel, ValidationError
 from .homotopy import HomotopyClass, Kind, classify
 
 TAU = 2.0 * math.pi
@@ -277,9 +273,6 @@ def path_kernel(path: DiscretePath, params: PhysicsParams) -> ResolvedKernel:
     )
 
 
-_PLUS_HALF = HomotopyClass(Kind.EXCHANGE, 0.5)
-
-
 @dataclass(frozen=True)
 class ExchangePhase:
     """Total exchange phase phi in [0, 2*pi) with its diagnostic amplitude."""
@@ -290,73 +283,60 @@ class ExchangePhase:
     op_class: OpClass
 
 
-def _check_exchange_kernel(resolved: ResolvedKernel) -> None:
-    """Refuse a kernel that is not an exchange kernel dominated by the +1/2 class."""
+def _exchange_class(resolved: ResolvedKernel) -> tuple[HomotopyClass, complex]:
+    """The one class w of a one-path exchange kernel and its partial K^w."""
     if resolved.kind is not Kind.EXCHANGE:
         raise NotExchangeKernel("exchange phase requires swapped endpoints")
-    dominant = abs(resolved.partials.get(_PLUS_HALF, 0j))
-    rest = math.fsum(
-        abs(amp) for cls, amp in resolved.partials.items() if cls != _PLUS_HALF
-    )
-    if not dominant > rest:
-        raise NoDominantClass(
-            f"|K^(+1/2)| = {dominant} does not dominate the remaining classes ({rest})"
+    if len(resolved.partials) != 1:
+        raise NotExchangeKernel(
+            f"exchange phase requires a one-path kernel of one class, got {len(resolved.partials)}"
         )
+    ((cls, amp),) = resolved.partials.items()
+    return cls, amp
 
 
-def _phase(resolved: ResolvedKernel, stats: StatisticsSpec) -> ExchangePhase:
-    """Exchange phase of a kernel that passed :func:`_check_exchange_kernel`."""
+def _phase(cls: HomotopyClass, amp: complex, stats: StatisticsSpec) -> ExchangePhase:
+    """phi = arg(s exp(i theta w)) mod 2*pi and amplitude s exp(i theta w) K^w."""
     sign = 1.0 if stats.op_class is OpClass.BOSON else -1.0
-    phi = cmath.phase(anyonic_weight(_PLUS_HALF, stats.theta) * sign) % TAU
-    amplitude = sign * anyonic_kernel(resolved, stats.theta)
-    return ExchangePhase(phi=phi, amplitude=amplitude, theta=stats.theta, op_class=stats.op_class)
+    weight = anyonic_weight(cls, stats.theta)
+    return ExchangePhase(
+        phi=cmath.phase(weight * sign) % TAU,
+        amplitude=sign * (0j + weight * amp),  # 0j + turns -0.0 parts to 0.0, as a class sum does
+        theta=stats.theta,
+        op_class=stats.op_class,
+    )
 
 
 def exchange_phase(resolved: ResolvedKernel, stats: StatisticsSpec) -> ExchangePhase:
-    """Exchange phase of a +1/2-dominated exchange kernel.
+    """Exchange phase of a one-path exchange kernel.
 
-    phi = arg(exp(i theta / 2) * s) with s = +1 for operational bosons and
-    -1 for operational fermions, i.e. theta/2 or theta/2 + pi mod 2*pi.  The
-    +1/2 class must dominate the kernel in magnitude; the full interference
-    amplitude s * anyonic_kernel is reported alongside for diagnostics.
+    The kernel holds the single class w of its path.  phi = arg(s exp(i theta
+    w)) mod 2*pi with s = +1 for operational bosons and -1 for operational
+    fermions: theta/2 (+ pi) for a counter-clockwise exchange (w = +1/2),
+    -theta/2 (+ pi) for a clockwise one (w = -1/2).  The amplitude
+    s exp(i theta w) K^w is reported alongside for diagnostics.  A kernel that
+    is not of exchange kind or does not hold exactly one class is refused with
+    NotExchangeKernel.
     """
-    _check_exchange_kernel(resolved)
-    return _phase(resolved, stats)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    theta: float
-    op_class: OpClass
-    phi: float
-    amplitude: complex
+    cls, amp = _exchange_class(resolved)
+    return _phase(cls, amp, stats)
 
 
 def theta_sweep(
     geom: ExchangeGeometry,
     params: PhysicsParams,
     stats_grid: Iterable[StatisticsSpec],
-) -> tuple[SweepRow, ...]:
+) -> tuple[ExchangePhase, ...]:
     """Exchange phase across a grid of statistics angles and classes.
 
     The kernel is the one-path propagator of the designated exchange built
-    from geom (the experiment is about that path, not a path sum); phi is
-    affine in theta with slope 1/2 per operational class.
+    from geom (the experiment is about that path, not a path sum), built and
+    read once; each row is what :func:`exchange_phase` gives for its
+    statistics.  phi is affine in theta with slope w = +-1/2, the sign set by
+    the direction of geom.
     """
     stats_list = list(stats_grid)
     if not stats_list:
         return ()
-    kernel = path_kernel(build_exchange_path(geom), params)
-    _check_exchange_kernel(kernel)
-    rows = []
-    for stats in stats_list:
-        result = _phase(kernel, stats)
-        rows.append(
-            SweepRow(
-                theta=stats.theta,
-                op_class=stats.op_class,
-                phi=result.phi,
-                amplitude=result.amplitude,
-            )
-        )
-    return tuple(rows)
+    cls, amp = _exchange_class(path_kernel(build_exchange_path(geom), params))
+    return tuple(_phase(cls, amp, stats) for stats in stats_list)

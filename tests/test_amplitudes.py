@@ -228,6 +228,12 @@ class TestAnyonicWeight:
             theta = rng.uniform(-20, 20)
             assert abs(anyonic_weight(HomotopyClass(kind, w2 / 2), theta)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("theta, winding", [(1e308, -2.0), (-1e308, 2.0), (math.inf, 0.5)])
+    def test_non_finite_angle_refused(self, theta, winding):
+        kind = Kind.DIRECT if winding.is_integer() else Kind.EXCHANGE
+        with pytest.raises(ValidationError, match=r"^theta\*w must be finite, got -?inf "):
+            anyonic_weight(HomotopyClass(kind, winding), theta)
+
 
 def _exchange_kernel(a, b):
     start = TwoParticleConfig(Vec2(-1, 0), Vec2(1, 0))

@@ -78,13 +78,15 @@ class TestWinding:
             assert code == 2 and out == ""
             assert err == f"anyonsim: ValidationError: non-finite vector component {pair}\n"
 
-    def test_seed_flag_accepted(self, capsys, tmp_path):
+    def test_seed_flag_rejected(self, capsys, tmp_path):
         path_file = write_path_json(
             tmp_path, "loop2.json", 1.0, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
         )
-        code, out, _ = run(capsys, ["--seed", "42", "winding", path_file])
-        assert code == 0
-        assert json.loads(out)["winding"] == 1.0
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "42", "winding", path_file])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "anyonsim: error:" in captured.err
 
 
 KERNEL_ARGS = [
@@ -252,10 +254,14 @@ class TestExchange:
         factors = step_factors(build_exchange_path(geom))
         assert json.loads(out)["n_flipped"] == sum(f.flipped for f in factors)
 
-    def test_cw_has_no_dominant_class(self, capsys):
-        code, _, err = run(capsys, ["exchange", "--direction", "cw"])
-        assert code == 2
-        assert "NoDominantClass" in err
+    def test_cw_phase_is_minus_half_theta(self, capsys):
+        code, out, err = run(capsys, ["exchange", "--direction", "cw", "--theta", "1.3"])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["kind"] == "Exchange"
+        assert report["winding"] == -0.5
+        assert report["n_flipped"] == 1
+        assert report["phi"] == pytest.approx(TAU - 0.65, abs=1e-12)
 
 
 class TestNonFiniteTimes:
@@ -291,6 +297,9 @@ class TestNonFiniteTimes:
             ["dephase", "--dt-grid", "1e-300,1e-301,1e-302", "--hbar", "1e-10"],
             ["dephase", "--dt-grid", "1e-300,1e-301,1e-302"],
             ["dephase", "--dt-grid", "0.2,0.1,0.05", "--hbar", "1e-200"],
+            ["kernel", "--extent", "2", "--steps", "8", "--start", "1", "0", "0", "0",
+             "--end", "1", "0", "0", "0", "--theta", "1e308", "--resolve",
+             "--budget", "100000000000000000000"],
         ],
         ids=[
             "dephase-nan-grid", "dephase-inf-duration", "exchange-inf-dt", "kernel-inf-dt",
@@ -300,7 +309,7 @@ class TestNonFiniteTimes:
             "sweep-action-overflow", "kernel-action-unit-overflow", "kernel-dt-hbar-underflow",
             "kernel-spacing-squared-overflow", "exchange-phase-overflow",
             "sweep-phase-overflow", "kernel-phase-overflow", "dephase-phase-overflow",
-            "dephase-non-finite-fit", "dephase-residual-overflow",
+            "dephase-non-finite-fit", "dephase-residual-overflow", "kernel-anyonic-angle-overflow",
         ],
     )
     def test_refused_with_one_error_line(self, capsys, argv):

@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonsim import (
     DiscretePath,
@@ -29,12 +31,10 @@ from anyonsim import (
     theta_sweep,
     total_angle,
 )
-from anyonsim.errors import (
-    DegenerateGrid,
-    NoDominantClass,
-    NotExchangeKernel,
-    ValidationError,
-)
+from anyonsim.amplitudes import resolved_kernel
+from anyonsim.config_space import LatticeSpec
+from anyonsim.errors import DegenerateGrid, NotExchangeKernel, ValidationError
+from anyonsim.exchange import path_kernel
 
 TAU = 2 * math.pi
 
@@ -254,11 +254,44 @@ class TestExchangePhase:
         with pytest.raises(NotExchangeKernel):
             exchange_phase(kernel, StatisticsSpec(0.0, OpClass.BOSON))
 
-    def test_no_dominant_class(self):
-        with pytest.raises(NoDominantClass):
-            exchange_phase(
-                _one_path_kernel(Direction.CW), StatisticsSpec(0.0, OpClass.BOSON)
-            )
+    def test_cw_kernel_gives_minus_half_theta(self):
+        kernel = _one_path_kernel(Direction.CW)
+        for op_class, shift in ((OpClass.BOSON, 0.0), (OpClass.FERMION, math.pi)):
+            for theta in (0.0, 0.7, math.pi, 5.0, -11.3):
+                result = exchange_phase(kernel, StatisticsSpec(theta, op_class))
+                assert 0.0 <= result.phi < TAU
+                assert angle_close(result.phi, -theta / 2 + shift)
+
+    def test_multi_class_kernel_rejected(self):
+        # a lattice path sum holds both windings +1/2 and -1/2, not one path's class
+        endpoints = EndpointPair(
+            TwoParticleConfig(Vec2(-1, 0), Vec2(1, 0)), TwoParticleConfig(Vec2(1, 0), Vec2(-1, 0))
+        )
+        kernel = resolved_kernel(LatticeSpec(extent=2), endpoints, 4)
+        assert len(kernel.partials) > 1
+        with pytest.raises(NotExchangeKernel, match="one class, got"):
+            exchange_phase(kernel, StatisticsSpec(0.0, OpClass.BOSON))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    theta=st.floats(allow_nan=False, allow_infinity=False),
+    op_class=st.sampled_from(OpClass),
+    direction=st.sampled_from(Direction),
+    n_steps=st.integers(2, 64),
+)
+def test_phase_is_theta_times_path_winding(theta, op_class, direction, n_steps):
+    geom = ExchangeGeometry(radius=1.0, n_steps=n_steps, dt=0.125, direction=direction)
+    result = exchange_phase(
+        path_kernel(build_exchange_path(geom), PhysicsParams()), StatisticsSpec(theta, op_class)
+    )
+    w = 0.5 if direction is Direction.CCW else -0.5
+    # phi against theta*w (+ pi) as points on the unit circle: at large theta,
+    # remainder(theta*w, TAU) drifts with the rounding of TAU, cos and sin do not
+    unit = complex(math.cos(theta * w), math.sin(theta * w))
+    if op_class is OpClass.FERMION:
+        unit = -unit
+    assert abs(complex(math.cos(result.phi), math.sin(result.phi)) - unit) <= 1e-9
 
 
 class TestThetaSweep:
@@ -288,18 +321,24 @@ class TestThetaSweep:
             assert angle_close(row.phi, row.theta / 2)
 
     def test_rows_equal_exchange_phase(self):
-        geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
         grid = [StatisticsSpec(t, c) for t in (-1.0, 0.0, 2.5) for c in OpClass]
-        kernel = _one_path_kernel()
-        rows = theta_sweep(geom, PhysicsParams(), grid)
-        for row, stats in zip(rows, grid):
-            result = exchange_phase(kernel, stats)
-            assert (row.phi, row.amplitude) == (result.phi, result.amplitude)
+        for direction in Direction:
+            geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125, direction=direction)
+            kernel = _one_path_kernel(direction)
+            rows = theta_sweep(geom, PhysicsParams(), grid)
+            assert len(rows) == len(grid)
+            for row, stats in zip(rows, grid):
+                result = exchange_phase(kernel, stats)
+                assert (row.phi, row.amplitude) == (result.phi, result.amplitude)
+                assert (row.theta, row.op_class) == (stats.theta, stats.op_class)
 
-    def test_cw_kernel_refused_once(self):
+    def test_cw_rows_are_minus_half_theta(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125, direction=Direction.CW)
-        with pytest.raises(NoDominantClass):
-            theta_sweep(geom, PhysicsParams(), [StatisticsSpec(0.0, OpClass.BOSON)])
+        thetas = [-3.0 + 0.9 * k for k in range(10)]
+        grid = [StatisticsSpec(t, c) for t in thetas for c in OpClass]
+        for row in theta_sweep(geom, PhysicsParams(), grid):
+            shift = math.pi if row.op_class is OpClass.FERMION else 0.0
+            assert angle_close(row.phi, -row.theta / 2 + shift)
 
     def test_empty_grid(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
