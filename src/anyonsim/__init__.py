@@ -16,7 +16,6 @@ from .amplitudes import (
     action,
     anyonic_kernel,
     anyonic_weight,
-    endpoint_kind,
     feynman_product,
     feynman_sum,
     noninteracting_alpha,
@@ -61,6 +60,7 @@ from .homotopy import (
     Kind,
     class_relative,
     classify,
+    endpoint_kind,
     signed_angle,
     total_angle,
 )

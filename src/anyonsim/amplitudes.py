@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,19 +27,18 @@ from .config_space import (
     DiscretePath,
     EndpointPair,
     LatticeSpec,
+    _snap_to_sites,
     check_finite_positive,
-    swap,
     validate_path,
     walk_census,
 )
 from .errors import (
     BudgetExceeded,
-    EndpointsNotClosedOrExchanged,
     IncompleteMap,
     NonSquare,
     ValidationError,
 )
-from .homotopy import HomotopyClass, Kind
+from .homotopy import HomotopyClass, Kind, endpoint_kind
 
 #: default cap on the joint-move sequence count (moves**2)**n_steps
 DEFAULT_BUDGET = 10_000_000
@@ -76,17 +76,6 @@ class StatisticsSpec:
             raise ValidationError(f"theta must be finite, got {self.theta}")
 
 
-def endpoint_kind(endpoints: EndpointPair) -> Kind:
-    """Direct for closed endpoints, Exchange for swapped ones."""
-    if endpoints.end == endpoints.start:
-        return Kind.DIRECT
-    if endpoints.end == swap(endpoints.start):
-        return Kind.EXCHANGE
-    raise EndpointsNotClosedOrExchanged(
-        "endpoints must be equal (Direct) or swapped (Exchange) to resolve winding classes"
-    )
-
-
 @dataclass(frozen=True)
 class ResolvedKernel:
     """Propagator split into per-winding-class partial amplitudes."""
@@ -97,16 +86,17 @@ class ResolvedKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "partials", dict(self.partials))
-        kind = endpoint_kind(self.endpoints)
+        kind = self.kind
         for cls in self.partials:
             if cls.kind is not kind:
                 raise ValidationError(
                     f"partial of kind {cls.kind.value} in a {kind.value} kernel"
                 )
 
-    @property
+    @functools.cached_property
     def kind(self) -> Kind:
-        return endpoint_kind(self.endpoints)
+        """Direct or Exchange, from the endpoints; computed once, since the kernel is frozen."""
+        return endpoint_kind(self.endpoints.start, self.endpoints.end)
 
     def sorted_classes(self) -> list[HomotopyClass]:
         return sorted(self.partials, key=lambda c: c.winding)
@@ -176,24 +166,34 @@ def resolved_kernel(
     *,
     dt: float = 1.0,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> ResolvedKernel:
     """Lattice propagator resolved by winding class.
 
     partials[w] sums exp(i S / hbar) over every valid walk of winding w;
-    classes without walks are absent.  Endpoints must be closed or swapped,
-    otherwise winding has no absolute half-integer value.  The request is
-    refused up front when the joint-move sequence bound (moves**2)**n_steps,
-    25**n_steps for the default moves, exceeds the budget.  workers is
-    accepted and ignored; it is kept for compatibility.
+    classes without walks are absent.  Both endpoints are first snapped to
+    lattice sites (EndpointOffLattice if one is not within 1e-9 spacings of
+    a site), and the endpoint kind is decided on those sites: they must be
+    closed or swapped, otherwise winding has no absolute half-integer value.
+    The returned kernel's endpoints are the lattice configurations of the
+    sites.  The request is refused up front when the joint-move sequence
+    bound (moves**2)**n_steps, 25**n_steps for the default moves, exceeds
+    the budget.
     """
-    kind = endpoint_kind(endpoints)
+    start4 = _snap_to_sites(lattice, endpoints.start)
+    end4 = _snap_to_sites(lattice, endpoints.end)
+    kind = endpoint_kind(start4, end4)
     check_finite_positive("dt", dt)
-    estimate = (len(lattice.moves) ** 2) ** n_steps
+    base = len(lattice.moves) ** 2
+    # the power is built only while it is within the budget, since at n_steps
+    # in the thousands it has thousands of digits; one built in full is
+    # printed in decimal, any other as base^n_steps
+    estimate, built = 1, 0
+    while built < n_steps and estimate <= budget:
+        estimate *= base
+        built += 1
     if estimate > budget:
-        raise BudgetExceeded(
-            f"estimated {estimate} joint-move sequences exceed budget {budget}"
-        )
+        bound = estimate if built == n_steps else f"{base}^{n_steps}"
+        raise BudgetExceeded(f"estimated {bound} joint-move sequences exceed budget {budget}")
     try:
         action_unit = params.mass * lattice.spacing**2 / (2.0 * dt * params.hbar)
     except (OverflowError, ZeroDivisionError):  # ** overflow, or 2*dt*hbar underflow to 0
@@ -202,7 +202,10 @@ def resolved_kernel(
         raise ValidationError(
             f"action unit m*spacing^2/(2*dt*hbar) must be finite, got {action_unit}"
         )
-    counts = walk_census(lattice, endpoints, n_steps, workers=workers)
+    sites = EndpointPair(
+        lattice.config(start4[:2], start4[2:]), lattice.config(end4[:2], end4[2:])
+    )
+    counts = walk_census(lattice, sites, n_steps)
 
     phases: dict[int, complex] = {}
     partials: dict[HomotopyClass, complex] = {}
@@ -214,7 +217,7 @@ def resolved_kernel(
                 phase = phases[ssq] = phase_factor(action_unit * ssq)
             amp += counts[(w2, ssq)] * phase
         partials[HomotopyClass(kind, w2 / 2.0)] = amp
-    return ResolvedKernel(endpoints=endpoints, n_steps=n_steps, partials=partials)
+    return ResolvedKernel(endpoints=sites, n_steps=n_steps, partials=partials)
 
 
 def anyonic_weight(cls: HomotopyClass, theta: float) -> complex:

@@ -11,13 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import amplitudes, config_space, exchange, homotopy
 from .errors import AnyonSimError, BadRange, ParseError
-
-ENV_BUDGET = "ANYONSIM_BUDGET"
 
 
 def _g(value: float) -> str:
@@ -41,20 +38,6 @@ def _parse_grid(text: str) -> list[float]:
         return [float(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
         raise ParseError(f"bad dt grid {text!r}: {exc}") from exc
-
-
-def _resolve_budget(flag_value: int | None) -> int:
-    if flag_value is None:
-        env = os.environ.get(ENV_BUDGET)
-        if env is None:
-            return amplitudes.DEFAULT_BUDGET
-        try:
-            flag_value = int(env)
-        except ValueError as exc:
-            raise ParseError(f"{ENV_BUDGET} is not an integer: {env!r}") from exc
-    if flag_value <= 0:
-        raise ParseError(f"budget must be positive, got {flag_value}")
-    return flag_value
 
 
 def _load_path(path_file: str) -> config_space.DiscretePath:
@@ -81,7 +64,8 @@ def _cmd_winding(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    budget = _resolve_budget(args.budget)
+    if args.budget <= 0:
+        raise ParseError(f"budget must be positive, got {args.budget}")
     if args.workers < 1:
         raise ParseError(f"workers must be >= 1, got {args.workers}")
     lattice = config_space.LatticeSpec(extent=args.extent, spacing=args.spacing)
@@ -95,8 +79,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         args.steps,
         params,
         dt=args.dt,
-        budget=budget,
-        workers=args.workers,
+        budget=args.budget,
     )
     doc = kernel.to_json_dict()
     report = {
@@ -233,8 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--resolve", action="store_true", help="emit per-class partials")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"cap on the 25^steps joint-move sequence bound (or ${ENV_BUDGET})")
+    p.add_argument("--budget", type=int, default=amplitudes.DEFAULT_BUDGET,
+                   help="cap on the 25^steps joint-move sequence bound (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored; kept for compatibility")
     p.set_defaults(func=_cmd_kernel)

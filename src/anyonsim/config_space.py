@@ -198,9 +198,6 @@ class LatticeSpec:
         check_finite_positive("spacing", self.spacing)
         object.__setattr__(self, "moves", tuple(tuple(m) for m in self.moves))
 
-    def site(self, i: int, j: int) -> Vec2:
-        return Vec2(i * self.spacing, j * self.spacing)
-
     def config(self, site1: tuple[int, int], site2: tuple[int, int]) -> TwoParticleConfig:
         (i1, j1), (i2, j2) = site1, site2
         sp = self.spacing
@@ -407,7 +404,6 @@ def walk_census(
     lattice: LatticeSpec,
     endpoints: EndpointPair,
     n_steps: int,
-    workers: int = 1,
 ) -> dict[tuple[int, int], int]:
     """Count valid walks, bucketed by (doubled winding, squared displacement).
 
@@ -419,8 +415,9 @@ def walk_census(
     One transfer-matrix pass over the steps carries exact integer counts per
     (sites, h, ssq).  h indexes the half-turn sheet [h*pi, (h+1)*pi) of the
     lifted polar angle of r, counted from the start's sheet, so the final h
-    is w2 itself: no angles and no rounding.  workers is accepted and
-    ignored; it is kept for compatibility.
+    is w2 itself: no angles and no rounding.  The endpoints are snapped to
+    lattice sites (EndpointOffLattice when one is not a site); whether they
+    are closed or swapped is for the caller to decide.
     """
     start4 = _snap_to_sites(lattice, endpoints.start)
     end4 = _snap_to_sites(lattice, endpoints.end)

@@ -299,8 +299,9 @@ def _phase(cls: HomotopyClass, amp: complex, stats: StatisticsSpec) -> ExchangeP
     """phi = arg(s exp(i theta w)) mod 2*pi and amplitude s exp(i theta w) K^w."""
     sign = 1.0 if stats.op_class is OpClass.BOSON else -1.0
     weight = anyonic_weight(cls, stats.theta)
+    phi = cmath.phase(weight * sign) % TAU
     return ExchangePhase(
-        phi=cmath.phase(weight * sign) % TAU,
+        phi=phi if phi < TAU else 0.0,  # a tiny negative phase rounds up to TAU itself
         amplitude=sign * (0j + weight * amp),  # 0j + turns -0.0 parts to 0.0, as a class sum does
         theta=stats.theta,
         op_class=stats.op_class,

@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .config_space import DiscretePath, Vec2, sheet_step, swap
+from .config_space import DiscretePath, Vec2, sheet_step
 from .errors import (
     AntiparallelAmbiguity,
     EndpointsNotClosedOrExchanged,
@@ -55,6 +55,24 @@ class HomotopyClass:
             raise ValueError(
                 f"{self.kind.value} class cannot have winding {self.winding}"
             )
+
+
+def endpoint_kind(start: tuple, end: tuple) -> Kind:
+    """Direct when end equals start, Exchange when end is start with the two
+    particles swapped.
+
+    start and end are (x1, y1, x2, y2) tuples: configurations, or the integer
+    sites a lattice snaps them to.  Any other pair has no absolute
+    half-integer winding and raises EndpointsNotClosedOrExchanged.
+    """
+    x1, y1, x2, y2 = start
+    if end == start:
+        return Kind.DIRECT
+    if end == (x2, y2, x1, y1):
+        return Kind.EXCHANGE
+    raise EndpointsNotClosedOrExchanged(
+        "endpoints must be equal (Direct) or swapped (Exchange) to resolve winding classes"
+    )
 
 
 def signed_angle(r_from: Vec2, r_to: Vec2) -> float:
@@ -101,16 +119,7 @@ def classify(path: DiscretePath) -> HomotopyClass:
     when a crossing step has no representable turning sign.
     """
     w2 = _doubled_winding(path)
-    start, end = path.start, path.end
-    if end == start:
-        kind = Kind.DIRECT
-    elif end == swap(start):
-        kind = Kind.EXCHANGE
-    else:
-        raise EndpointsNotClosedOrExchanged(
-            "path endpoints are neither equal nor swapped"
-        )
-    return HomotopyClass(kind, w2 / 2.0)
+    return HomotopyClass(endpoint_kind(path.start, path.end), w2 / 2.0)
 
 
 def class_relative(path_a: DiscretePath, path_b: DiscretePath) -> int:

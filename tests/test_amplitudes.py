@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonsim import amplitudes
 from anyonsim import (
@@ -34,6 +36,7 @@ from anyonsim import (
     swap,
 )
 from anyonsim.errors import (
+    AnyonSimError,
     BudgetExceeded,
     EndpointsNotClosedOrExchanged,
     IncompleteMap,
@@ -149,13 +152,22 @@ class TestResolvedKernel:
         with pytest.raises(EndpointsNotClosedOrExchanged):
             resolved_kernel(lattice, ep, 2)
         with pytest.raises(EndpointsNotClosedOrExchanged):
-            endpoint_kind(ep)
+            endpoint_kind(ep.start, ep.end)
 
     def test_budget_exceeded(self):
         lattice = LatticeSpec(extent=3)
         ep = EndpointPair(lattice.config((0, 0), (2, 0)), lattice.config((0, 0), (2, 0)))
         with pytest.raises(BudgetExceeded, match="9765625"):
             resolved_kernel(lattice, ep, 5, budget=10**6)
+
+    def test_budget_bound_past_the_budget_named_as_power(self):
+        lattice = LatticeSpec(extent=1)
+        ep = EndpointPair(lattice.config((0, 0), (1, 0)), lattice.config((0, 0), (1, 0)))
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"^estimated 25\^4000 joint-move sequences exceed budget 10000000$",
+        ):
+            resolved_kernel(lattice, ep, 4000)
 
     @pytest.mark.parametrize(
         "params,dt",
@@ -171,13 +183,6 @@ class TestResolvedKernel:
         with pytest.raises(ValidationError, match="action unit"):
             resolved_kernel(lattice, ep, 3, params, dt=dt)
 
-    def test_workers_give_identical_partials(self):
-        lattice = LatticeSpec(extent=2)
-        ep = EndpointPair(lattice.config((1, 0), (0, 0)), lattice.config((1, 0), (0, 0)))
-        k1 = resolved_kernel(lattice, ep, 4, workers=1)
-        k2 = resolved_kernel(lattice, ep, 4, workers=2)
-        assert k1.partials == k2.partials
-
     def test_json_shape(self):
         lattice = LatticeSpec(extent=2)
         ep = EndpointPair(lattice.config((-1, 0), (1, 0)), lattice.config((1, 0), (-1, 0)))
@@ -187,6 +192,65 @@ class TestResolvedKernel:
         assert [p["winding"] for p in doc["partials"]] == [-0.5, 0.5]
         assert doc["partials"][0]["kind"] == "Exchange"
         assert {"re", "im"} <= set(doc["partials"][0])
+
+
+@st.composite
+def jittered_requests(draw):
+    """A kernel request on exact sites (closed, swapped or generic) and the
+    same request with every endpoint coordinate moved by < 1e-10 spacings."""
+    extent = draw(st.integers(1, 2))
+    spacing = draw(st.sampled_from([1.0, 0.5, 2.5]))
+    site = st.tuples(st.integers(-extent, extent), st.integers(-extent, extent))
+    p1 = draw(site)
+    p2 = draw(site.filter(lambda s: s != p1))
+    start4 = p1 + p2
+    pair = draw(st.sampled_from(["closed", "swapped", "generic"]))
+    if pair == "closed":
+        end4 = start4
+    elif pair == "swapped":
+        end4 = p2 + p1
+    else:
+        q1 = draw(site)
+        end4 = q1 + draw(site.filter(lambda s: s != q1))
+    jitter = st.floats(-1e-10, 1e-10, exclude_min=True, exclude_max=True)
+
+    def config(sites, jittered):
+        x1, y1, x2, y2 = (
+            i * spacing + (draw(jitter) * spacing if jittered else 0.0) for i in sites
+        )
+        return TwoParticleConfig(Vec2(x1, y1), Vec2(x2, y2))
+
+    lattice = LatticeSpec(extent=extent, spacing=spacing)
+    exact = EndpointPair(config(start4, False), config(end4, False))
+    jittered = EndpointPair(config(start4, True), config(end4, True))
+    return lattice, start4, end4, exact, jittered, draw(st.integers(1, 4))
+
+
+def _kernel_or_error(lattice, endpoints, n_steps):
+    try:
+        kernel = resolved_kernel(lattice, endpoints, n_steps, dt=0.7)
+    except AnyonSimError as exc:
+        return type(exc), str(exc)
+    return kernel.partials, kernel.to_json_dict()
+
+
+def _kind_or_error(thunk):
+    try:
+        return thunk()
+    except EndpointsNotClosedOrExchanged as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(jittered_requests())
+def test_kernel_kind_decided_on_snapped_sites(request):
+    lattice, start4, end4, exact, jittered, n_steps = request
+    assert _kernel_or_error(lattice, jittered, n_steps) == _kernel_or_error(
+        lattice, exact, n_steps
+    )
+    kind = _kind_or_error(lambda: endpoint_kind(start4, end4))
+    for walk in enumerate_walks(lattice, exact, n_steps):
+        assert _kind_or_error(lambda: classify(walk).kind) == kind
 
 
 class TestParams:

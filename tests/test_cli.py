@@ -123,18 +123,14 @@ class TestKernel:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "BudgetExceeded" in err
-        assert str(25**9) in err
+        # 25^6 already exceeds the default budget, so 25^9 is not built in full
+        assert "estimated 25^9 joint-move sequences" in err
 
-    def test_env_budget_override(self, capsys, monkeypatch):
+    def test_env_budget_ignored(self, capsys, monkeypatch):
+        # the budget has one source, --budget; 625 sequences are within its default
         monkeypatch.setenv("ANYONSIM_BUDGET", "10")
         code, _, err = run(capsys, KERNEL_ARGS + ["--steps", "2"])
-        assert code == 2
-        assert "BudgetExceeded" in err
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANYONSIM_BUDGET", "10")
-        code, _, _ = run(capsys, KERNEL_ARGS + ["--steps", "2", "--budget", "1000"])
-        assert code == 0
+        assert code == 0 and err == ""
 
     def test_byte_identical_reruns_and_workers(self, capsys):
         argv = [
@@ -155,6 +151,30 @@ class TestKernel:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "EndpointsNotClosedOrExchanged" in err
+
+    def test_kind_decided_on_snapped_sites(self, capsys):
+        argv = [
+            "kernel", "--extent", "2", "--steps", "4",
+            "--start", "1.0000000001", "0", "-1", "0", "--end", "-1", "0", "1", "0",
+            "--theta", "0.3", "--resolve",
+        ]
+        code, jittered, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        argv[argv.index("1.0000000001")] = "1"
+        _, exact, _ = run(capsys, argv)
+        assert jittered == exact
+
+    def test_generic_endpoints_same_error_line_as_winding(self, capsys, tmp_path):
+        path_file = write_path_json(tmp_path, "open.json", 1.0, [(1, 0), (0, 1)])
+        code, _, winding_err = run(capsys, ["winding", path_file])
+        assert code == 2
+        argv = [
+            "kernel", "--extent", "2", "--steps", "2",
+            "--start", "0", "0", "2", "0", "--end", "0", "1", "2", "0",
+        ]
+        _, _, kernel_err = run(capsys, argv)
+        assert winding_err == kernel_err
+        assert kernel_err.startswith("anyonsim: EndpointsNotClosedOrExchanged: ")
 
     def test_negative_coordinates_parse(self, capsys):
         argv = [
@@ -210,6 +230,13 @@ class TestSweep:
         assert out == ""
         assert err == "anyonsim: BadRange: theta-max must be finite, got inf\n"
 
+    def test_tiny_negative_theta_phi_is_zero(self, capsys):
+        argv = ["sweep", "--theta-min=-1e-20", "--theta-max", "0", "--points", "1",
+                "--op-class", "boson"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split(",")[2] == "0"
+
     def test_reruns_byte_identical(self, capsys):
         argv = [
             "sweep", "--theta-min", "0", "--theta-max", "12.0",
@@ -263,6 +290,12 @@ class TestExchange:
         assert report["n_flipped"] == 1
         assert report["phi"] == pytest.approx(TAU - 0.65, abs=1e-12)
 
+    def test_tiny_negative_theta_phi_is_zero(self, capsys):
+        # theta*w = -5e-21 reduced mod 2*pi rounds up to 2*pi itself
+        code, out, err = run(capsys, ["exchange", "--theta=-1e-20"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["phi"] == 0.0
+
 
 class TestNonFiniteTimes:
     @pytest.mark.parametrize(
@@ -300,6 +333,8 @@ class TestNonFiniteTimes:
             ["kernel", "--extent", "2", "--steps", "8", "--start", "1", "0", "0", "0",
              "--end", "1", "0", "0", "0", "--theta", "1e308", "--resolve",
              "--budget", "100000000000000000000"],
+            ["kernel", "--extent", "1", "--steps", "4000", "--start", "0", "0", "1", "0",
+             "--end", "0", "0", "1", "0"],
         ],
         ids=[
             "dephase-nan-grid", "dephase-inf-duration", "exchange-inf-dt", "kernel-inf-dt",
@@ -310,6 +345,7 @@ class TestNonFiniteTimes:
             "kernel-spacing-squared-overflow", "exchange-phase-overflow",
             "sweep-phase-overflow", "kernel-phase-overflow", "dephase-phase-overflow",
             "dephase-non-finite-fit", "dephase-residual-overflow", "kernel-anyonic-angle-overflow",
+            "kernel-budget-bignum",
         ],
     )
     def test_refused_with_one_error_line(self, capsys, argv):

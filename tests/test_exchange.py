@@ -291,6 +291,7 @@ def test_phase_is_theta_times_path_winding(theta, op_class, direction, n_steps):
     unit = complex(math.cos(theta * w), math.sin(theta * w))
     if op_class is OpClass.FERMION:
         unit = -unit
+    assert 0.0 <= result.phi < TAU
     assert abs(complex(math.cos(result.phi), math.sin(result.phi)) - unit) <= 1e-9
 
 
