@@ -47,7 +47,6 @@ from .exchange import (
     Direction,
     ExchangeGeometry,
     ExchangePhase,
-    FundamentalDomain,
     StepFactor,
     build_exchange_path,
     dephasing_exponent,

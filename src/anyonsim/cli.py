@@ -172,8 +172,6 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
     path = exchange.build_exchange_path(geom)
     kernel = exchange.path_kernel(path, params)
     (cls,) = kernel.partials
-    # the flipped steps of step_factors, without building the step amplitudes
-    halves = [config_space.upper_half_plane(rx, ry) for rx, ry in path.relatives]
     stats = amplitudes.StatisticsSpec(
         theta=args.theta, op_class=amplitudes.OpClass(args.op_class)
     )
@@ -182,7 +180,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         "kind": cls.kind.value,
         "winding": cls.winding,
         "total_angle": homotopy.total_angle(path),
-        "n_flipped": sum(a != b for a, b in zip(halves, halves[1:])),
+        "n_flipped": len(path.crossings),
         "theta": stats.theta,
         "op_class": stats.op_class.value,
         "phi": result.phi,

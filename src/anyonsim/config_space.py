@@ -175,6 +175,22 @@ class DiscretePath:
             rx, ry = nrx, nry
         return tuple(out)
 
+    @functools.cached_property
+    def crossings(self) -> tuple[tuple[int, int], ...]:
+        """The steps whose relative vector changes :func:`upper_half_plane`
+        half, as (k, sign) for step k (config k -> k+1) in path order.
+
+        sign is that step's :func:`sheet_step`, +1 counter-clockwise and -1
+        clockwise, so the signs sum to twice the winding.  A crossing with no
+        representable sign raises RoundingInconsistency on every access.
+        """
+        rs = self.relatives
+        return tuple(
+            (k, dh)
+            for k, ((rx, ry), (nrx, nry)) in enumerate(zip(rs, rs[1:]))
+            if (dh := sheet_step(rx, ry, nrx, nry))
+        )
+
 
 @dataclass(frozen=True)
 class EndpointPair:
@@ -292,8 +308,9 @@ def _snap_to_sites(lattice: LatticeSpec, config: TwoParticleConfig) -> tuple[int
     sites = []
     for v in config:
         scaled = v / lattice.spacing
-        i = round(scaled)
-        if abs(scaled - i) > _SNAP_TOL or abs(i) > lattice.extent:
+        # a huge v or a tiny spacing overflows the quotient to inf, which round() refuses
+        i = round(scaled) if math.isfinite(scaled) else None
+        if i is None or abs(scaled - i) > _SNAP_TOL or abs(i) > lattice.extent:
             raise EndpointOffLattice(
                 f"coordinate {v} is not a lattice site (spacing {lattice.spacing}, extent {lattice.extent})"
             )

@@ -10,9 +10,9 @@ measured here:
   time shrinks (D the inter-particle distance), which dephases every term
   containing an opposite transition, while the direct-step phase vanishes
   linearly in dt;
-* a fundamental domain (a fixed half of the configuration space) makes the
-  direct/opposite labels unambiguous, and a simple exchange path crosses its
-  boundary exactly once, swapping the roles of the two factors at that step;
+* the fundamental domain, relative polar angle in [0, pi), makes the
+  direct/opposite labels unambiguous; a simple exchange path crosses its
+  boundary once (:attr:`DiscretePath.crossings`), where the factors swap roles;
 * combining the surviving all-direct product with the winding weight
   exp(i theta w) of the path's own class w and the single operational sign
   yields the exchange phase phi = theta w (bosons) or theta w + pi (fermions):
@@ -46,7 +46,6 @@ from .config_space import (
     _config,
     check_finite_positive,
     swap,
-    upper_half_plane,
     validate_path,
 )
 from .errors import DegenerateGrid, NotExchangeKernel, ValidationError
@@ -108,24 +107,13 @@ def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
 
 
 @dataclass(frozen=True)
-class FundamentalDomain:
-    """The half of configuration space that fixes which transitions are
-    direct: relative vectors with polar angle in [0, pi).  Exactly one of
-    config, swap(config) lies in it."""
-
-    def contains(self, config: TwoParticleConfig) -> bool:
-        x1, y1, x2, y2 = config
-        return upper_half_plane(x1 - x2, y1 - y2)
-
-
-@dataclass(frozen=True)
 class StepFactor:
     """One step's operational pair of one-step amplitudes.
 
     alpha_dir propagates to the next configuration as-is, alpha_op to its
-    swap; flipped marks steps that cross the domain boundary, where the two
-    labels exchange roles.  The raw action increments are kept because the
-    dephasing analysis needs phases without mod-2*pi wrapping.
+    swap; flipped marks the path's :attr:`DiscretePath.crossings`, the steps
+    where the two labels exchange roles.  The raw action increments are kept
+    because the dephasing analysis needs phases without mod-2*pi wrapping.
     """
 
     alpha_dir: complex
@@ -141,14 +129,14 @@ def step_factors(
 ) -> tuple[StepFactor, ...]:
     """Per-step direct and opposite one-step amplitudes along a path.
 
-    A step is flipped when its relative vector leaves the
-    :class:`FundamentalDomain` half, read from :attr:`DiscretePath.relatives`.
+    A step is flipped when it is one of :attr:`DiscretePath.crossings`, so a
+    crossing with no representable sign raises RoundingInconsistency here as
+    in :func:`classify`.
     """
-    rs = path.relatives
+    flips = {k for k, _ in path.crossings}
     configs = path.configs
     out = []
     scale = params.mass / (2.0 * path.dt)
-    inside = upper_half_plane(*rs[0])
     for k in range(path.n_steps):
         ax1, ay1, ax2, ay2 = configs[k]
         bx1, by1, bx2, by2 = configs[k + 1]
@@ -157,17 +145,15 @@ def step_factors(
         d12x, d12y, d21x, d21y = bx2 - ax1, by2 - ay1, bx1 - ax2, by1 - ay2
         s_dir = scale * ((d11x * d11x + d11y * d11y) + (d22x * d22x + d22y * d22y))
         s_op = scale * ((d12x * d12x + d12y * d12y) + (d21x * d21x + d21y * d21y))
-        next_inside = upper_half_plane(*rs[k + 1])
         out.append(
             StepFactor(
                 alpha_dir=phase_factor(s_dir / params.hbar),
                 alpha_op=phase_factor(s_op / params.hbar),
-                flipped=inside != next_inside,
+                flipped=k in flips,
                 action_dir=s_dir,
                 action_op=s_op,
             )
         )
-        inside = next_inside
     return tuple(out)
 
 

@@ -4,10 +4,11 @@ For two non-coincident particles in 2D the loops of the relative coordinate
 around the puncture form the group of integers under addition: the class of a
 path is its winding number.  We count it exactly: each signed crossing of the
 relative vector between the two half-planes (the fundamental-domain boundary)
-moves its lifted polar angle by one half-turn sheet, so the sheet steps sum to
-twice the winding, an integer, with no angles and no tolerance.  A path that
-ends in the swapped configuration reverses the relative vector, so it crosses
-an odd number of times: that is what makes half-integer windings possible.
+moves its lifted polar angle by one half-turn sheet, so the signs of the
+path's :attr:`~anyonsim.config_space.DiscretePath.crossings` sum to twice the
+winding, an integer, with no angles and no tolerance.  A path that ends in the
+swapped configuration reverses the relative vector, so it crosses an odd
+number of times: that is what makes half-integer windings possible.
 
 Windings are reported in full counter-clockwise turns: integers for closed
 paths (kind Direct), odd multiples of 1/2 for exchange paths.
@@ -19,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .config_space import DiscretePath, Vec2, sheet_step
+from .config_space import DiscretePath, Vec2
 from .errors import (
     AntiparallelAmbiguity,
     EndpointsNotClosedOrExchanged,
@@ -106,9 +107,8 @@ def total_angle(path: DiscretePath) -> float:
 
 
 def _doubled_winding(path: DiscretePath) -> int:
-    """Sum the sheet steps of the path's validated relative vectors."""
-    rs = path.relatives
-    return sum(sheet_step(rx, ry, nrx, nry) for (rx, ry), (nrx, nry) in zip(rs, rs[1:]))
+    """Sum the signs of the path's :attr:`DiscretePath.crossings`."""
+    return sum(sign for _, sign in path.crossings)
 
 
 def classify(path: DiscretePath) -> HomotopyClass:

@@ -11,6 +11,7 @@ import cmath
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from anyonsim import DiscretePath, TwoParticleConfig, Vec2
 
@@ -117,6 +118,21 @@ def turning(path):
     the phases of the ratios of successive relative positions."""
     rs = [complex(c.p1.x - c.p2.x, c.p1.y - c.p2.y) for c in path.configs]
     return math.fsum(cmath.phase(b / a) for a, b in zip(rs, rs[1:]))
+
+
+def half_plane_crossings(path):
+    """(k, sign) for each step k (config k -> k+1) whose two relative
+    vectors, read per config from ``config.relative``, lie in different
+    halves of the plane (polar angle in [0, pi) or not); sign is that of the
+    exact rational cross product of the two vectors."""
+    rs = [c.relative for c in path.configs]
+    upper = [r.y > 0 or (r.y == 0 and r.x > 0) for r in rs]
+    out = []
+    for k, (a, b) in enumerate(zip(rs, rs[1:])):
+        if upper[k] != upper[k + 1]:
+            cross = Fraction(a.x) * Fraction(b.y) - Fraction(a.y) * Fraction(b.x)
+            out.append((k, 1 if cross > 0 else -1))
+    return out
 
 
 def rounded_turns(turns, unit):

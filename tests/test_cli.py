@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anyonsim import ExchangeGeometry, build_exchange_path, step_factors
 from anyonsim.cli import main
@@ -297,6 +301,15 @@ class TestExchange:
         assert json.loads(out)["phi"] == 0.0
 
 
+# site index v / spacing overflows to inf
+SNAP_OVERFLOW_ARGVS = [
+    ["kernel", "--extent", "2", "--steps", "4", "--spacing", "1e-10",
+     "--start", "1e308", "0", "0", "0", "--end", "1e308", "0", "0", "0"],
+    ["kernel", "--extent", "2", "--steps", "2", "--spacing", "5e-324",
+     "--start", "1", "0", "0", "0", "--end", "1", "0", "0", "0"],
+]
+
+
 class TestNonFiniteTimes:
     @pytest.mark.parametrize(
         "argv",
@@ -335,6 +348,7 @@ class TestNonFiniteTimes:
              "--budget", "100000000000000000000"],
             ["kernel", "--extent", "1", "--steps", "4000", "--start", "0", "0", "1", "0",
              "--end", "0", "0", "1", "0"],
+            *SNAP_OVERFLOW_ARGVS,
         ],
         ids=[
             "dephase-nan-grid", "dephase-inf-duration", "exchange-inf-dt", "kernel-inf-dt",
@@ -345,7 +359,7 @@ class TestNonFiniteTimes:
             "kernel-spacing-squared-overflow", "exchange-phase-overflow",
             "sweep-phase-overflow", "kernel-phase-overflow", "dephase-phase-overflow",
             "dephase-non-finite-fit", "dephase-residual-overflow", "kernel-anyonic-angle-overflow",
-            "kernel-budget-bignum",
+            "kernel-budget-bignum", "kernel-snap-quotient-overflow", "kernel-snap-tiny-spacing",
         ],
     )
     def test_refused_with_one_error_line(self, capsys, argv):
@@ -353,3 +367,94 @@ class TestNonFiniteTimes:
         assert code == 2
         assert out == ""
         assert re.fullmatch(r"anyonsim: \w+: [^\n]+\n", err)
+
+
+ORDINARY = st.sampled_from(("1", "0.5", "2.5", "0.05", "0.2"))
+EDGES = st.sampled_from(
+    ("nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1e-300", "0", "-0", "-1")
+)
+# argparse reads "-inf" or "-1e308" after --start/--end as an option, so those
+# coordinates keep to tokens that every Python version reads as values
+SITE = st.sampled_from(("1", "0", "-1", "2"))
+ODD_COORDS = st.sampled_from(("0.5", "-0", "nan", "inf", "1e308", "5e-324", "1e-300"))
+COUNTS = st.sampled_from((3, 2, 1, 0))
+DTS = st.sampled_from(("0.2", "0.1", "0.05", "0.02", "0.01"))
+
+
+@st.composite
+def cli_argvs(draw):
+    """A kernel, sweep, dephase or exchange argv whose values are ordinary
+    but for up to two taken from the edges of float; single values are
+    passed as --flag=value, so that argparse never reads -inf as an option."""
+
+    def spoiled(tokens, odd):
+        tokens = list(tokens)
+        for _ in range(draw(st.integers(0, 2)) if tokens else 0):
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(odd)
+        return tokens
+
+    def floats(*flags):
+        present = [flag for flag in flags if draw(st.booleans())]
+        values = spoiled([draw(ORDINARY) for _ in present], EDGES)
+        return [f"--{flag}={value}" for flag, value in zip(present, values)]
+
+    command = draw(st.sampled_from(["kernel", "sweep", "dephase", "exchange"]))
+    argv = [command]
+    if command == "kernel":
+        argv += [f"--extent={draw(st.sampled_from((2, 1, 0)))}", f"--steps={draw(COUNTS)}"]
+        start = draw(st.lists(SITE, min_size=4, max_size=4))
+        end = draw(st.sampled_from([start, start[2:] + start[:2], None]))
+        end = end or draw(st.lists(SITE, min_size=4, max_size=4))
+        coords = spoiled(start + end, ODD_COORDS)
+        argv += ["--start", *coords[:4], "--end", *coords[4:]]
+        argv += floats("spacing", "dt", "mass", "hbar", "theta")
+        if draw(st.booleans()):
+            argv.append(f"--budget={draw(st.sampled_from((10**7, 1, 0)))}")
+        if draw(st.booleans()):
+            argv.append(f"--workers={draw(st.sampled_from((1, 2, 0)))}")
+        if draw(st.booleans()):
+            argv.append("--resolve")
+    elif command == "sweep":
+        low, high = spoiled(sorted([draw(ORDINARY), draw(ORDINARY)], key=float), EDGES)
+        argv += [f"--theta-min={low}", f"--theta-max={high}", f"--points={draw(COUNTS)}"]
+        argv += [f"--op-class={draw(st.sampled_from(['boson', 'fermion', 'both']))}"]
+        argv += [f"--steps={draw(st.integers(1, 64))}"]
+        argv += floats("radius", "dt", "mass", "hbar")
+    elif command == "dephase":
+        grid = draw(st.lists(DTS, min_size=3, unique=True))
+        argv += [f"--dt-grid={','.join(spoiled(grid, EDGES))}"]
+        argv += floats("radius", "duration", "mass", "hbar")
+    else:
+        argv += [f"--steps={draw(st.integers(1, 64))}"]
+        argv += [f"--direction={draw(st.sampled_from(['ccw', 'cw']))}"]
+        argv += [f"--op-class={draw(st.sampled_from(['boson', 'fermion']))}"]
+        argv += floats("radius", "dt", "theta", "mass", "hbar")
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_argvs())
+@example(SNAP_OVERFLOW_ARGVS[0])
+@example(SNAP_OVERFLOW_ARGVS[1])
+def test_every_argv_succeeds_cleanly_or_fails_with_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == ""
+        assert re.fullmatch(r"anyonsim: \w+: [^\n]+\n", err)
+        return
+    assert code == 0 and err == ""
+    if argv[0] == "sweep":
+        header, *rows = out.splitlines()
+        assert header == "theta,op_class,phi,re_amp,im_amp"
+        for row in rows:
+            theta, _op_class, *numbers = row.split(",")
+            assert all(math.isfinite(float(v)) for v in (theta, *numbers))
+    else:
+        json.loads(out, parse_constant=_refuse_constant)

@@ -260,6 +260,13 @@ class TestEnumerateWalks:
         with pytest.raises(EndpointOffLattice):
             next(enumerate_walks(lattice, ep, 1))
 
+    @pytest.mark.parametrize("spacing, x", [(1e-10, 1e308), (5e-324, 1.0)])
+    def test_endpoint_overflowing_to_infinite_site_index(self, spacing, x):
+        lattice = LatticeSpec(extent=2, spacing=spacing)
+        ep = EndpointPair(cfg(x, 0, 0, 0), cfg(x, 0, 0, 0))
+        with pytest.raises(EndpointOffLattice, match="is not a lattice site"):
+            walk_census(lattice, ep, 2)
+
     def test_diagonal_moves_match_brute_force_oracle(self):
         # particle 1 needs three diagonal moves: Manhattan distance 6 in 3 steps
         moves = ((0, 0), (1, 1), (-1, -1), (1, 0))
@@ -352,17 +359,22 @@ class TestWalkCensus:
 
 
 @st.composite
-def census_instances(draw):
-    extent = draw(st.integers(1, 2))
+def census_instances(
+    draw,
+    max_extent=2,
+    move_sets=st.lists(st.sampled_from(KING_MOVES), min_size=1, max_size=5, unique=True),
+    max_steps=4,
+):
+    extent = draw(st.integers(1, max_extent))
     spacing = draw(st.sampled_from([1.0, 0.5, 2.5]))
-    moves = tuple(draw(st.lists(st.sampled_from(KING_MOVES), min_size=1, max_size=5, unique=True)))
+    moves = tuple(draw(move_sets))
     site = st.tuples(st.integers(-extent, extent), st.integers(-extent, extent))
     p1 = draw(site)
     p2 = draw(site.filter(lambda s: s != p1))
     lattice = LatticeSpec(extent=extent, spacing=spacing, moves=moves)
     start = lattice.config(p1, p2)
     end = swap(start) if draw(st.booleans()) else start
-    return lattice, EndpointPair(start, end), draw(st.integers(1, 4))
+    return lattice, EndpointPair(start, end), draw(st.integers(1, max_steps))
 
 
 def _census_by_enumeration(lattice, endpoints, n_steps):
@@ -424,3 +436,28 @@ def test_census_exact_beyond_enumeration():
     assert sum(census.values()) == int(row[index[end]]) > 10**12
     # reflection y -> -y fixes both endpoints and negates every winding
     assert all(census.get((-w2, ssq)) == n for (w2, ssq), n in census.items())
+
+
+def _reversal_symmetric(census):
+    return all(census.get((-w2, ssq), 0) == n for (w2, ssq), n in census.items())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    census_instances(
+        max_extent=3,
+        move_sets=st.sampled_from([MOVES, KING_MOVES, ((0, 0), (1, 0), (-1, 0))]),
+        max_steps=5,
+    )
+)
+def test_census_reversal_symmetry(instance):
+    # with a move set closed under negation, reversing a walk (and swapping
+    # the labels when the endpoints are swapped) is a walk between the same
+    # endpoints with the same ssq and the opposite winding
+    assert _reversal_symmetric(walk_census(*instance))
+
+
+def test_census_reversal_symmetry_needs_negation_closed_moves():
+    lattice = LatticeSpec(extent=2, moves=((0, 0), (1, 0), (0, 1), (-1, -1)))
+    start = lattice.config((0, 1), (1, -1))
+    assert not _reversal_symmetric(walk_census(lattice, EndpointPair(start, start), 6))

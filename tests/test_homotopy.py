@@ -19,6 +19,7 @@ from anyonsim import (
     concat_paths,
     reverse_path,
     signed_angle,
+    step_factors,
     swap,
     total_angle,
 )
@@ -31,6 +32,7 @@ from anyonsim.errors import (
 )
 from helpers import (
     antipodal_path,
+    half_plane_crossings,
     lattice_path,
     random_valid_walk,
     relative_path,
@@ -157,6 +159,12 @@ class TestClassify:
         path = relative_path(corners)
         with pytest.raises(RoundingInconsistency):
             classify(path)
+        # nothing is cached: every reader of the crossings refuses the path
+        for _ in range(2):
+            with pytest.raises(RoundingInconsistency):
+                path.crossings
+        with pytest.raises(RoundingInconsistency):
+            step_factors(path)
 
     def test_swapped_endpoints_need_both_particles_swapped(self):
         # end is p1's swap only if both coordinates exchange
@@ -247,3 +255,15 @@ def test_relatives_pass_matches_vec2_formulas(pair, mass, dt):
         rs = [c.relative for c in path.configs]
         assert total_angle(path) == math.fsum(signed_angle(a, b) for a, b in zip(rs, rs[1:]))
         assert action(path, PhysicsParams(mass=mass)) == vec2_action(path, mass)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(float_path_pairs())
+def test_crossings_are_the_one_crossing_rule(pair):
+    for path in pair:
+        crossings = path.crossings
+        assert path.crossings is crossings
+        assert list(crossings) == half_plane_crossings(path)
+        assert 2 * classify(path).winding == sum(sign for _, sign in crossings)
+        flipped = [k for k, factor in enumerate(step_factors(path)) if factor.flipped]
+        assert flipped == [k for k, _ in crossings]
