@@ -20,8 +20,8 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
 from .config_space import (
     DiscretePath,
@@ -44,16 +44,16 @@ from .homotopy import HomotopyClass, Kind, endpoint_kind
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class PhysicsParams:
+class PhysicsParams(namedtuple("PhysicsParams", "mass hbar")):
     """Particle mass and hbar; natural units by default."""
 
-    mass: float = 1.0
-    hbar: float = 1.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self):
-        check_finite_positive("mass", self.mass)
-        check_finite_positive("hbar", self.hbar)
+    def __new__(cls, mass: float = 1.0, hbar: float = 1.0) -> PhysicsParams:
+        check_finite_positive("mass", mass)
+        check_finite_positive("hbar", hbar)
+        return tuple.__new__(cls, (mass, hbar))
 
 
 class OpClass(enum.Enum):
@@ -63,35 +63,33 @@ class OpClass(enum.Enum):
     FERMION = "fermion"
 
 
-@dataclass(frozen=True)
-class StatisticsSpec:
+class StatisticsSpec(namedtuple("StatisticsSpec", "theta op_class")):
     """Statistics angle theta (phase of one full CCW rotation) plus the
     operational class. theta is 4*pi-periodic in every observable here."""
 
-    theta: float
-    op_class: OpClass
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValidationError(f"theta must be finite, got {self.theta}")
+    def __new__(cls, theta: float, op_class: OpClass) -> StatisticsSpec:
+        if not math.isfinite(theta):
+            raise ValidationError(f"theta must be finite, got {theta}")
+        return tuple.__new__(cls, (theta, op_class))
 
 
-@dataclass(frozen=True)
-class ResolvedKernel:
+class ResolvedKernel(namedtuple("ResolvedKernel", "endpoints n_steps partials")):
     """Propagator split into per-winding-class partial amplitudes."""
 
-    endpoints: EndpointPair
-    n_steps: int
-    partials: Mapping[HomotopyClass, complex]
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self):
-        object.__setattr__(self, "partials", dict(self.partials))
+    def __new__(
+        cls, endpoints: EndpointPair, n_steps: int, partials: Mapping[HomotopyClass, complex]
+    ) -> ResolvedKernel:
+        self = tuple.__new__(cls, (endpoints, n_steps, dict(partials)))
         kind = self.kind
-        for cls in self.partials:
-            if cls.kind is not kind:
-                raise ValidationError(
-                    f"partial of kind {cls.kind.value} in a {kind.value} kernel"
-                )
+        for c in self.partials:
+            if c.kind is not kind:
+                raise ValidationError(f"partial of kind {c.kind.value} in a {kind.value} kernel")
+        return self
 
     @functools.cached_property
     def kind(self) -> Kind:
@@ -236,7 +234,11 @@ def anyonic_weight(cls: HomotopyClass, theta: float) -> complex:
 
 
 def anyonic_kernel(resolved: ResolvedKernel, theta: float) -> complex:
-    """Winding-weighted propagator: sum over classes of exp(i theta w) K^w."""
+    """Winding-weighted propagator: sum over classes of exp(i theta w) K^w.
+    A theta that is not finite is refused with ValidationError, also when
+    the kernel has no classes."""
+    if not math.isfinite(theta):
+        raise ValidationError(f"theta must be finite, got {theta}")
     return sum(
         (anyonic_weight(c, theta) * resolved.partials[c] for c in resolved.sorted_classes()),
         0j,
@@ -264,21 +266,20 @@ def probability(a: complex) -> float:
 # --- operational combination of distinguishable-particle amplitudes ----------
 
 
-@dataclass(frozen=True)
-class PermutationAmplitudes:
+class PermutationAmplitudes(namedtuple("PermutationAmplitudes", "n alpha")):
     """Transition amplitude for each permutation of the final configuration.
 
     Permutations of range(n) are represented as tuples: sigma maps slot j to
     sigma[j].  A complete map holds all n! of them.
     """
 
-    n: int
-    alpha: Mapping[tuple[int, ...], complex]
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "alpha", dict(self.alpha))
+    def __new__(cls, n: int, alpha: Mapping[tuple[int, ...], complex]) -> PermutationAmplitudes:
+        if n < 1:
+            raise ValidationError(f"n must be >= 1, got {n}")
+        return tuple.__new__(cls, (n, dict(alpha)))
 
 
 def permutation_sign(sigma: tuple[int, ...]) -> int:

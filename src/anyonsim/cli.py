@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import amplitudes, config_space, exchange, homotopy
-from .errors import AnyonSimError, BadRange, ParseError
+from .errors import AnyonSimError, BadRange, BudgetExceeded, ParseError
 
 
 def _g(value: float) -> str:
@@ -46,7 +46,7 @@ def _load_path(path_file: str) -> config_space.DiscretePath:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path_file}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int's digit limit
         raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
     return config_space.path_from_json_dict(data)
 
@@ -101,6 +101,8 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 def _sweep_grid(args: argparse.Namespace) -> list[amplitudes.StatisticsSpec]:
     if args.points < 1:
         raise BadRange(f"points must be >= 1, got {args.points}")
+    if args.points > exchange.MAX_SIZE:
+        raise BudgetExceeded(f"{args.points} sweep points exceed the cap {exchange.MAX_SIZE}")
     for flag, value in (("theta-min", args.theta_min), ("theta-max", args.theta_max)):
         if not math.isfinite(value):
             raise BadRange(f"{flag} must be finite, got {value}")

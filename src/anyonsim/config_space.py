@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from .errors import (
     CoincidenceAtStep,
@@ -48,16 +48,16 @@ def check_finite_positive(name: str, value) -> None:
         raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
-@dataclass(frozen=True)
-class Vec2:
+class Vec2(namedtuple("Vec2", "x y")):
     """A point or displacement in the plane. Components must be finite."""
 
-    x: float
-    y: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValidationError(f"non-finite vector component ({self.x}, {self.y})")
+    def __new__(cls, x: float, y: float) -> Vec2:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(f"non-finite vector component ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -123,18 +123,22 @@ def swap(config: TwoParticleConfig) -> TwoParticleConfig:
     return _config(x2, y2, x1, y1)
 
 
-@dataclass(frozen=True)
-class DiscretePath:
-    """A uniformly time-stepped sequence of two-particle configurations."""
+class DiscretePath(namedtuple("DiscretePath", "dt configs")):
+    """A uniformly time-stepped sequence of two-particle configurations.
 
-    dt: float
-    configs: tuple[TwoParticleConfig, ...]
+    Unpacks, orders, compares and hashes as the tuple (dt, configs); built,
+    also by ``_replace``, through the checks below.  The instance dict holds
+    only the cached :attr:`relatives` and :attr:`crossings`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "configs", tuple(self.configs))
-        check_finite_positive("dt", self.dt)
-        if len(self.configs) < 2:
+    _make = classmethod(lambda cls, it: cls(*it))
+
+    def __new__(cls, dt: float, configs: Sequence[TwoParticleConfig]) -> DiscretePath:
+        configs = tuple(configs)
+        check_finite_positive("dt", dt)
+        if len(configs) < 2:
             raise ValidationError("a path needs at least two configurations")
+        return tuple.__new__(cls, (dt, configs))
 
     @property
     def n_steps(self) -> int:
@@ -192,27 +196,25 @@ class DiscretePath:
         )
 
 
-@dataclass(frozen=True)
-class EndpointPair:
+class EndpointPair(namedtuple("EndpointPair", "start end")):
     """Initial and final configuration of a propagator."""
 
-    start: TwoParticleConfig
-    end: TwoParticleConfig
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(namedtuple("LatticeSpec", "extent spacing moves")):
     """Square lattice of sites (i, j) * spacing with |i|, |j| <= extent."""
 
-    extent: int
-    spacing: float = 1.0
-    moves: tuple[tuple[int, int], ...] = DEFAULT_MOVES
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self):
-        if self.extent < 1:
-            raise ValidationError(f"extent must be >= 1, got {self.extent}")
-        check_finite_positive("spacing", self.spacing)
-        object.__setattr__(self, "moves", tuple(tuple(m) for m in self.moves))
+    def __new__(
+        cls, extent: int, spacing: float = 1.0, moves: Sequence[tuple[int, int]] = DEFAULT_MOVES
+    ) -> LatticeSpec:
+        if extent < 1:
+            raise ValidationError(f"extent must be >= 1, got {extent}")
+        check_finite_positive("spacing", spacing)
+        return tuple.__new__(cls, (extent, spacing, tuple(tuple(m) for m in moves)))
 
     def config(self, site1: tuple[int, int], site2: tuple[int, int]) -> TwoParticleConfig:
         (i1, j1), (i2, j2) = site1, site2
@@ -295,7 +297,7 @@ def path_from_json_dict(data: dict) -> DiscretePath:
         )
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValidationError(f"malformed path JSON: {exc}") from exc
     return DiscretePath(dt=dt, configs=configs)
 

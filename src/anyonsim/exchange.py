@@ -25,9 +25,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import statistics
-from dataclasses import dataclass, replace
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .amplitudes import (
     OpClass,
@@ -48,10 +47,14 @@ from .config_space import (
     swap,
     validate_path,
 )
-from .errors import DegenerateGrid, NotExchangeKernel, ValidationError
+from .errors import BudgetExceeded, DegenerateGrid, NotExchangeKernel, ValidationError
 from .homotopy import HomotopyClass, Kind, classify
 
 TAU = 2.0 * math.pi
+
+#: cap on the steps of a built exchange path and on the points of a CLI sweep,
+#: checked before anything of that size is allocated
+MAX_SIZE = 1_000_000
 
 
 class Direction(enum.Enum):
@@ -59,22 +62,28 @@ class Direction(enum.Enum):
     CW = "cw"
 
 
-@dataclass(frozen=True)
-class ExchangeGeometry:
+class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt direction center")):
     """Semicircular exchange of a pair at distance 2*radius about center,
-    in n_steps uniform angular increments of duration dt each."""
+    in n_steps uniform angular increments of duration dt each.
 
-    radius: float
-    n_steps: int
-    dt: float
-    direction: Direction = Direction.CCW
-    center: Vec2 = Vec2(0.0, 0.0)
+    Unpacks, orders, compares and hashes as the tuple (radius, n_steps, dt,
+    direction, center); built, also by ``_replace``, through the checks
+    below.  n_steps is capped by :func:`build_exchange_path`, not here:
+    :func:`dephasing_exponent` builds only a geometry's first step.
+    """
 
-    def __post_init__(self):
-        check_finite_positive("radius", self.radius)
-        if self.n_steps < 2:
-            raise ValidationError(f"n_steps must be >= 2, got {self.n_steps}")
-        check_finite_positive("dt", self.dt)
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
+
+    def __new__(
+        cls, radius: float, n_steps: int, dt: float,
+        direction: Direction = Direction.CCW, center: Vec2 = Vec2(0.0, 0.0),
+    ) -> ExchangeGeometry:
+        check_finite_positive("radius", radius)
+        if n_steps < 2:
+            raise ValidationError(f"n_steps must be >= 2, got {n_steps}")
+        check_finite_positive("dt", dt)
+        return tuple.__new__(cls, (radius, n_steps, dt, direction, center))
 
     @property
     def duration(self) -> float:
@@ -98,7 +107,10 @@ def _exchange_config(geom: ExchangeGeometry, k: int) -> TwoParticleConfig:
 def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
     """Discretized exchange: antipodal arcs ending exactly in the swapped
     configuration (the last configuration is snapped so the endpoints compare
-    equal under exact coordinate equality)."""
+    equal under exact coordinate equality).  More than MAX_SIZE steps are
+    refused with BudgetExceeded before any configuration is built."""
+    if geom.n_steps > MAX_SIZE:
+        raise BudgetExceeded(f"{geom.n_steps} exchange steps exceed the cap {MAX_SIZE}")
     configs = [_exchange_config(geom, k) for k in range(geom.n_steps)]
     configs.append(swap(configs[0]))
     path = DiscretePath(dt=geom.dt, configs=tuple(configs))
@@ -106,8 +118,7 @@ def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
     return path
 
 
-@dataclass(frozen=True)
-class StepFactor:
+class StepFactor(namedtuple("StepFactor", "alpha_dir alpha_op flipped action_dir action_op")):
     """One step's operational pair of one-step amplitudes.
 
     alpha_dir propagates to the next configuration as-is, alpha_op to its
@@ -116,11 +127,7 @@ class StepFactor:
     because the dephasing analysis needs phases without mod-2*pi wrapping.
     """
 
-    alpha_dir: complex
-    alpha_op: complex
-    flipped: bool
-    action_dir: float
-    action_op: float
+    __slots__ = ()
 
 
 def step_factors(
@@ -157,24 +164,16 @@ def step_factors(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DephasingSample:
-    dt: float
-    n_steps: int
-    phase_op: float
-    phase_dir: float
+class DephasingSample(namedtuple("DephasingSample", "dt n_steps phase_op phase_dir")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DephasingFit:
+class DephasingFit(
+    namedtuple("DephasingFit", "slope intercept residual predicted rel_error samples")
+):
     """Least-squares fit of the opposite-step phase against 1/dt."""
 
-    slope: float
-    intercept: float
-    residual: float
-    predicted: float
-    rel_error: float
-    samples: tuple[DephasingSample, ...]
+    __slots__ = ()
 
 
 def dephasing_exponent(
@@ -215,7 +214,7 @@ def dephasing_exponent(
             raise DegenerateGrid(
                 f"dt {dt} leaves fewer than 2 steps of the exchange of duration {duration}"
             )
-        sample = replace(geom, n_steps=n, dt=dt)
+        sample = ExchangeGeometry(geom.radius, n, dt, geom.direction, geom.center)
         first_step = DiscretePath(dt, (_exchange_config(sample, 0), _exchange_config(sample, 1)))
         (factor,) = step_factors(first_step, params)
         samples.append(
@@ -228,6 +227,7 @@ def dephasing_exponent(
         )
     xs = [1.0 / s.dt for s in samples]
     ys = [s.phase_op for s in samples]
+    import statistics  # here, not at the top: it costs every CLI start-up ~5 ms
     try:
         slope, intercept = statistics.linear_regression(xs, ys)
         residual = math.sqrt(
@@ -259,14 +259,10 @@ def path_kernel(path: DiscretePath, params: PhysicsParams) -> ResolvedKernel:
     )
 
 
-@dataclass(frozen=True)
-class ExchangePhase:
+class ExchangePhase(namedtuple("ExchangePhase", "phi amplitude theta op_class")):
     """Total exchange phase phi in [0, 2*pi) with its diagnostic amplitude."""
 
-    phi: float
-    amplitude: complex
-    theta: float
-    op_class: OpClass
+    __slots__ = ()
 
 
 def _exchange_class(resolved: ResolvedKernel) -> tuple[HomotopyClass, complex]:

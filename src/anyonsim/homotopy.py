@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config_space import DiscretePath, Vec2
 from .errors import (
@@ -36,26 +36,24 @@ class Kind(enum.Enum):
     EXCHANGE = "Exchange"
 
 
-@dataclass(frozen=True)
-class HomotopyClass:
+class HomotopyClass(namedtuple("HomotopyClass", "kind winding")):
     """Winding number plus the direct/exchange endpoint tag.
 
     Direct classes carry integer windings, exchange classes half-odd-integer
     ones; the constructor enforces that pairing.
     """
 
-    kind: Kind
-    winding: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self):
-        w2 = 2.0 * self.winding
+    def __new__(cls, kind: Kind, winding: float) -> HomotopyClass:
+        w2 = 2.0 * winding
         if w2 != round(w2):
-            raise ValueError(f"winding must be a half-integer, got {self.winding}")
+            raise ValueError(f"winding must be a half-integer, got {winding}")
         is_integer = round(w2) % 2 == 0
-        if is_integer != (self.kind is Kind.DIRECT):
-            raise ValueError(
-                f"{self.kind.value} class cannot have winding {self.winding}"
-            )
+        if is_integer != (kind is Kind.DIRECT):
+            raise ValueError(f"{kind.value} class cannot have winding {winding}")
+        return tuple.__new__(cls, (kind, winding))
 
 
 def endpoint_kind(start: tuple, end: tuple) -> Kind:

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and random walk generation.
+"""Shared test utilities: independent oracles, random walk generation, and
+the checks of the declared surface of the package's record types.
 
 The oracles here deliberately avoid the library's own code paths: walk
 validity is re-derived from complex ratios, the permanent comes from Laplace
@@ -8,12 +9,62 @@ expansion, and winding checks go through the public path objects.
 from __future__ import annotations
 
 import cmath
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
+import pytest
+
 from anyonsim import DiscretePath, TwoParticleConfig, Vec2
+
+#: copy, deepcopy and a pickle round trip at every protocol, by name
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{
+        f"pickle{p}": lambda obj, p=p: pickle.loads(pickle.dumps(obj, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
+}
+
+
+def check_record(cls, args, text):
+    """The declared surface of a record type, on one tuple args of valid,
+    already normalized field values: positional and keyword construction
+    give the same record, which equals (and hashes like) the tuple args; its
+    repr is text; copies and pickles round-trip; no field can be set."""
+    record = cls(*args)
+    assert type(record) is cls
+    assert record == cls(**dict(zip(cls._fields, args))) == tuple(args)
+    if not any(isinstance(v, dict) for v in args):
+        assert hash(record) == hash(tuple(args))
+    assert repr(record) == text
+    for name, clone in CLONES.items():
+        twin = clone(record)
+        assert type(twin) is cls and twin == record, name
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+def check_refusal(cls, args, bad, error, message):
+    """The fields bad, put over the valid field values args, are refused
+    with exactly error(message) by positional and keyword construction and
+    by ``_replace`` on the valid record."""
+    fields = {**dict(zip(cls._fields, args)), **bad}
+    record = cls(*args)
+    builds = {
+        "positional": lambda: cls(*fields.values()),
+        "keyword": lambda: cls(**fields),
+        "_replace": lambda: record._replace(**bad),
+    }
+    for name, build in builds.items():
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error and str(caught.value) == message, name
 
 MOVES = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 

@@ -17,6 +17,7 @@ from anyonsim import (
     PermutationAmplitudes,
     PhysicsParams,
     ResolvedKernel,
+    StatisticsSpec,
     TwoParticleConfig,
     Vec2,
     action,
@@ -43,7 +44,7 @@ from anyonsim.errors import (
     NonSquare,
     ValidationError,
 )
-from helpers import fsum_complex, lattice_path
+from helpers import check_record, check_refusal, fsum_complex, lattice_path
 
 
 class TestAction:
@@ -312,6 +313,15 @@ def _exchange_kernel(a, b):
 
 
 class TestAnyonicKernel:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("partials", [{}, {HomotopyClass(Kind.EXCHANGE, 0.5): 1j}])
+    def test_non_finite_theta_refused(self, theta, partials):
+        # with no classes there is no theta*w to refuse, and theta alone was printed
+        ends = TwoParticleConfig(Vec2(1.0, 0.0), Vec2(-1.0, 0.0))
+        kernel = ResolvedKernel(EndpointPair(ends, swap(ends)), 3, partials)
+        with pytest.raises(ValidationError, match=f"^theta must be finite, got {theta}$"):
+            anyonic_kernel(kernel, theta)
+
     def test_half_classes_at_theta_pi(self):
         a, b = 0.3 + 0.4j, -0.2 + 0.9j
         expected = -1j * a + 1j * b
@@ -459,3 +469,88 @@ class TestNoninteractingAlpha:
     def test_non_square(self):
         with pytest.raises(NonSquare):
             noninteracting_alpha([[1, 2, 3], [4, 5, 6]])
+
+
+# --- the record types: named tuples built through their checks ---------------
+
+A = TwoParticleConfig(Vec2(1.0, 0.0), Vec2(0.0, 0.0))
+A_TEXT = "TwoParticleConfig(p1=Vec2(x=1.0, y=0.0), p2=Vec2(x=0.0, y=0.0))"
+CLOSED = EndpointPair(A, A)
+DIRECT_0 = HomotopyClass(Kind.DIRECT, 0.0)
+
+
+@pytest.mark.parametrize(
+    "cls, args, text",
+    [
+        (PhysicsParams, (1.0, 1.0), "PhysicsParams(mass=1.0, hbar=1.0)"),
+        (
+            StatisticsSpec,
+            (0.5, OpClass.FERMION),
+            "StatisticsSpec(theta=0.5, op_class=<OpClass.FERMION: 'fermion'>)",
+        ),
+        (
+            ResolvedKernel,
+            (CLOSED, 3, {DIRECT_0: 1 + 2j}),
+            f"ResolvedKernel(endpoints=EndpointPair(start={A_TEXT}, end={A_TEXT}), n_steps=3, "
+            "partials={HomotopyClass(kind=<Kind.DIRECT: 'Direct'>, winding=0.0): (1+2j)})",
+        ),
+        (
+            PermutationAmplitudes,
+            (2, {(0, 1): 1 + 0j, (1, 0): 0.5j}),
+            "PermutationAmplitudes(n=2, alpha={(0, 1): (1+0j), (1, 0): 0.5j})",
+        ),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "",
+)
+def test_record_is_the_tuple_of_its_fields(cls, args, text):
+    check_record(cls, args, text)
+
+
+def test_record_defaults_and_normalized_maps():
+    assert PhysicsParams() == PhysicsParams(hbar=1.0) == (1.0, 1.0)
+    pairs = [(DIRECT_0, 1j)]
+    assert ResolvedKernel(CLOSED, 1, pairs).partials == {DIRECT_0: 1j}
+    assert PermutationAmplitudes(1, [((0,), 2j)])._replace(n=2).alpha == {(0,): 2j}
+
+
+# valid field values that each refusal below spoils
+VALID = {
+    PhysicsParams: (1.0, 1.0),
+    StatisticsSpec: (0.5, OpClass.BOSON),
+    ResolvedKernel: (CLOSED, 3, {DIRECT_0: 1j}),
+    PermutationAmplitudes: (2, {(0, 1): 1j, (1, 0): 1j}),
+}
+SWAPPED_HALF = {HomotopyClass(Kind.EXCHANGE, 0.5): 1j}
+
+
+@pytest.mark.parametrize(
+    "cls, bad, error, message",
+    [
+        (PhysicsParams, {"mass": 0.0}, ValidationError, "mass must be finite and > 0, got 0.0"),
+        (PhysicsParams, {"hbar": math.nan}, ValidationError, "hbar must be finite and > 0, got nan"),
+        (PhysicsParams, {"mass": "1"}, ValidationError, "mass must be finite and > 0, got 1"),
+        # mass is checked before hbar
+        (PhysicsParams, {"mass": -1.0, "hbar": 0.0}, ValidationError, "mass must be finite and > 0, got -1.0"),
+        (StatisticsSpec, {"theta": math.inf}, ValidationError, "theta must be finite, got inf"),
+        (StatisticsSpec, {"theta": math.nan}, ValidationError, "theta must be finite, got nan"),
+        (
+            ResolvedKernel,
+            {"partials": SWAPPED_HALF},
+            ValidationError,
+            "partial of kind Exchange in a Direct kernel",
+        ),
+        (
+            ResolvedKernel,
+            {"endpoints": EndpointPair(A, TwoParticleConfig(Vec2(0.0, 1.0), Vec2(0.0, 0.0)))},
+            EndpointsNotClosedOrExchanged,
+            "endpoints must be equal (Direct) or swapped (Exchange) to resolve winding classes",
+        ),
+        (ResolvedKernel, {"partials": 5}, TypeError, "'int' object is not iterable"),
+        (PermutationAmplitudes, {"n": 0}, ValidationError, "n must be >= 1, got 0"),
+        # n is checked before alpha is made a dict
+        (PermutationAmplitudes, {"n": 0, "alpha": 5}, ValidationError, "n must be >= 1, got 0"),
+        (PermutationAmplitudes, {"alpha": 5}, TypeError, "'int' object is not iterable"),
+    ],
+)
+def test_invalid_record_refused(cls, bad, error, message):
+    check_refusal(cls, VALID[cls], bad, error, message)

@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from anyonsim import ExchangeGeometry, build_exchange_path, step_factors
@@ -65,6 +65,23 @@ class TestWinding:
         code, _, err = run(capsys, ["winding", str(target)])
         assert code == 2
         assert "ParseError" in err
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"\xff\xfe{}", "ParseError"),
+            (b'{"dt": 1' + b"0" * 5000 + b', "configs": []}', "ParseError"),
+            (b'{"dt": 1' + b"0" * 400 + b', "configs": []}', "ValidationError"),
+            (b'{"dt": 1, "configs": [[[1' + b"0" * 400 + b", 0], [0, 0]]]}", "ValidationError"),
+        ],
+        ids=["not-utf8", "past-int-digit-limit", "dt-past-float-range", "coordinate-past-float-range"],
+    )
+    def test_unloadable_file_is_one_error_line(self, capsys, tmp_path, content, error):
+        target = tmp_path / "unloadable.json"
+        target.write_bytes(content)
+        code, out, err = run(capsys, ["winding", str(target)])
+        assert code == 2 and out == ""
+        assert re.fullmatch(rf"anyonsim: {error}: [^\n]+\n", err)
 
     def test_nan_coordinate_is_validation_error(self, capsys, tmp_path):
         cases = [
@@ -251,6 +268,25 @@ class TestSweep:
         assert first == second
 
 
+SWEEP_ARGS = ["sweep", "--theta-min", "0", "--theta-max", "1"]
+
+
+@pytest.mark.parametrize("n", [10**18, 10**6 + 1])
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["exchange", "--steps"], "exchange steps"),
+        (SWEEP_ARGS + ["--points", "2", "--steps"], "exchange steps"),
+        (SWEEP_ARGS + ["--points"], "sweep points"),
+    ],
+    ids=["exchange-steps", "sweep-steps", "sweep-points"],
+)
+def test_size_cap_refused_before_allocating(capsys, argv, what, n):
+    code, out, err = run(capsys, [*argv, str(n)])
+    assert code == 2 and out == ""
+    assert err == f"anyonsim: BudgetExceeded: {n} {what} exceed the cap 1000000\n"
+
+
 class TestDephase:
     def test_default_experiment(self, capsys):
         code, out, _ = run(capsys, ["dephase", "--dt-grid", "0.2,0.1,0.05,0.02"])
@@ -310,6 +346,13 @@ SNAP_OVERFLOW_ARGVS = [
 ]
 
 
+# swapped endpoints that no 3-step walk joins, so the kernel has no classes
+NO_WALK_KERNEL_ARGV = [
+    "kernel", "--extent=2", "--steps=3",
+    "--start", "1", "1", "1", "-1", "--end", "1", "-1", "1", "1",
+]
+
+
 class TestNonFiniteTimes:
     @pytest.mark.parametrize(
         "argv",
@@ -349,6 +392,7 @@ class TestNonFiniteTimes:
             ["kernel", "--extent", "1", "--steps", "4000", "--start", "0", "0", "1", "0",
              "--end", "0", "0", "1", "0"],
             *SNAP_OVERFLOW_ARGVS,
+            NO_WALK_KERNEL_ARGV + ["--theta=nan"],
         ],
         ids=[
             "dephase-nan-grid", "dephase-inf-duration", "exchange-inf-dt", "kernel-inf-dt",
@@ -360,6 +404,7 @@ class TestNonFiniteTimes:
             "sweep-phase-overflow", "kernel-phase-overflow", "dephase-phase-overflow",
             "dephase-non-finite-fit", "dephase-residual-overflow", "kernel-anyonic-angle-overflow",
             "kernel-budget-bignum", "kernel-snap-quotient-overflow", "kernel-snap-tiny-spacing",
+            "kernel-no-walk-nan-theta",
         ],
     )
     def test_refused_with_one_error_line(self, capsys, argv):
@@ -379,13 +424,32 @@ SITE = st.sampled_from(("1", "0", "-1", "2"))
 ODD_COORDS = st.sampled_from(("0.5", "-0", "nan", "inf", "1e308", "5e-324", "1e-300"))
 COUNTS = st.sampled_from((3, 2, 1, 0))
 DTS = st.sampled_from(("0.2", "0.1", "0.05", "0.02", "0.01"))
+# EDGES as JSON tokens, plus an integer past the range of float
+JSON_EDGES = st.sampled_from(
+    ("NaN", "Infinity", "-Infinity", "1e308", "-1e308", "5e-324", "1e-300", "0", "-0", "-1",
+     "1" + "0" * 400)
+)
+MALFORMED_FILES = st.sampled_from(
+    (
+        b'{"dt": 0.1, "configs": [[[1, 0], [0, 0]]',
+        b'{"configs": [[[1, 0], [0, 0]], [[1, 0], [0, 0]]]}',
+        b'{"dt": 0.1, "configs": [[[1, 0]], [[1, 0]]]}',
+        b'{"dt": "fast", "configs": [[[1, 0], [0, 0]], [[1, 0], [0, 0]]]}',
+        b'{"dt": 0.1, "configs": 5}',
+        b"[]",
+        b"\xff\xfe",
+        b'{"dt": 1' + b"0" * 5000 + b', "configs": []}',
+    )
+)
 
 
 @st.composite
 def cli_argvs(draw):
-    """A kernel, sweep, dephase or exchange argv whose values are ordinary
-    but for up to two taken from the edges of float; single values are
-    passed as --flag=value, so that argparse never reads -inf as an option."""
+    """A kernel, sweep, dephase, exchange or winding argv whose values are
+    ordinary but for up to two taken from the edges of float; single values
+    are passed as --flag=value, so that argparse never reads -inf as an
+    option.  A winding argv holds the bytes of its path file, which the test
+    writes: 2-4 configurations in JSON, or a malformed file."""
 
     def spoiled(tokens, odd):
         tokens = list(tokens)
@@ -398,7 +462,7 @@ def cli_argvs(draw):
         values = spoiled([draw(ORDINARY) for _ in present], EDGES)
         return [f"--{flag}={value}" for flag, value in zip(present, values)]
 
-    command = draw(st.sampled_from(["kernel", "sweep", "dephase", "exchange"]))
+    command = draw(st.sampled_from(["kernel", "sweep", "dephase", "exchange", "winding"]))
     argv = [command]
     if command == "kernel":
         argv += [f"--extent={draw(st.sampled_from((2, 1, 0)))}", f"--steps={draw(COUNTS)}"]
@@ -424,6 +488,17 @@ def cli_argvs(draw):
         grid = draw(st.lists(DTS, min_size=3, unique=True))
         argv += [f"--dt-grid={','.join(spoiled(grid, EDGES))}"]
         argv += floats("radius", "duration", "mass", "hbar")
+    elif command == "winding":
+        start = draw(st.lists(SITE, min_size=4, max_size=4))
+        middle = draw(st.lists(st.lists(SITE, min_size=4, max_size=4), max_size=2))
+        end = draw(st.sampled_from([start, start[2:] + start[:2], None]))
+        end = end or draw(st.lists(SITE, min_size=4, max_size=4))
+        dt, *coords = spoiled([draw(DTS), *start, *sum(middle, []), *end], JSON_EDGES)
+        configs = ", ".join(
+            f"[[{x1}, {y1}], [{x2}, {y2}]]" for x1, y1, x2, y2 in zip(*[iter(coords)] * 4)
+        )
+        document = f'{{"dt": {dt}, "configs": [{configs}]}}'.encode()
+        argv.append(draw(st.sampled_from([document, draw(MALFORMED_FILES)])))
     else:
         argv += [f"--steps={draw(st.integers(1, 64))}"]
         argv += [f"--direction={draw(st.sampled_from(['ccw', 'cw']))}"]
@@ -436,11 +511,22 @@ def _refuse_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(cli_argvs())
-@example(SNAP_OVERFLOW_ARGVS[0])
-@example(SNAP_OVERFLOW_ARGVS[1])
-def test_every_argv_succeeds_cleanly_or_fails_with_one_line(argv):
+@settings(
+    max_examples=375,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    # one file per example, rewritten by each
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=cli_argvs())
+@example(argv=SNAP_OVERFLOW_ARGVS[0])
+@example(argv=SNAP_OVERFLOW_ARGVS[1])
+def test_every_argv_succeeds_cleanly_or_fails_with_one_line(tmp_path, argv):
+    if argv[0] == "winding":
+        target = tmp_path / "path.json"
+        target.write_bytes(argv[1])
+        argv = ["winding", str(target)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

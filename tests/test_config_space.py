@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonsim import (
+    DEFAULT_MOVES,
     DiscretePath,
     EndpointPair,
     LatticeSpec,
@@ -30,7 +32,14 @@ from anyonsim.errors import (
     TurnTooLargeAtStep,
     ValidationError,
 )
-from helpers import MOVES, brute_force_walks, lattice_path, random_valid_walk
+from helpers import (
+    MOVES,
+    brute_force_walks,
+    check_record,
+    check_refusal,
+    lattice_path,
+    random_valid_walk,
+)
 
 KING_MOVES = MOVES + ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
@@ -461,3 +470,68 @@ def test_census_reversal_symmetry_needs_negation_closed_moves():
     lattice = LatticeSpec(extent=2, moves=((0, 0), (1, 0), (0, 1), (-1, -1)))
     start = lattice.config((0, 1), (1, -1))
     assert not _reversal_symmetric(walk_census(lattice, EndpointPair(start, start), 6))
+
+
+# --- the record types: named tuples built through their checks ---------------
+
+A = TwoParticleConfig(Vec2(1.0, 0.0), Vec2(0.0, 0.0))
+B = TwoParticleConfig(Vec2(0.0, 1.0), Vec2(0.0, 0.0))
+A_TEXT = "TwoParticleConfig(p1=Vec2(x=1.0, y=0.0), p2=Vec2(x=0.0, y=0.0))"
+B_TEXT = "TwoParticleConfig(p1=Vec2(x=0.0, y=1.0), p2=Vec2(x=0.0, y=0.0))"
+
+
+@pytest.mark.parametrize(
+    "cls, args, text",
+    [
+        (Vec2, (1.0, -2.5), "Vec2(x=1.0, y=-2.5)"),
+        (DiscretePath, (0.1, (A, B)), f"DiscretePath(dt=0.1, configs=({A_TEXT}, {B_TEXT}))"),
+        (EndpointPair, (A, B), f"EndpointPair(start={A_TEXT}, end={B_TEXT})"),
+        (
+            LatticeSpec,
+            (2, 1.0, DEFAULT_MOVES),
+            "LatticeSpec(extent=2, spacing=1.0, moves=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))",
+        ),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "",
+)
+def test_record_is_the_tuple_of_its_fields(cls, args, text):
+    check_record(cls, args, text)
+
+
+def test_path_caches_survive_copy_and_replace():
+    path = DiscretePath(0.1, [A, B])
+    assert path.configs == (A, B) and path.relatives == ((1.0, 0.0), (0.0, 1.0))
+    twin = copy.deepcopy(path)
+    assert twin.relatives == path.relatives and twin.crossings == path.crossings == ()
+    moved = path._replace(configs=[B, A])
+    assert moved.configs == (B, A) and moved.relatives == ((0.0, 1.0), (1.0, 0.0))
+    assert LatticeSpec(2)._replace(moves=[[1, 0]]).moves == ((1, 0),)
+
+
+# valid field values that each refusal below spoils
+VALID = {Vec2: (0, 0), DiscretePath: (0.1, (A, B)), LatticeSpec: (2, 1.0, DEFAULT_MOVES)}
+
+
+@pytest.mark.parametrize(
+    "cls, bad, error, message",
+    [
+        (Vec2, {"x": math.nan}, ValidationError, "non-finite vector component (nan, 0)"),
+        (Vec2, {"y": -math.inf}, ValidationError, "non-finite vector component (0, -inf)"),
+        (Vec2, {"x": "1"}, TypeError, "must be real number, not str"),
+        (DiscretePath, {"dt": 0.0}, ValidationError, "dt must be finite and > 0, got 0.0"),
+        (DiscretePath, {"dt": math.nan}, ValidationError, "dt must be finite and > 0, got nan"),
+        (DiscretePath, {"configs": (A,)}, ValidationError, "a path needs at least two configurations"),
+        # dt is checked before the length, after configs is made a tuple
+        (DiscretePath, {"dt": -1.0, "configs": ()}, ValidationError, "dt must be finite and > 0, got -1.0"),
+        (DiscretePath, {"dt": -1.0, "configs": 5}, TypeError, "'int' object is not iterable"),
+        (LatticeSpec, {"extent": 0}, ValidationError, "extent must be >= 1, got 0"),
+        (LatticeSpec, {"spacing": 0.0}, ValidationError, "spacing must be finite and > 0, got 0.0"),
+        (LatticeSpec, {"spacing": math.inf}, ValidationError, "spacing must be finite and > 0, got inf"),
+        # extent, then spacing, then the moves are made tuples
+        (LatticeSpec, {"extent": 0, "spacing": math.nan}, ValidationError, "extent must be >= 1, got 0"),
+        (LatticeSpec, {"spacing": -1.0, "moves": (5,)}, ValidationError, "spacing must be finite and > 0, got -1.0"),
+        (LatticeSpec, {"moves": (5,)}, TypeError, "'int' object is not iterable"),
+    ],
+)
+def test_invalid_record_refused(cls, bad, error, message):
+    check_refusal(cls, VALID[cls], bad, error, message)

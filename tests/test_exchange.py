@@ -7,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonsim import (
+    DephasingFit,
+    DephasingSample,
     DiscretePath,
     Direction,
     EndpointPair,
     ExchangeGeometry,
+    ExchangePhase,
     HomotopyClass,
     Kind,
     OpClass,
     PhysicsParams,
     ResolvedKernel,
     StatisticsSpec,
+    StepFactor,
     TwoParticleConfig,
     Vec2,
     build_exchange_path,
@@ -32,8 +36,9 @@ from anyonsim import (
 )
 from anyonsim.amplitudes import resolved_kernel
 from anyonsim.config_space import LatticeSpec, upper_half_plane
-from anyonsim.errors import DegenerateGrid, NotExchangeKernel, ValidationError
-from anyonsim.exchange import path_kernel
+from anyonsim.errors import BudgetExceeded, DegenerateGrid, NotExchangeKernel, ValidationError
+from anyonsim.exchange import MAX_SIZE, path_kernel
+from helpers import check_record, check_refusal
 
 TAU = 2 * math.pi
 
@@ -349,3 +354,82 @@ class TestThetaSweep:
     def test_empty_grid(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
         assert theta_sweep(geom, PhysicsParams(), []) == ()
+
+
+# --- size caps: refused before anything of that size is built ----------------
+
+
+@pytest.mark.parametrize("n_steps", [10**18, MAX_SIZE + 1])
+def test_exchange_steps_capped(n_steps):
+    geom = ExchangeGeometry(radius=1.0, n_steps=n_steps, dt=0.05)
+    message = f"{n_steps} exchange steps exceed the cap 1000000"
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+        build_exchange_path(geom)
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+        theta_sweep(geom, PhysicsParams(), [StatisticsSpec(1.0, OpClass.BOSON)])
+
+
+def test_dephasing_builds_one_step_of_any_length():
+    # the geometry type has no cap: dephase builds only the first step
+    fit = dephasing_exponent(ExchangeGeometry(1.0, 16, 0.125), PhysicsParams(), [4e-7, 2e-7, 1e-7])
+    assert [s.n_steps for s in fit.samples] == [5_000_000, 10_000_000, 20_000_000]
+    assert fit.rel_error < 1e-6
+
+
+# --- the record types: named tuples built through their checks ---------------
+
+GEOMETRY = (1.0, 4, 0.05, Direction.CCW, Vec2(0.0, 0.0))
+SAMPLE = DephasingSample(0.1, 20, 40.0, 0.1)
+SAMPLE_TEXT = "DephasingSample(dt=0.1, n_steps=20, phase_op=40.0, phase_dir=0.1)"
+
+
+@pytest.mark.parametrize(
+    "cls, args, text",
+    [
+        (
+            ExchangeGeometry,
+            GEOMETRY,
+            "ExchangeGeometry(radius=1.0, n_steps=4, dt=0.05, "
+            "direction=<Direction.CCW: 'ccw'>, center=Vec2(x=0.0, y=0.0))",
+        ),
+        (
+            StepFactor,
+            (1 + 0j, 1j, True, 0.25, 1.5),
+            "StepFactor(alpha_dir=(1+0j), alpha_op=1j, flipped=True, action_dir=0.25, action_op=1.5)",
+        ),
+        (DephasingSample, (0.1, 20, 40.0, 0.1), SAMPLE_TEXT),
+        (
+            DephasingFit,
+            (4.0, 0.0, 0.0, 4.0, 0.0, (SAMPLE,)),
+            "DephasingFit(slope=4.0, intercept=0.0, residual=0.0, predicted=4.0, rel_error=0.0, "
+            f"samples=({SAMPLE_TEXT},))",
+        ),
+        (
+            ExchangePhase,
+            (1.5, -1j, 3.0, OpClass.BOSON),
+            "ExchangePhase(phi=1.5, amplitude=(-0-1j), theta=3.0, op_class=<OpClass.BOSON: 'boson'>)",
+        ),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "",
+)
+def test_record_is_the_tuple_of_its_fields(cls, args, text):
+    check_record(cls, args, text)
+
+
+def test_geometry_defaults():
+    assert ExchangeGeometry(1.0, 4, 0.05) == ExchangeGeometry(radius=1.0, n_steps=4, dt=0.05) == GEOMETRY
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ({"n_steps": 1}, ValidationError, "n_steps must be >= 2, got 1"),
+        ({"radius": 0.0}, ValidationError, "radius must be finite and > 0, got 0.0"),
+        ({"dt": math.inf}, ValidationError, "dt must be finite and > 0, got inf"),
+        # radius, then n_steps, then dt
+        ({"radius": math.nan, "n_steps": 1, "dt": 0.0}, ValidationError, "radius must be finite and > 0, got nan"),
+        ({"n_steps": 1, "dt": 0.0}, ValidationError, "n_steps must be >= 2, got 1"),
+    ],
+)
+def test_invalid_geometry_refused(bad, error, message):
+    check_refusal(ExchangeGeometry, GEOMETRY, bad, error, message)

@@ -32,6 +32,8 @@ from anyonsim.errors import (
 )
 from helpers import (
     antipodal_path,
+    check_record,
+    check_refusal,
     half_plane_crossings,
     lattice_path,
     random_valid_walk,
@@ -267,3 +269,26 @@ def test_crossings_are_the_one_crossing_rule(pair):
         assert 2 * classify(path).winding == sum(sign for _, sign in crossings)
         flipped = [k for k, factor in enumerate(step_factors(path)) if factor.flipped]
         assert flipped == [k for k, _ in crossings]
+
+
+# --- the record type: a named tuple built through its checks -----------------
+
+
+def test_class_is_the_tuple_of_its_fields():
+    text = "HomotopyClass(kind=<Kind.EXCHANGE: 'Exchange'>, winding=0.5)"
+    check_record(HomotopyClass, (Kind.EXCHANGE, 0.5), text)
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ({"winding": 0.25}, ValueError, "winding must be a half-integer, got 0.25"),
+        ({"winding": 1.0}, ValueError, "Exchange class cannot have winding 1.0"),
+        ({"kind": Kind.DIRECT}, ValueError, "Direct class cannot have winding 0.5"),
+        ({"kind": Kind.DIRECT, "winding": -0.25}, ValueError, "winding must be a half-integer, got -0.25"),
+        ({"winding": math.nan}, ValueError, "cannot convert float NaN to integer"),
+        ({"winding": math.inf}, OverflowError, "cannot convert float infinity to integer"),
+    ],
+)
+def test_invalid_class_refused(bad, error, message):
+    check_refusal(HomotopyClass, (Kind.EXCHANGE, 0.5), bad, error, message)
