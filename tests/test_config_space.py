@@ -1,6 +1,5 @@
 import copy
 import math
-import pickle
 import random
 
 import numpy as np
@@ -33,6 +32,7 @@ from anyonsim.errors import (
     ValidationError,
 )
 from helpers import (
+    CLONES,
     MOVES,
     brute_force_walks,
     check_record,
@@ -98,15 +98,7 @@ class TestTwoParticleConfig:
         assert repr(c) == "TwoParticleConfig(p1=Vec2(x=1.0, y=2.0), p2=Vec2(x=3.0, y=4.0))"
         assert TwoParticleConfig(p1=Vec2(1.0, 2.0), p2=Vec2(3.0, 4.0)) == c
 
-    @pytest.mark.parametrize(
-        "clone",
-        [copy.copy, copy.deepcopy]
-        + [
-            lambda obj, proto=proto: pickle.loads(pickle.dumps(obj, protocol=proto))
-            for proto in range(pickle.HIGHEST_PROTOCOL + 1)
-        ],
-        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
-    )
+    @pytest.mark.parametrize("clone", list(CLONES.values()), ids=list(CLONES))
     def test_copy_and_pickle_round_trip(self, clone):
         path = lattice_path([(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0)])
         for obj in (path.configs[1], path):
