@@ -9,17 +9,15 @@ stderr, where ErrorName is the exception class from :mod:`anyonsim.errors`.
 from __future__ import annotations
 
 import argparse
+import gc
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 from . import amplitudes, config_space, exchange, homotopy
 from .errors import AnyonSimError, BadRange, BudgetExceeded, ParseError
-
-
-def _g(value: float) -> str:
-    """12 significant digits, '.' decimal separator, locale-independent."""
-    return format(value, ".12g")
 
 
 def _complex_dict(z: complex) -> dict:
@@ -41,14 +39,22 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _load_path(path_file: str) -> config_space.DiscretePath:
+    # a path file decodes to some 10^5 small lists and floats and no reference
+    # cycle, so the cyclic collector is paused while they are built
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path_file}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int's digit limit
-        raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
-    return config_space.path_from_json_dict(data)
+        try:
+            with open(path_file, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ParseError(f"cannot read {path_file}: {exc}") from exc
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int's digit limit
+            raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
+        return config_space.path_from_json_dict(data)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _cmd_winding(args: argparse.Namespace) -> int:
@@ -98,40 +104,55 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_grid(args: argparse.Namespace) -> list[amplitudes.StatisticsSpec]:
-    if args.points < 1:
-        raise BadRange(f"points must be >= 1, got {args.points}")
-    if args.points > exchange.MAX_SIZE:
-        raise BudgetExceeded(f"{args.points} sweep points exceed the cap {exchange.MAX_SIZE}")
-    for flag, value in (("theta-min", args.theta_min), ("theta-max", args.theta_max)):
+def _sweep_grid(args: argparse.Namespace) -> Iterator[amplitudes.StatisticsSpec]:
+    """The statistics of the sweep rows, theta by theta, each theta once per
+    class.  Every refusal is raised here, before the first value is made."""
+    points, theta_min, theta_max = args.points, args.theta_min, args.theta_max
+    if points < 1:
+        raise BadRange(f"points must be >= 1, got {points}")
+    if points > exchange.MAX_SIZE:
+        raise BudgetExceeded(f"{points} sweep points exceed the cap {exchange.MAX_SIZE}")
+    for flag, value in (("theta-min", theta_min), ("theta-max", theta_max)):
         if not math.isfinite(value):
             raise BadRange(f"{flag} must be finite, got {value}")
-    if args.theta_max < args.theta_min:
-        raise BadRange(f"theta-max {args.theta_max} is below theta-min {args.theta_min}")
-    if args.points == 1:
-        thetas = [args.theta_min]
-    else:
-        span = args.theta_max - args.theta_min
-        thetas = [args.theta_min + i * span / (args.points - 1) for i in range(args.points)]
+    if theta_max < theta_min:
+        raise BadRange(f"theta-max {theta_max} is below theta-min {theta_min}")
     classes = {
         "boson": [amplitudes.OpClass.BOSON],
         "fermion": [amplitudes.OpClass.FERMION],
         "both": [amplitudes.OpClass.BOSON, amplitudes.OpClass.FERMION],
     }[args.op_class]
-    return [
-        amplitudes.StatisticsSpec(theta=t, op_class=c) for t in thetas for c in classes
-    ]
+    if points == 1:
+        thetas = [theta_min]
+    else:
+        gaps = points - 1
+        span = theta_max - theta_min
+        if math.isfinite(span):
+            thetas = (theta_min + i * span / gaps for i in range(points))
+            # the thetas rise with i, so if one overflows the last does: it is refused here
+            amplitudes.StatisticsSpec(theta=theta_min + gaps * span / gaps, op_class=classes[0])
+        else:
+            # only bounds of opposite sign overflow their span; the step
+            # span / gaps is then taken as theta_max / gaps - theta_min / gaps,
+            # added term by term so that no partial sum leaves [theta_min, theta_max]
+            hi, lo = theta_max / gaps, theta_min / gaps
+            thetas = (theta_min + i * hi - i * lo for i in range(points))
+    return (amplitudes.StatisticsSpec(theta=t, op_class=c) for t in thetas for c in classes)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     geom = exchange.ExchangeGeometry(radius=args.radius, n_steps=args.steps, dt=args.dt)
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
-    rows = exchange.theta_sweep(geom, params, _sweep_grid(args))
-    print("theta,op_class,phi,re_amp,im_amp")
-    for row in rows:
-        print(
-            f"{_g(row.theta)},{row.op_class.value},{_g(row.phi)},"
-            f"{_g(row.amplitude.real)},{_g(row.amplitude.imag)}"
+    rows = exchange._sweep_rows(geom, params, _sweep_grid(args))
+    first = next(rows)  # builds the kernel, so a refusal leaves stdout empty
+    names = {c: c.value for c in amplitudes.OpClass}
+    write = sys.stdout.write
+    write("theta,op_class,phi,re_amp,im_amp\n")
+    for row in itertools.chain((first,), rows):
+        amplitude = row.amplitude
+        write(
+            f"{row.theta:.12g},{names[row.op_class]},{row.phi:.12g},"
+            f"{amplitude.real:.12g},{amplitude.imag:.12g}\n"
         )
     return 0
 

@@ -41,6 +41,10 @@ DEFAULT_MOVES: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (-1, 0), (0, 1), (
 
 _SNAP_TOL = 1e-9
 
+#: the smallest normal float; cross and dot products both below it are taken
+#: from rescaled vectors (:func:`_rescaled_cross_dot`)
+_TINY = 2.0**-1022
+
 
 def check_finite_positive(name: str, value) -> None:
     """Raise ValidationError unless value is a finite number > 0."""
@@ -128,7 +132,8 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
 
     Unpacks, orders, compares and hashes as the tuple (dt, configs); built,
     also by ``_replace``, through the checks below.  The instance dict holds
-    only the cached :attr:`relatives` and :attr:`crossings`.
+    only what the one validating pass over the path records (its crossings
+    and turning) and the :attr:`relatives` built on request.
     """
 
     _make = classmethod(lambda cls, it: cls(*it))
@@ -152,32 +157,57 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     def end(self) -> TwoParticleConfig:
         return self.configs[-1]
 
-    @functools.cached_property
-    def relatives(self) -> tuple[tuple[float, float], ...]:
-        """The relative vectors r = p1 - p2 of all configurations, as (rx, ry).
+    def _turns(self, flips: list[tuple[int, int]]) -> Iterator[float]:
+        """The one validating pass over the path, as a generator.
 
-        Computed by the one validating pass over the path, which checks, in
-        path order for each configuration: no coincidence (CoincidenceAtStep
-        with the config index), a finite r (ValidationError), and a turn of
-        strictly less than pi from the previous r (TurnTooLargeAtStep with the
-        step index, config k -> k+1).  A path that fails raises on every
-        access; a valid one is walked once, since the path is frozen.
+        Checks, in path order for each configuration: no coincidence
+        (CoincidenceAtStep with the config index), a finite relative vector
+        r = p1 - p2 (ValidationError), and a turn of strictly less than pi
+        from the previous r (TurnTooLargeAtStep with the step index, config
+        k -> k+1).  Yields each step's signed turn, and appends each step
+        that changes :func:`upper_half_plane` half to flips as (k, sign),
+        sign 0 when the cross product has none.  The cross product and its
+        rescaling are :func:`sheet_step`'s, inlined.
         """
         isfinite = math.isfinite
-        out = []
+        atan2 = math.atan2
+        tiny = _TINY
         rx = ry = 0.0
+        upper = False
         for k, (x1, y1, x2, y2) in enumerate(self.configs):
             if x1 == x2 and y1 == y2:
                 raise CoincidenceAtStep(k)
             nrx = x1 - x2
             nry = y1 - y2
-            if not (isfinite(nrx) and isfinite(nry)):
+            # a finite pair has a finite sum unless the sum overflows
+            if not isfinite(nrx + nry) and not (isfinite(nrx) and isfinite(nry)):
                 raise ValidationError(f"non-finite vector component ({nrx}, {nry})")
-            if k and rx * nry - ry * nrx == 0.0 and rx * nrx + ry * nry < 0.0:
-                raise TurnTooLargeAtStep(k - 1)
-            out.append((nrx, nry))
-            rx, ry = nrx, nry
-        return tuple(out)
+            nupper = nry > 0 or (nry == 0 and nrx > 0)
+            if k:
+                cross = rx * nry - ry * nrx
+                dot = rx * nrx + ry * nry
+                if dot < tiny and -tiny < dot and -tiny < cross < tiny:
+                    cross, dot = _rescaled_cross_dot(rx, ry, nrx, nry)
+                if cross == 0.0 and dot < 0.0:
+                    raise TurnTooLargeAtStep(k - 1)
+                if nupper != upper:
+                    flips.append((k - 1, 1 if cross > 0 else -1 if cross < 0 else 0))
+                yield atan2(cross, dot)
+            rx = nrx
+            ry = nry
+            upper = nupper
+
+    @functools.cached_property
+    def _pass(self) -> tuple[tuple[tuple[int, int], ...], float]:
+        """(crossings as recorded, total turning) of the validating pass, the
+        turning the correctly rounded sum of the per-step turns.
+
+        A path that fails raises on every access; a valid one is walked
+        once, since the path is frozen.
+        """
+        flips: list[tuple[int, int]] = []
+        turning = math.fsum(self._turns(flips))
+        return tuple(flips), turning
 
     @functools.cached_property
     def crossings(self) -> tuple[tuple[int, int], ...]:
@@ -188,12 +218,21 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
         clockwise, so the signs sum to twice the winding.  A crossing with no
         representable sign raises RoundingInconsistency on every access.
         """
-        rs = self.relatives
-        return tuple(
-            (k, dh)
-            for k, ((rx, ry), (nrx, nry)) in enumerate(zip(rs, rs[1:]))
-            if (dh := sheet_step(rx, ry, nrx, nry))
-        )
+        flips = self._pass[0]
+        configs = self.configs
+        for k, sign in flips:
+            if not sign:
+                ax1, ay1, ax2, ay2 = configs[k]
+                bx1, by1, bx2, by2 = configs[k + 1]
+                sheet_step(ax1 - ax2, ay1 - ay2, bx1 - bx2, by1 - by2)
+        return flips
+
+    @functools.cached_property
+    def relatives(self) -> tuple[tuple[float, float], ...]:
+        """The relative vectors r = p1 - p2 of all configurations, as (rx, ry),
+        built on request once the path has passed :func:`validate_path`."""
+        self._pass
+        return tuple((x1 - x2, y1 - y2) for x1, y1, x2, y2 in self.configs)
 
 
 class EndpointPair(namedtuple("EndpointPair", "start end")):
@@ -231,18 +270,38 @@ def upper_half_plane(rx: float, ry: float) -> bool:
     return ry > 0 or (ry == 0 and rx > 0)
 
 
+def _rescaled_cross_dot(rx: float, ry: float, nrx: float, nry: float) -> tuple[float, float]:
+    """Cross and dot product of two nonzero vectors r and nr, each first scaled
+    exactly by the power of two that brings its larger component into [0.5, 1).
+
+    The turning rule takes its products from here when both are below the
+    normal range, where underflow would lose their sign or their ratio: the
+    scaling multiplies cross and dot by one positive factor, so the sign of
+    each and the angle atan2(cross, dot) are kept.
+    """
+    frexp, ldexp = math.frexp, math.ldexp
+    e = -frexp(max(abs(rx), abs(ry)))[1]
+    ne = -frexp(max(abs(nrx), abs(nry)))[1]
+    rx, ry, nrx, nry = ldexp(rx, e), ldexp(ry, e), ldexp(nrx, ne), ldexp(nry, ne)
+    return rx * nry - ry * nrx, rx * nrx + ry * nry
+
+
 def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
     """Change of the half-turn sheet index when r = (rx, ry) steps to (nrx, nry).
 
     Sheet h holds the lifted polar angles in [h*pi, (h+1)*pi).  A step turns
     r by less than pi, so h changes only when r leaves its
-    :func:`upper_half_plane` half, and then by the sign of the cross product;
-    summed along a path this is twice the winding.  A cross product with no
-    sign (underflow to 0, or NaN from overflow) raises RoundingInconsistency.
+    :func:`upper_half_plane` half, and then by the sign of the cross product,
+    rescaled by :func:`_rescaled_cross_dot` when it and the dot product are
+    both subnormal; summed along a path this is twice the winding.  A cross
+    product with no sign (0 from rounding, or NaN from overflow) raises
+    RoundingInconsistency.
     """
     if upper_half_plane(nrx, nry) == upper_half_plane(rx, ry):
         return 0
     cross = rx * nry - ry * nrx
+    if -_TINY < cross < _TINY and -_TINY < rx * nrx + ry * nry < _TINY:
+        cross, _ = _rescaled_cross_dot(rx, ry, nrx, nry)
     if cross > 0:
         return 1
     if cross < 0:
@@ -258,11 +317,11 @@ def validate_path(path: DiscretePath) -> None:
     Checks, in path order: no coincident configuration, a finite relative
     vector, and every step turns the relative vector by strictly less than
     pi.  CoincidenceAtStep carries the config index, TurnTooLargeAtStep the
-    step index (config k -> k+1).  The checks are the pass that computes
-    :attr:`DiscretePath.relatives`, so a valid path object is validated once
-    however often this is called.
+    step index (config k -> k+1).  The checks are the one pass over the
+    path that also records its crossings and turning, so a valid path object
+    is validated once however often this is called.
     """
-    path.relatives
+    path._pass
 
 
 def reverse_path(path: DiscretePath) -> DiscretePath:
@@ -288,13 +347,23 @@ def path_to_json_dict(path: DiscretePath) -> dict:
     }
 
 
+def _configs_from_json(pairs) -> Iterator[TwoParticleConfig]:
+    """The configurations of JSON position pairs [[x1, y1], [x2, y2]], as :func:`_config` builds them."""
+    new = tuple.__new__
+    isfinite = math.isfinite
+    for p1, p2 in pairs:
+        x1, y1, x2, y2 = float(p1[0]), float(p1[1]), float(p2[0]), float(p2[1])
+        # finite coordinates have a finite sum unless it overflows; then _config builds the config
+        if isfinite(x1 + y1 + x2 + y2):
+            yield new(TwoParticleConfig, (x1, y1, x2, y2))
+        else:
+            yield _config(x1, y1, x2, y2)
+
+
 def path_from_json_dict(data: dict) -> DiscretePath:
     try:
         dt = float(data["dt"])
-        configs = tuple(
-            _config(float(p1[0]), float(p1[1]), float(p2[0]), float(p2[1]))
-            for p1, p2 in data["configs"]
-        )
+        configs = tuple(_configs_from_json(data["configs"]))
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .amplitudes import (
     OpClass,
@@ -95,13 +96,25 @@ class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt directi
         return 2.0 * self.radius
 
 
-def _exchange_config(geom: ExchangeGeometry, k: int) -> TwoParticleConfig:
-    """Configuration k of the exchange, the pair rotated by pi * k / n_steps."""
+def _exchange_configs(geom: ExchangeGeometry, count: int) -> Iterator[TwoParticleConfig]:
+    """The first count configurations of the exchange, configuration k the
+    pair rotated by pi * k / n_steps about the center."""
     sign = 1.0 if geom.direction is Direction.CCW else -1.0
-    phi = sign * math.pi * k / geom.n_steps
-    dx, dy = geom.radius * math.cos(phi), geom.radius * math.sin(phi)
-    cx, cy = geom.center.x, geom.center.y
-    return _config(cx + dx, cy + dy, cx - dx, cy - dy)
+    pi, cos, sin, isfinite = math.pi, math.cos, math.sin, math.isfinite
+    new = tuple.__new__
+    n = geom.n_steps
+    radius = geom.radius
+    cx, cy = geom.center
+    for k in range(count):
+        phi = sign * pi * k / n
+        dx = radius * cos(phi)
+        dy = radius * sin(phi)
+        x1, y1, x2, y2 = cx + dx, cy + dy, cx - dx, cy - dy
+        # finite coordinates have a finite sum unless it overflows; then _config builds the config
+        if isfinite(x1 + y1 + x2 + y2):
+            yield new(TwoParticleConfig, (x1, y1, x2, y2))
+        else:
+            yield _config(x1, y1, x2, y2)
 
 
 def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
@@ -111,9 +124,9 @@ def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
     refused with BudgetExceeded before any configuration is built."""
     if geom.n_steps > MAX_SIZE:
         raise BudgetExceeded(f"{geom.n_steps} exchange steps exceed the cap {MAX_SIZE}")
-    configs = [_exchange_config(geom, k) for k in range(geom.n_steps)]
-    configs.append(swap(configs[0]))
-    path = DiscretePath(dt=geom.dt, configs=tuple(configs))
+    configs = _exchange_configs(geom, geom.n_steps)
+    first = next(configs)
+    path = DiscretePath(geom.dt, itertools.chain((first,), configs, (swap(first),)))
     validate_path(path)
     return path
 
@@ -215,7 +228,7 @@ def dephasing_exponent(
                 f"dt {dt} leaves fewer than 2 steps of the exchange of duration {duration}"
             )
         sample = ExchangeGeometry(geom.radius, n, dt, geom.direction, geom.center)
-        first_step = DiscretePath(dt, (_exchange_config(sample, 0), _exchange_config(sample, 1)))
+        first_step = DiscretePath(dt, _exchange_configs(sample, 2))
         (factor,) = step_factors(first_step, params)
         samples.append(
             DephasingSample(
@@ -305,6 +318,21 @@ def exchange_phase(resolved: ResolvedKernel, stats: StatisticsSpec) -> ExchangeP
     return _phase(cls, amp, stats)
 
 
+def _sweep_rows(
+    geom: ExchangeGeometry,
+    params: PhysicsParams,
+    stats_grid: Iterable[StatisticsSpec],
+) -> Iterator[ExchangePhase]:
+    """The rows of :func:`theta_sweep`, one per statistics of the grid, as they
+    are computed.  The kernel is built and read when the first row is asked
+    for, and not at all for an empty grid."""
+    cls = amp = None
+    for stats in stats_grid:
+        if cls is None:
+            cls, amp = _exchange_class(path_kernel(build_exchange_path(geom), params))
+        yield _phase(cls, amp, stats)
+
+
 def theta_sweep(
     geom: ExchangeGeometry,
     params: PhysicsParams,
@@ -318,8 +346,4 @@ def theta_sweep(
     statistics.  phi is affine in theta with slope w = +-1/2, the sign set by
     the direction of geom.
     """
-    stats_list = list(stats_grid)
-    if not stats_list:
-        return ()
-    cls, amp = _exchange_class(path_kernel(build_exchange_path(geom), params))
-    return tuple(_phase(cls, amp, stats) for stats in stats_list)
+    return tuple(_sweep_rows(geom, params, stats_grid))

@@ -94,14 +94,10 @@ def total_angle(path: DiscretePath) -> float:
 
     Additive under concatenation and negated by reversal.  Depends only on
     the relative coordinate, so translating both particles together changes
-    nothing.  Each step is :func:`signed_angle`'s expression, read from the
-    validated :attr:`DiscretePath.relatives`.
+    nothing.  Each step is :func:`signed_angle`'s expression, summed by the
+    path's one validating pass (:func:`~anyonsim.config_space.validate_path`).
     """
-    rs = path.relatives
-    return math.fsum(
-        math.atan2(rx * nry - ry * nrx, rx * nrx + ry * nry)
-        for (rx, ry), (nrx, nry) in zip(rs, rs[1:])
-    )
+    return path._pass[1]
 
 
 def _doubled_winding(path: DiscretePath) -> int:

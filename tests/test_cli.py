@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from anyonsim import ExchangeGeometry, build_exchange_path, step_factors
+from anyonsim import (
+    ExchangeGeometry,
+    OpClass,
+    PhysicsParams,
+    StatisticsSpec,
+    build_exchange_path,
+    step_factors,
+    theta_sweep,
+)
 from anyonsim.cli import main
 
 TAU = 2 * math.pi
@@ -98,6 +107,25 @@ class TestWinding:
             code, out, err = run(capsys, ["winding", str(target)])
             assert code == 2 and out == ""
             assert err == f"anyonsim: ValidationError: non-finite vector component {pair}\n"
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b'{"dt": 1.0, "configs": [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 0], [0, 0]]]}', None),
+            (b"{not json", "ParseError"),
+            (b'{"dt": 1.0, "configs": [[[1, 0]], [[1, 0]]]}', "ValidationError"),
+        ],
+        ids=["classified", "parse-error", "validation-error"],
+    )
+    def test_collector_is_enabled_after_loading(self, capsys, tmp_path, content, error):
+        # the cyclic collector is paused while a path file loads, and only then
+        target = tmp_path / "path.json"
+        target.write_bytes(content)
+        assert gc.isenabled()
+        code, _, err = run(capsys, ["winding", str(target)])
+        assert code == (2 if error else 0)
+        assert err.startswith(f"anyonsim: {error}: ") if error else err == ""
+        assert gc.isenabled()
 
     def test_seed_flag_rejected(self, capsys, tmp_path):
         path_file = write_path_json(
@@ -267,6 +295,34 @@ class TestSweep:
         _, second, _ = run(capsys, argv)
         assert first == second
 
+    def test_bounds_whose_span_overflows(self, capsys):
+        # theta-max - theta-min is inf, so the grid steps by the difference of their shares
+        argv = ["sweep", "--theta-min=-1e308", "--theta-max=1e308", "--points", "3",
+                "--op-class", "boson"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["-1e+308", "0", "1e+308"]
+
+    @pytest.mark.parametrize("op_class", ["boson", "fermion", "both"])
+    def test_rows_are_theta_sweep_formatted(self, capsys, op_class):
+        argv = ["sweep", "--theta-min=-2.5", "--theta-max", "9.75", "--points", "9",
+                "--op-class", op_class, "--steps", "12", "--dt", "0.07", "--mass", "1.3"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        classes = [OpClass.BOSON, OpClass.FERMION] if op_class == "both" else [OpClass(op_class)]
+        grid = [
+            StatisticsSpec(-2.5 + i * 12.25 / 8, c) for i in range(9) for c in classes
+        ]
+        rows = theta_sweep(ExchangeGeometry(1.0, 12, 0.07), PhysicsParams(mass=1.3), grid)
+        lines = ["theta,op_class,phi,re_amp,im_amp"] + [
+            ",".join(
+                [format(r.theta, ".12g"), r.op_class.value]
+                + [format(v, ".12g") for v in (r.phi, r.amplitude.real, r.amplitude.imag)]
+            )
+            for r in rows
+        ]
+        assert out == "\n".join(lines) + "\n"
+
 
 SWEEP_ARGS = ["sweep", "--theta-min", "0", "--theta-max", "1"]
 
@@ -335,6 +391,16 @@ class TestExchange:
         code, out, err = run(capsys, ["exchange", "--theta=-1e-20"])
         assert code == 0 and err == ""
         assert json.loads(out)["phi"] == 0.0
+
+    @pytest.mark.parametrize("radius", ["1e-200", "1e-160"])
+    def test_tiny_radius_keeps_the_half_turn(self, capsys, radius):
+        # the cross and dot products of these relative vectors are subnormal
+        # (1e-160) or underflow to 0 (1e-200); rescaled, they keep sign and angle
+        code, out, err = run(capsys, ["exchange", f"--radius={radius}"])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert (report["winding"], report["n_flipped"]) == (0.5, 1)
+        assert abs(report["total_angle"] - math.pi) <= 1e-9
 
 
 # site index v / spacing overflows to inf

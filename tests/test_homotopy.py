@@ -22,12 +22,16 @@ from anyonsim import (
     step_factors,
     swap,
     total_angle,
+    validate_path,
 )
 from anyonsim.errors import (
     AntiparallelAmbiguity,
+    CoincidenceAtStep,
     EndpointsNotClosedOrExchanged,
     NotComparable,
     RoundingInconsistency,
+    TurnTooLargeAtStep,
+    ValidationError,
     ZeroVector,
 )
 from helpers import (
@@ -153,13 +157,27 @@ class TestClassify:
         with pytest.raises(EndpointsNotClosedOrExchanged):
             classify(path)
 
-    def test_underflowing_turn_sign_is_refused(self):
-        # a valid CCW square loop whose cross products all underflow to 0, so
-        # no half-plane crossing has a sign; the float rule read winding 0
+    def test_underflowing_turn_sign_is_rescaled(self):
+        # a CCW square loop whose cross and dot products all underflow to 0;
+        # they are taken from the rescaled vectors, so the crossings keep their
+        # signs and the turns their angles
         tiny = 1e-200
         corners = [(tiny, tiny), (-tiny, tiny), (-tiny, -tiny), (tiny, -tiny), (tiny, tiny)]
         path = relative_path(corners)
-        with pytest.raises(RoundingInconsistency):
+        assert classify(path) == HomotopyClass(Kind.DIRECT, 1.0)
+        assert path.crossings == ((1, 1), (3, 1))
+        assert total_angle(path) == TAU
+        # an exactly antiparallel step of such tiny vectors is a half-turn, not an underflow
+        with pytest.raises(TurnTooLargeAtStep, match="during step 0$"):
+            validate_path(relative_path([(tiny, 0.0), (-tiny, 0.0)]))
+
+    def test_overflowing_turn_sign_is_refused(self):
+        # a valid closed loop whose first step crosses the half-planes with a
+        # cross product inf - inf = NaN, so that crossing has no sign
+        huge = 1e200
+        corners = [(-huge, huge), (huge, -huge / 2), (huge, huge), (-huge, huge)]
+        path = relative_path(corners)
+        with pytest.raises(RoundingInconsistency, match="has no sign$"):
             classify(path)
         # nothing is cached: every reader of the crossings refuses the path
         for _ in range(2):
@@ -269,6 +287,78 @@ def test_crossings_are_the_one_crossing_rule(pair):
         assert 2 * classify(path).winding == sum(sign for _, sign in crossings)
         flipped = [k for k, factor in enumerate(step_factors(path)) if factor.flipped]
         assert flipped == [k for k, _ in crossings]
+
+
+@st.composite
+def float_paths(draw):
+    """A float path of 2-12 configurations, valid, or broken at one of them.
+
+    The relative vectors have magnitudes within a factor 2 of a scale in
+    [1e-100, 1e100], so their products stay in the normal range, and turn by
+    less than 3.1 radians per step.  A broken path has, at one configuration,
+    coincident particles, a relative vector exactly antiparallel to the one
+    before (the previous one negated and doubled), or positions whose
+    relative vector overflows.
+    """
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    cx, cy = (draw(st.floats(-3.0, 3.0)) * scale for _ in range(2))
+    angle = draw(st.floats(-math.pi, math.pi))
+    configs = []
+    for _ in range(draw(st.integers(2, 12))):
+        angle += draw(st.floats(-3.1, 3.1))
+        r = cmath.rect(draw(st.floats(0.5, 2.0)) * scale, angle)
+        half = Vec2(r.real / 2, r.imag / 2)
+        configs.append(
+            TwoParticleConfig(Vec2(cx + half.x, cy + half.y), Vec2(cx - half.x, cy - half.y))
+        )
+    defect = draw(st.sampled_from([None, "coincident", "antiparallel", "overflow"]))
+    k = draw(st.integers(1 if defect == "antiparallel" else 0, len(configs) - 1))
+    if defect == "coincident":
+        configs[k] = TwoParticleConfig(configs[k].p1, configs[k].p1)
+    elif defect == "antiparallel":
+        r = configs[k - 1].relative
+        configs[k] = TwoParticleConfig(Vec2(-r.x, -r.y), Vec2(r.x, r.y))
+    elif defect == "overflow":
+        configs[k] = TwoParticleConfig(Vec2(1e308, cy), Vec2(-1e308, cy))
+    return DiscretePath(1.0, configs)
+
+
+def _per_step_rules(path):
+    """The first failure as (error type, message), or (crossings, total
+    angle), from the separate per-step rules: coincidence, the finiteness of
+    ``config.relative``, :func:`signed_angle`, and the exact
+    :func:`half_plane_crossings`."""
+    rs = []
+    for k, config in enumerate(path.configs):
+        if config.coincident:
+            return CoincidenceAtStep, str(CoincidenceAtStep(k))
+        try:
+            r = config.relative
+        except ValidationError as exc:
+            return ValidationError, str(exc)
+        if rs:
+            try:
+                signed_angle(rs[-1], r)
+            except AntiparallelAmbiguity:
+                return TurnTooLargeAtStep, str(TurnTooLargeAtStep(k - 1))
+        rs.append(r)
+    turns = math.fsum(signed_angle(a, b) for a, b in zip(rs, rs[1:]))
+    return tuple(half_plane_crossings(path)), turns
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(float_paths())
+def test_one_pass_equals_the_per_step_rules(path):
+    expected = _per_step_rules(path)
+    try:
+        validate_path(path)
+    except ValidationError as exc:
+        assert (type(exc), str(exc)) == expected
+        return
+    crossings, turns = expected
+    assert path.crossings == crossings
+    assert total_angle(path).hex() == turns.hex()
+    assert path.relatives == tuple(tuple(c.relative) for c in path.configs)
 
 
 # --- the record type: a named tuple built through its checks -----------------
