@@ -60,7 +60,6 @@ from .homotopy import (
     class_relative,
     classify,
     endpoint_kind,
-    signed_angle,
     total_angle,
 )
 

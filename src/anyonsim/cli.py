@@ -24,13 +24,6 @@ def _complex_dict(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _config_from_coords(coords: list[float]) -> config_space.TwoParticleConfig:
-    x1, y1, x2, y2 = coords
-    return config_space.TwoParticleConfig(
-        config_space.Vec2(x1, y1), config_space.Vec2(x2, y2)
-    )
-
-
 def _parse_grid(text: str) -> list[float]:
     try:
         return [float(p) for p in text.split(",") if p != ""]
@@ -76,7 +69,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         raise ParseError(f"workers must be >= 1, got {args.workers}")
     lattice = config_space.LatticeSpec(extent=args.extent, spacing=args.spacing)
     endpoints = config_space.EndpointPair(
-        start=_config_from_coords(args.start), end=_config_from_coords(args.end)
+        start=config_space._config(*args.start), end=config_space._config(*args.end)
     )
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
     kernel = amplitudes.resolved_kernel(
@@ -127,23 +120,28 @@ def _sweep_grid(args: argparse.Namespace) -> Iterator[amplitudes.StatisticsSpec]
     else:
         gaps = points - 1
         span = theta_max - theta_min
-        if math.isfinite(span):
-            thetas = (theta_min + i * span / gaps for i in range(points))
-            # the thetas rise with i, so if one overflows the last does: it is refused here
-            amplitudes.StatisticsSpec(theta=theta_min + gaps * span / gaps, op_class=classes[0])
+        if math.isfinite(gaps * span):
+            def theta(i):
+                return theta_min + i * span / gaps
         else:
-            # only bounds of opposite sign overflow their span; the step
-            # span / gaps is then taken as theta_max / gaps - theta_min / gaps,
-            # added term by term so that no partial sum leaves [theta_min, theta_max]
+            # i * span overflows for the last rows (or span itself does), so the
+            # step span / gaps is taken as theta_max / gaps - theta_min / gaps,
+            # the share of theta_min taken off before that of theta_max is put
+            # on, so that no partial sum leaves the range of the two bounds
             hi, lo = theta_max / gaps, theta_min / gaps
-            thetas = (theta_min + i * hi - i * lo for i in range(points))
+
+            def theta(i):
+                return theta_min - i * lo + i * hi
+        # the thetas rise with i, so if one overflows the last does: it is refused here
+        amplitudes.StatisticsSpec(theta=theta(gaps), op_class=classes[0])
+        thetas = map(theta, range(points))
     return (amplitudes.StatisticsSpec(theta=t, op_class=c) for t in thetas for c in classes)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     geom = exchange.ExchangeGeometry(radius=args.radius, n_steps=args.steps, dt=args.dt)
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
-    rows = exchange._sweep_rows(geom, params, _sweep_grid(args))
+    rows = exchange.theta_sweep(geom, params, _sweep_grid(args))
     first = next(rows)  # builds the kernel, so a refusal leaves stdout empty
     names = {c: c.value for c in amplitudes.OpClass}
     write = sys.stdout.write

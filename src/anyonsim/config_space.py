@@ -63,12 +63,6 @@ class Vec2(namedtuple("Vec2", "x y")):
             raise ValidationError(f"non-finite vector component ({x}, {y})")
         return tuple.__new__(cls, (x, y))
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
 
 class TwoParticleConfig(tuple):
     """Positions of the two labeled particles, held as (x1, y1, x2, y2).
@@ -100,16 +94,6 @@ class TwoParticleConfig(tuple):
     def p2(self) -> Vec2:
         return Vec2(self[2], self[3])
 
-    @property
-    def relative(self) -> Vec2:
-        x1, y1, x2, y2 = self
-        return Vec2(x1 - x2, y1 - y2)
-
-    @property
-    def coincident(self) -> bool:
-        x1, y1, x2, y2 = self
-        return x1 == x2 and y1 == y2
-
 
 def _config(x1: float, y1: float, x2: float, y2: float) -> TwoParticleConfig:
     """The configuration with these coordinates, refusing non-finite ones as Vec2 does."""
@@ -132,8 +116,8 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
 
     Unpacks, orders, compares and hashes as the tuple (dt, configs); built,
     also by ``_replace``, through the checks below.  The instance dict holds
-    only what the one validating pass over the path records (its crossings
-    and turning) and the :attr:`relatives` built on request.
+    only what the one validating pass over the path records: its crossings
+    and turning.
     """
 
     _make = classmethod(lambda cls, it: cls(*it))
@@ -226,13 +210,6 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
                 bx1, by1, bx2, by2 = configs[k + 1]
                 sheet_step(ax1 - ax2, ay1 - ay2, bx1 - bx2, by1 - by2)
         return flips
-
-    @functools.cached_property
-    def relatives(self) -> tuple[tuple[float, float], ...]:
-        """The relative vectors r = p1 - p2 of all configurations, as (rx, ry),
-        built on request once the path has passed :func:`validate_path`."""
-        self._pass
-        return tuple((x1 - x2, y1 - y2) for x1, y1, x2, y2 in self.configs)
 
 
 class EndpointPair(namedtuple("EndpointPair", "start end")):

@@ -29,14 +29,6 @@ class TurnTooLargeAtStep(ValidationError):
         super().__init__(f"relative vector turns by >= pi during step {step}")
 
 
-class ZeroVector(AnyonSimError):
-    """A direction was requested for the zero vector."""
-
-
-class AntiparallelAmbiguity(AnyonSimError):
-    """Signed angle between exactly antiparallel vectors is ill-defined."""
-
-
 class EndpointsNotClosedOrExchanged(AnyonSimError):
     """Endpoints are neither equal nor swapped, so no absolute winding exists."""
 

@@ -1,8 +1,8 @@
 """The designated-exchange-path experiment.
 
-Both particles traverse antipodal semicircular arcs about a common center, so
-the pair ends in the swapped configuration after half a rotation of the
-relative vector.  Treating each time step operationally gives a product of
+Both particles traverse antipodal semicircular arcs about the origin, so the
+pair ends in the swapped configuration after half a rotation of the relative
+vector.  Treating each time step operationally gives a product of
 per-step factors (direct amplitude +/- opposite amplitude).  Three things are
 measured here:
 
@@ -42,8 +42,6 @@ from .config_space import (
     DiscretePath,
     EndpointPair,
     TwoParticleConfig,
-    Vec2,
-    _config,
     check_finite_positive,
     swap,
     validate_path,
@@ -63,13 +61,13 @@ class Direction(enum.Enum):
     CW = "cw"
 
 
-class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt direction center")):
-    """Semicircular exchange of a pair at distance 2*radius about center,
+class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt direction")):
+    """Semicircular exchange of a pair at distance 2*radius about the origin,
     in n_steps uniform angular increments of duration dt each.
 
     Unpacks, orders, compares and hashes as the tuple (radius, n_steps, dt,
-    direction, center); built, also by ``_replace``, through the checks
-    below.  n_steps is capped by :func:`build_exchange_path`, not here:
+    direction); built, also by ``_replace``, through the checks below.
+    n_steps is capped by :func:`build_exchange_path`, not here:
     :func:`dephasing_exponent` builds only a geometry's first step.
     """
 
@@ -77,14 +75,13 @@ class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt directi
     _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(
-        cls, radius: float, n_steps: int, dt: float,
-        direction: Direction = Direction.CCW, center: Vec2 = Vec2(0.0, 0.0),
+        cls, radius: float, n_steps: int, dt: float, direction: Direction = Direction.CCW
     ) -> ExchangeGeometry:
         check_finite_positive("radius", radius)
         if n_steps < 2:
             raise ValidationError(f"n_steps must be >= 2, got {n_steps}")
         check_finite_positive("dt", dt)
-        return tuple.__new__(cls, (radius, n_steps, dt, direction, center))
+        return tuple.__new__(cls, (radius, n_steps, dt, direction))
 
     @property
     def duration(self) -> float:
@@ -98,23 +95,20 @@ class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt directi
 
 def _exchange_configs(geom: ExchangeGeometry, count: int) -> Iterator[TwoParticleConfig]:
     """The first count configurations of the exchange, configuration k the
-    pair rotated by pi * k / n_steps about the center."""
-    sign = 1.0 if geom.direction is Direction.CCW else -1.0
-    pi, cos, sin, isfinite = math.pi, math.cos, math.sin, math.isfinite
+    pair rotated by pi * k / n_steps about the origin.  A finite radius
+    gives finite coordinates, so no configuration needs a finiteness check."""
+    # an integer sign: the angle pi * (sign * k) / n is that of the float sign,
+    # save that the first is 0.0 in both directions, never -0.0
+    sign = 1 if geom.direction is Direction.CCW else -1
+    pi, cos, sin = math.pi, math.cos, math.sin
     new = tuple.__new__
     n = geom.n_steps
     radius = geom.radius
-    cx, cy = geom.center
     for k in range(count):
-        phi = sign * pi * k / n
+        phi = pi * (sign * k) / n
         dx = radius * cos(phi)
         dy = radius * sin(phi)
-        x1, y1, x2, y2 = cx + dx, cy + dy, cx - dx, cy - dy
-        # finite coordinates have a finite sum unless it overflows; then _config builds the config
-        if isfinite(x1 + y1 + x2 + y2):
-            yield new(TwoParticleConfig, (x1, y1, x2, y2))
-        else:
-            yield _config(x1, y1, x2, y2)
+        yield new(TwoParticleConfig, (dx, dy, -dx, -dy))
 
 
 def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
@@ -227,7 +221,7 @@ def dephasing_exponent(
             raise DegenerateGrid(
                 f"dt {dt} leaves fewer than 2 steps of the exchange of duration {duration}"
             )
-        sample = ExchangeGeometry(geom.radius, n, dt, geom.direction, geom.center)
+        sample = ExchangeGeometry(geom.radius, n, dt, geom.direction)
         first_step = DiscretePath(dt, _exchange_configs(sample, 2))
         (factor,) = step_factors(first_step, params)
         samples.append(
@@ -318,32 +312,23 @@ def exchange_phase(resolved: ResolvedKernel, stats: StatisticsSpec) -> ExchangeP
     return _phase(cls, amp, stats)
 
 
-def _sweep_rows(
+def theta_sweep(
     geom: ExchangeGeometry,
     params: PhysicsParams,
     stats_grid: Iterable[StatisticsSpec],
 ) -> Iterator[ExchangePhase]:
-    """The rows of :func:`theta_sweep`, one per statistics of the grid, as they
-    are computed.  The kernel is built and read when the first row is asked
-    for, and not at all for an empty grid."""
+    """Exchange phase across a grid of statistics angles and classes, one row
+    per statistics of the grid, yielded as it is computed.
+
+    The kernel is the one-path propagator of the designated exchange built
+    from geom (the experiment is about that path, not a path sum).  It is
+    built and read once, when the first row is asked for, and not at all for
+    an empty grid; each row is what :func:`exchange_phase` gives for its
+    statistics.  phi is affine in theta with slope w = +-1/2, the sign set by
+    the direction of geom.
+    """
     cls = amp = None
     for stats in stats_grid:
         if cls is None:
             cls, amp = _exchange_class(path_kernel(build_exchange_path(geom), params))
         yield _phase(cls, amp, stats)
-
-
-def theta_sweep(
-    geom: ExchangeGeometry,
-    params: PhysicsParams,
-    stats_grid: Iterable[StatisticsSpec],
-) -> tuple[ExchangePhase, ...]:
-    """Exchange phase across a grid of statistics angles and classes.
-
-    The kernel is the one-path propagator of the designated exchange built
-    from geom (the experiment is about that path, not a path sum), built and
-    read once; each row is what :func:`exchange_phase` gives for its
-    statistics.  phi is affine in theta with slope w = +-1/2, the sign set by
-    the direction of geom.
-    """
-    return tuple(_sweep_rows(geom, params, stats_grid))

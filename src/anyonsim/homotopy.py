@@ -17,16 +17,10 @@ paths (kind Direct), odd multiples of 1/2 for exchange paths.
 from __future__ import annotations
 
 import enum
-import math
 from collections import namedtuple
 
-from .config_space import DiscretePath, Vec2
-from .errors import (
-    AntiparallelAmbiguity,
-    EndpointsNotClosedOrExchanged,
-    NotComparable,
-    ZeroVector,
-)
+from .config_space import DiscretePath
+from .errors import EndpointsNotClosedOrExchanged, NotComparable
 
 
 class Kind(enum.Enum):
@@ -74,28 +68,14 @@ def endpoint_kind(start: tuple, end: tuple) -> Kind:
     )
 
 
-def signed_angle(r_from: Vec2, r_to: Vec2) -> float:
-    """Signed rotation in (-pi, pi) carrying the direction of r_from to r_to.
-
-    Positive is counter-clockwise.  Exactly antiparallel vectors are refused:
-    the sign of a half-turn is not determined by its endpoints.
-    """
-    if (r_from.x == 0.0 and r_from.y == 0.0) or (r_to.x == 0.0 and r_to.y == 0.0):
-        raise ZeroVector("cannot measure the angle of a zero vector")
-    cross = r_from.x * r_to.y - r_from.y * r_to.x
-    dot = r_from.x * r_to.x + r_from.y * r_to.y
-    if cross == 0.0 and dot < 0.0:
-        raise AntiparallelAmbiguity("vectors are exactly antiparallel")
-    return math.atan2(cross, dot)
-
-
 def total_angle(path: DiscretePath) -> float:
     """Accumulated signed turning of the relative vector, in radians.
 
     Additive under concatenation and negated by reversal.  Depends only on
     the relative coordinate, so translating both particles together changes
-    nothing.  Each step is :func:`signed_angle`'s expression, summed by the
-    path's one validating pass (:func:`~anyonsim.config_space.validate_path`).
+    nothing.  Each step turns by atan2(cross, dot) of its two relative
+    vectors, and the turns are summed by the path's one validating pass
+    (:func:`~anyonsim.config_space.validate_path`).
     """
     return path._pass[1]
 

@@ -171,17 +171,34 @@ def turning(path):
     return math.fsum(cmath.phase(b / a) for a, b in zip(rs, rs[1:]))
 
 
+def relatives(path):
+    """The relative vectors (x1 - x2, y1 - y2) of the path's configurations."""
+    return [(x1 - x2, y1 - y2) for x1, y1, x2, y2 in path.configs]
+
+
+def signed_angle(rx, ry, nrx, nry):
+    """Signed rotation in (-pi, pi) carrying the direction of r = (rx, ry) to
+    nr = (nrx, nry), counter-clockwise positive: atan2 of their cross and dot
+    products.  Exactly antiparallel vectors raise ValueError, since the sign
+    of a half-turn is not determined by its endpoints."""
+    cross = rx * nry - ry * nrx
+    dot = rx * nrx + ry * nry
+    if cross == 0.0 and dot < 0.0:
+        raise ValueError("vectors are exactly antiparallel")
+    return math.atan2(cross, dot)
+
+
 def half_plane_crossings(path):
     """(k, sign) for each step k (config k -> k+1) whose two relative
-    vectors, read per config from ``config.relative``, lie in different
+    vectors, read per config from its four coordinates, lie in different
     halves of the plane (polar angle in [0, pi) or not); sign is that of the
     exact rational cross product of the two vectors."""
-    rs = [c.relative for c in path.configs]
-    upper = [r.y > 0 or (r.y == 0 and r.x > 0) for r in rs]
+    rs = relatives(path)
+    upper = [ry > 0 or (ry == 0 and rx > 0) for rx, ry in rs]
     out = []
-    for k, (a, b) in enumerate(zip(rs, rs[1:])):
+    for k, ((ax, ay), (bx, by)) in enumerate(zip(rs, rs[1:])):
         if upper[k] != upper[k + 1]:
-            cross = Fraction(a.x) * Fraction(b.y) - Fraction(a.y) * Fraction(b.x)
+            cross = Fraction(ax) * Fraction(by) - Fraction(ay) * Fraction(bx)
             out.append((k, 1 if cross > 0 else -1))
     return out
 
@@ -196,13 +213,14 @@ def rounded_turns(turns, unit):
 
 
 def vec2_action(path, mass=1.0):
-    """Kinetic action summed step by step from Vec2 differences, the
-    formula that the float arithmetic of ``amplitudes.action`` replaces."""
+    """Kinetic action summed step by step from the displacement vectors of
+    the two particles, the formula that the float arithmetic of
+    ``amplitudes.action`` replaces."""
     total = 0.0
-    for a, b in zip(path.configs, path.configs[1:]):
-        d1 = b.p1 - a.p1
-        d2 = b.p2 - a.p2
-        total += (d1.x * d1.x + d1.y * d1.y + d2.x * d2.x + d2.y * d2.y) / (2.0 * path.dt)
+    for (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) in zip(path.configs, path.configs[1:]):
+        d1x, d1y = bx1 - ax1, by1 - ay1
+        d2x, d2y = bx2 - ax2, by2 - ay2
+        total += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / (2.0 * path.dt)
     return mass * total
 
 

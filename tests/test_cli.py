@@ -296,12 +296,26 @@ class TestSweep:
         assert first == second
 
     def test_bounds_whose_span_overflows(self, capsys):
-        # theta-max - theta-min is inf, so the grid steps by the difference of their shares
-        argv = ["sweep", "--theta-min=-1e308", "--theta-max=1e308", "--points", "3",
-                "--op-class", "boson"]
+        # theta-max - theta-min, or twice it, is inf, so the grid steps by the
+        # difference of their shares: theta-min's taken off, then theta-max's put on
+        for bounds, thetas in [
+            (("-1e308", "1e308"), ["-1e+308", "0", "1e+308"]),
+            (("0", "1e308"), ["0", "5e+307", "1e+308"]),
+            (("1e307", "1.7e308"), ["1e+307", "9e+307", "1.7e+308"]),
+        ]:
+            argv = ["sweep", f"--theta-min={bounds[0]}", f"--theta-max={bounds[1]}",
+                    "--points", "3", "--op-class", "boson"]
+            code, out, err = run(capsys, argv)
+            assert code == 0 and err == "", bounds
+            assert [line.split(",")[0] for line in out.splitlines()[1:]] == thetas
+
+    def test_last_theta_overflowing_is_refused_before_any_row(self, capsys):
+        # the share max/3 of the largest float, taken 3 times, rounds up to inf
+        top = repr(1.7976931348623157e308)
+        argv = ["sweep", f"--theta-min=-{top}", f"--theta-max={top}", "--points", "4"]
         code, out, err = run(capsys, argv)
-        assert code == 0 and err == ""
-        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["-1e+308", "0", "1e+308"]
+        assert (code, out) == (2, "")
+        assert err == "anyonsim: ValidationError: theta must be finite, got inf\n"
 
     @pytest.mark.parametrize("op_class", ["boson", "fermion", "both"])
     def test_rows_are_theta_sweep_formatted(self, capsys, op_class):

@@ -70,7 +70,7 @@ class TestBuildExchangePath:
         assert total_angle(build_exchange_path(geom)) == pytest.approx(math.pi, abs=1e-9)
 
     def test_ends_exactly_swapped(self):
-        geom = ExchangeGeometry(radius=1.3, n_steps=7, dt=0.2, center=Vec2(0.4, -2.0))
+        geom = ExchangeGeometry(radius=1.3, n_steps=7, dt=0.2)
         path = build_exchange_path(geom)
         assert path.end == swap(path.start)
 
@@ -102,7 +102,7 @@ class TestFundamentalDomain:
                 Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)),
                 Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)),
             )
-            if c.coincident:
+            if c.p1 == c.p2:
                 continue
             assert in_domain(c) != in_domain(swap(c))
 
@@ -142,7 +142,7 @@ class TestStepFactors:
         path = build_exchange_path(geom)
         factors = step_factors(path)
         # independent oracle: evaluate the [0, pi) rule per config via atan2
-        angles = [math.atan2(c.relative.y, c.relative.x) % TAU for c in path.configs]
+        angles = [math.atan2(y1 - y2, x1 - x2) % TAU for x1, y1, x2, y2 in path.configs]
         inside = [0.0 <= a < math.pi for a in angles]
         expected = [k for k in range(len(inside) - 1) if inside[k] != inside[k + 1]]
         assert len(expected) == 1
@@ -309,16 +309,13 @@ class TestThetaSweep:
     def test_boson_phi_values(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
         grid = [StatisticsSpec(t, OpClass.BOSON) for t in (0.0, math.pi, TAU)]
-        rows = theta_sweep(geom, PhysicsParams(), grid)
+        rows = list(theta_sweep(geom, PhysicsParams(), grid))
         assert [r.phi for r in rows] == pytest.approx([0.0, math.pi / 2, math.pi], abs=1e-9)
 
     def test_fermion_wraps(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
-        rows = theta_sweep(
-            geom,
-            PhysicsParams(),
-            [StatisticsSpec(t, OpClass.FERMION) for t in (0.0, TAU)],
-        )
+        grid = [StatisticsSpec(t, OpClass.FERMION) for t in (0.0, TAU)]
+        rows = list(theta_sweep(geom, PhysicsParams(), grid))
         assert angle_close(rows[0].phi, math.pi)
         assert angle_close(rows[1].phi, 0.0)
 
@@ -336,7 +333,7 @@ class TestThetaSweep:
         for direction in Direction:
             geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125, direction=direction)
             kernel = _one_path_kernel(direction)
-            rows = theta_sweep(geom, PhysicsParams(), grid)
+            rows = list(theta_sweep(geom, PhysicsParams(), grid))
             assert len(rows) == len(grid)
             for row, stats in zip(rows, grid):
                 result = exchange_phase(kernel, stats)
@@ -353,7 +350,17 @@ class TestThetaSweep:
 
     def test_empty_grid(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
-        assert theta_sweep(geom, PhysicsParams(), []) == ()
+        assert list(theta_sweep(geom, PhysicsParams(), [])) == []
+
+    def test_rows_are_computed_as_they_are_asked_for(self):
+        # nothing is built before the first row, so an empty grid never meets
+        # the step cap, and each row draws its statistics from the grid then
+        capped = ExchangeGeometry(1.0, MAX_SIZE + 1, 0.125)
+        assert list(theta_sweep(capped, PhysicsParams(), [])) == []
+        grid = iter([StatisticsSpec(0.0, OpClass.BOSON), StatisticsSpec(TAU, OpClass.BOSON)])
+        rows = theta_sweep(ExchangeGeometry(1.0, 8, 0.125), PhysicsParams(), grid)
+        assert angle_close(next(rows).phi, 0.0)
+        assert next(grid).theta == TAU and list(rows) == []
 
 
 # --- size caps: refused before anything of that size is built ----------------
@@ -366,7 +373,7 @@ def test_exchange_steps_capped(n_steps):
     with pytest.raises(BudgetExceeded, match=f"^{message}$"):
         build_exchange_path(geom)
     with pytest.raises(BudgetExceeded, match=f"^{message}$"):
-        theta_sweep(geom, PhysicsParams(), [StatisticsSpec(1.0, OpClass.BOSON)])
+        next(theta_sweep(geom, PhysicsParams(), [StatisticsSpec(1.0, OpClass.BOSON)]))
 
 
 def test_dephasing_builds_one_step_of_any_length():
@@ -378,7 +385,7 @@ def test_dephasing_builds_one_step_of_any_length():
 
 # --- the record types: named tuples built through their checks ---------------
 
-GEOMETRY = (1.0, 4, 0.05, Direction.CCW, Vec2(0.0, 0.0))
+GEOMETRY = (1.0, 4, 0.05, Direction.CCW)
 SAMPLE = DephasingSample(0.1, 20, 40.0, 0.1)
 SAMPLE_TEXT = "DephasingSample(dt=0.1, n_steps=20, phase_op=40.0, phase_dir=0.1)"
 
@@ -390,7 +397,7 @@ SAMPLE_TEXT = "DephasingSample(dt=0.1, n_steps=20, phase_op=40.0, phase_dir=0.1)
             ExchangeGeometry,
             GEOMETRY,
             "ExchangeGeometry(radius=1.0, n_steps=4, dt=0.05, "
-            "direction=<Direction.CCW: 'ccw'>, center=Vec2(x=0.0, y=0.0))",
+            "direction=<Direction.CCW: 'ccw'>)",
         ),
         (
             StepFactor,
