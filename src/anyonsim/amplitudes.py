@@ -205,16 +205,16 @@ def resolved_kernel(
     )
     counts = walk_census(lattice, sites, n_steps)
 
+    # one pass over the census in (w2, ssq) order: each class sums its
+    # buckets in ascending ssq, and the classes come in ascending w2
     phases: dict[int, complex] = {}
-    partials: dict[HomotopyClass, complex] = {}
-    for w2 in sorted({key[0] for key in counts}):
-        amp = 0j
-        for ssq in sorted(ssq for w, ssq in counts if w == w2):
-            phase = phases.get(ssq)
-            if phase is None:
-                phase = phases[ssq] = phase_factor(action_unit * ssq)
-            amp += counts[(w2, ssq)] * phase
-        partials[HomotopyClass(kind, w2 / 2.0)] = amp
+    amps: dict[int, complex] = {}
+    for (w2, ssq), count in sorted(counts.items()):
+        phase = phases.get(ssq)
+        if phase is None:
+            phase = phases[ssq] = phase_factor(action_unit * ssq)
+        amps[w2] = amps.get(w2, 0j) + count * phase
+    partials = {HomotopyClass(kind, w2 / 2.0): amp for w2, amp in amps.items()}
     return ResolvedKernel(endpoints=sites, n_steps=n_steps, partials=partials)
 
 

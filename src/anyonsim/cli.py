@@ -32,22 +32,14 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _load_path(path_file: str) -> config_space.DiscretePath:
-    # a path file decodes to some 10^5 small lists and floats and no reference
-    # cycle, so the cyclic collector is paused while they are built
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
-        try:
-            with open(path_file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read {path_file}: {exc}") from exc
-        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int's digit limit
-            raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
-        return config_space.path_from_json_dict(data)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+        with open(path_file, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path_file}: {exc}") from exc
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int's digit limit
+        raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
+    return config_space.path_from_json_dict(data)
 
 
 def _cmd_winding(args: argparse.Namespace) -> int:
@@ -191,12 +183,12 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
     )
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
     path = exchange.build_exchange_path(geom)
-    kernel = exchange.path_kernel(path, params)
-    (cls,) = kernel.partials
+    cls = homotopy.classify(path)
+    amp = amplitudes.path_amplitude(path, params)
     stats = amplitudes.StatisticsSpec(
         theta=args.theta, op_class=amplitudes.OpClass(args.op_class)
     )
-    result = exchange.exchange_phase(kernel, stats)
+    result = exchange.exchange_phase(cls, amp, stats)
     report = {
         "kind": cls.kind.value,
         "winding": cls.winding,
@@ -282,11 +274,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # no subcommand makes reference cycles in bulk, so the cyclic collector is
+    # paused while one runs: its gen-0 passes over the 10^5 small objects of a
+    # path file or an exchange path find nothing to free
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except AnyonSimError as exc:
         print(f"anyonsim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -58,8 +58,8 @@ class NonSquare(AnyonSimError):
 
 
 class NotExchangeKernel(AnyonSimError):
-    """An exchange phase was requested from a kernel that is not a one-path
-    exchange kernel: not of exchange kind, or not holding exactly one class."""
+    """An exchange phase was requested for a winding class that is not of
+    exchange kind."""
 
 
 class DegenerateGrid(AnyonSimError):

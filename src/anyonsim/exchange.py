@@ -17,7 +17,8 @@ measured here:
   exp(i theta w) of the path's own class w and the single operational sign
   yields the exchange phase phi = theta w (bosons) or theta w + pi (fermions):
   theta/2 for the counter-clockwise exchange (w = +1/2), -theta/2 for the
-  clockwise one (w = -1/2).
+  clockwise one (w = -1/2).  :func:`exchange_phase` is that rule; it reads
+  only the class w and the path's amplitude.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from collections.abc import Iterable, Iterator
 from .amplitudes import (
     OpClass,
     PhysicsParams,
-    ResolvedKernel,
     StatisticsSpec,
     anyonic_weight,
     path_amplitude,
@@ -40,7 +40,6 @@ from .amplitudes import (
 )
 from .config_space import (
     DiscretePath,
-    EndpointPair,
     TwoParticleConfig,
     check_finite_positive,
     swap,
@@ -257,35 +256,24 @@ def dephasing_exponent(
     )
 
 
-def path_kernel(path: DiscretePath, params: PhysicsParams) -> ResolvedKernel:
-    """One-path propagator: the path's own class carries exp(i S / hbar)."""
-    return ResolvedKernel(
-        endpoints=EndpointPair(path.start, path.end),
-        n_steps=path.n_steps,
-        partials={classify(path): path_amplitude(path, params)},
-    )
-
-
 class ExchangePhase(namedtuple("ExchangePhase", "phi amplitude theta op_class")):
     """Total exchange phase phi in [0, 2*pi) with its diagnostic amplitude."""
 
     __slots__ = ()
 
 
-def _exchange_class(resolved: ResolvedKernel) -> tuple[HomotopyClass, complex]:
-    """The one class w of a one-path exchange kernel and its partial K^w."""
-    if resolved.kind is not Kind.EXCHANGE:
+def exchange_phase(cls: HomotopyClass, amp: complex, stats: StatisticsSpec) -> ExchangePhase:
+    """Exchange phase of the winding class w of an exchange path, with the
+    path's amplitude K^w = exp(i S / hbar).
+
+    phi = arg(s exp(i theta w)) mod 2*pi with s = +1 for operational bosons
+    and -1 for operational fermions: theta/2 (+ pi) for a counter-clockwise
+    exchange (w = +1/2), -theta/2 (+ pi) for a clockwise one (w = -1/2).  The
+    amplitude s exp(i theta w) K^w is reported alongside for diagnostics.  A
+    class that is not of exchange kind is refused with NotExchangeKernel.
+    """
+    if cls.kind is not Kind.EXCHANGE:
         raise NotExchangeKernel("exchange phase requires swapped endpoints")
-    if len(resolved.partials) != 1:
-        raise NotExchangeKernel(
-            f"exchange phase requires a one-path kernel of one class, got {len(resolved.partials)}"
-        )
-    ((cls, amp),) = resolved.partials.items()
-    return cls, amp
-
-
-def _phase(cls: HomotopyClass, amp: complex, stats: StatisticsSpec) -> ExchangePhase:
-    """phi = arg(s exp(i theta w)) mod 2*pi and amplitude s exp(i theta w) K^w."""
     sign = 1.0 if stats.op_class is OpClass.BOSON else -1.0
     weight = anyonic_weight(cls, stats.theta)
     phi = cmath.phase(weight * sign) % TAU
@@ -297,21 +285,6 @@ def _phase(cls: HomotopyClass, amp: complex, stats: StatisticsSpec) -> ExchangeP
     )
 
 
-def exchange_phase(resolved: ResolvedKernel, stats: StatisticsSpec) -> ExchangePhase:
-    """Exchange phase of a one-path exchange kernel.
-
-    The kernel holds the single class w of its path.  phi = arg(s exp(i theta
-    w)) mod 2*pi with s = +1 for operational bosons and -1 for operational
-    fermions: theta/2 (+ pi) for a counter-clockwise exchange (w = +1/2),
-    -theta/2 (+ pi) for a clockwise one (w = -1/2).  The amplitude
-    s exp(i theta w) K^w is reported alongside for diagnostics.  A kernel that
-    is not of exchange kind or does not hold exactly one class is refused with
-    NotExchangeKernel.
-    """
-    cls, amp = _exchange_class(resolved)
-    return _phase(cls, amp, stats)
-
-
 def theta_sweep(
     geom: ExchangeGeometry,
     params: PhysicsParams,
@@ -320,9 +293,9 @@ def theta_sweep(
     """Exchange phase across a grid of statistics angles and classes, one row
     per statistics of the grid, yielded as it is computed.
 
-    The kernel is the one-path propagator of the designated exchange built
-    from geom (the experiment is about that path, not a path sum).  It is
-    built and read once, when the first row is asked for, and not at all for
+    The path is the designated exchange built from geom (the experiment is
+    about that path, not a path sum).  It is built, classified and its
+    amplitude taken once, when the first row is asked for, and not at all for
     an empty grid; each row is what :func:`exchange_phase` gives for its
     statistics.  phi is affine in theta with slope w = +-1/2, the sign set by
     the direction of geom.
@@ -330,5 +303,6 @@ def theta_sweep(
     cls = amp = None
     for stats in stats_grid:
         if cls is None:
-            cls, amp = _exchange_class(path_kernel(build_exchange_path(geom), params))
-        yield _phase(cls, amp, stats)
+            path = build_exchange_path(geom)
+            cls, amp = classify(path), path_amplitude(path, params)
+        yield exchange_phase(cls, amp, stats)

@@ -40,7 +40,7 @@ from anyonsim import (
     theta_sweep,
     total_angle,
 )
-from anyonsim import DiscretePath, ResolvedKernel
+from anyonsim import DiscretePath
 from helpers import fsum_complex, laplace_permanent, random_valid_walk
 
 TAU = 2 * math.pi
@@ -270,14 +270,10 @@ def test_criterion_7_fundamental_domain_flip():
         # boson phase by exactly pi * (number of flips), consistent with the
         # interpolation law phi = theta/2 (+ pi)
         path = build_exchange_path(geom)
-        kernel = ResolvedKernel(
-            endpoints=EndpointPair(path.start, path.end),
-            n_steps=path.n_steps,
-            partials={classify(path): path_amplitude(path)},
-        )
+        cls, amp = classify(path), path_amplitude(path)
         for theta in (0.0, 1.0, math.pi, 2 * math.pi, 9.5):
-            phi_b = exchange_phase(kernel, StatisticsSpec(theta, OpClass.BOSON)).phi
-            phi_f = exchange_phase(kernel, StatisticsSpec(theta, OpClass.FERMION)).phi
+            phi_b = exchange_phase(cls, amp, StatisticsSpec(theta, OpClass.BOSON)).phi
+            phi_f = exchange_phase(cls, amp, StatisticsSpec(theta, OpClass.FERMION)).phi
             assert angle_diff(phi_f, phi_b + math.pi * flips) <= INTERPOLATION_TOL
             assert angle_diff(phi_b, theta / 2) <= INTERPOLATION_TOL
             assert angle_diff(phi_f, theta / 2 + math.pi) <= INTERPOLATION_TOL

@@ -109,20 +109,29 @@ class TestWinding:
             assert err == f"anyonsim: ValidationError: non-finite vector component {pair}\n"
 
     @pytest.mark.parametrize(
-        "content, error",
+        "argv, content, error",
         [
-            (b'{"dt": 1.0, "configs": [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 0], [0, 0]]]}', None),
-            (b"{not json", "ParseError"),
-            (b'{"dt": 1.0, "configs": [[[1, 0]], [[1, 0]]]}', "ValidationError"),
+            (["winding"], b'{"dt": 1.0, "configs": [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 0], [0, 0]]]}', None),
+            (["winding"], b"{not json", "ParseError"),
+            (["winding"], b'{"dt": 1.0, "configs": [[[1, 0]], [[1, 0]]]}', "ValidationError"),
+            (["exchange", "--steps", "64"], None, None),
+            (
+                ["kernel", "--extent", "2", "--steps", "6", "--start", "-1", "0", "1", "0",
+                 "--end", "1", "0", "-1", "0"],
+                None,
+                "BudgetExceeded",
+            ),
         ],
-        ids=["classified", "parse-error", "validation-error"],
+        ids=["classified", "parse-error", "validation-error", "exchange", "kernel-refused"],
     )
-    def test_collector_is_enabled_after_loading(self, capsys, tmp_path, content, error):
-        # the cyclic collector is paused while a path file loads, and only then
-        target = tmp_path / "path.json"
-        target.write_bytes(content)
+    def test_collector_is_enabled_after_loading(self, capsys, tmp_path, argv, content, error):
+        # the cyclic collector is paused while a subcommand runs, and only then
+        if content is not None:
+            target = tmp_path / "path.json"
+            target.write_bytes(content)
+            argv = [*argv, str(target)]
         assert gc.isenabled()
-        code, _, err = run(capsys, ["winding", str(target)])
+        code, _, err = run(capsys, argv)
         assert code == (2 if error else 0)
         assert err.startswith(f"anyonsim: {error}: ") if error else err == ""
         assert gc.isenabled()
@@ -355,6 +364,90 @@ def test_size_cap_refused_before_allocating(capsys, argv, what, n):
     code, out, err = run(capsys, [*argv, str(n)])
     assert code == 2 and out == ""
     assert err == f"anyonsim: BudgetExceeded: {n} {what} exceed the cap 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (
+            ["exchange", "--theta", "0.9"],
+            '{"kind": "Exchange", "winding": 0.5, "total_angle": 3.1415926535897927, '
+            '"n_flipped": 1, "theta": 0.9, "op_class": "boson", "phi": 0.45, '
+            '"amplitude": {"re": 0.9459241500007938, "im": 0.3243878888695999}}\n'
+        ),
+        (
+            ["exchange", "--theta", "0.9", "--op-class", "fermion"],
+            '{"kind": "Exchange", "winding": 0.5, "total_angle": 3.1415926535897927, '
+            '"n_flipped": 1, "theta": 0.9, "op_class": "fermion", '
+            '"phi": 3.591592653589793, "amplitude": {"re": -0.9459241500007938, '
+            '"im": -0.3243878888695999}}\n'
+        ),
+        (
+            ["exchange", "--direction", "cw", "--theta", "0.9"],
+            '{"kind": "Exchange", "winding": -0.5, "total_angle": -3.1415926535897927, '
+            '"n_flipped": 1, "theta": 0.9, "op_class": "boson", "phi": 5.833185307179586, '
+            '"amplitude": {"re": 0.8420976433772558, "im": -0.539325095854506}}\n'
+        ),
+        (
+            ["exchange", "--direction", "cw", "--theta", "0.9", "--op-class", "fermion"],
+            '{"kind": "Exchange", "winding": -0.5, "total_angle": -3.1415926535897927, '
+            '"n_flipped": 1, "theta": 0.9, "op_class": "fermion", '
+            '"phi": 2.6915926535897934, "amplitude": {"re": -0.8420976433772558, '
+            '"im": 0.539325095854506}}\n'
+        ),
+        (
+            ["sweep", "--theta-min", "-1", "--theta-max", "2.5", "--points", "3", "--op-class", "both"],
+            'theta,op_class,phi,re_amp,im_amp\n'
+            '-1,boson,5.78318530718,0.814090220343,-0.580738420583\n'
+            '-1,fermion,2.64159265359,-0.814090220343,0.580738420583\n'
+            '0.75,boson,0.375,0.967571274719,0.25259815585\n'
+            '0.75,fermion,3.51659265359,-0.967571274719,-0.25259815585\n'
+            '2.5,boson,1.25,0.426330073944,0.904567669138\n'
+            '2.5,fermion,4.39159265359,-0.426330073944,-0.904567669138\n'
+        ),
+        (
+            [
+                "kernel", "--extent", "2", "--steps", "5", "--start", "1", "0", "0", "0",
+                "--end", "1", "0", "0", "0", "--theta", "0.7", "--resolve", "--mass", "1.3",
+                "--dt", "0.7",
+            ],
+            '{"endpoints": {"start": [[1.0, 0.0], [0.0, 0.0]], "end": [[1.0, 0.0], [0.0, '
+            '0.0]]}, "n_steps": 5, "partition_total": {"re": 14144.031299207101, '
+            '"im": 12497.59176605929}, "theta": 0.7, '
+            '"weighted_total": {"re": 14134.714659858691, "im": 12477.028749993833}, '
+            '"partials": [{"kind": "Direct", "winding": -1.0, "re": 19.809334082558358, '
+            '"im": 43.72173696464485}, {"kind": "Direct", "winding": 0.0, '
+            '"re": 14104.412631041985, "im": 12410.148292130001}, {"kind": "Direct", '
+            '"winding": 1.0, "re": 19.809334082558358, "im": 43.72173696464485}]}\n'
+        ),
+        (
+            ["dephase", "--dt-grid", "0.2,0.1,0.05,0.02"],
+            '{"slope": 4.00776117647832, "predicted": 4.0, '
+            '"rel_error": 0.0019402941195800771, "intercept": -0.39200465997615197, '
+            '"residual": 0.09765174997041348, "samples": [{"dt": 0.2, "n_steps": 10, '
+            '"phase_op": 19.510565162951536, "phase_dir": 0.4894348370484642}, {"dt": 0.1, '
+            '"n_steps": 20, "phase_op": 39.75376681190276, '
+            '"phase_dir": 0.24623318809724545}, {"dt": 0.05, "n_steps": 40, '
+            '"phase_op": 79.87669334932514, "phase_dir": 0.12330665067488095}, '
+            '{"dt": 0.02, "n_steps": 100, "phase_op": 199.95065603657315, '
+            '"phase_dir": 0.049343963426844294}]}\n'
+        ),
+        (
+            ["winding", "loop.json"],
+            '{"kind": "Direct", "winding": 1.0, "total_angle": 6.283185307179586}\n'
+        ),
+    ],
+    ids=[
+        "exchange-ccw-boson", "exchange-ccw-fermion", "exchange-cw-boson", "exchange-cw-fermion",
+        "sweep-both", "kernel-resolved", "dephase", "winding",
+    ],
+)
+def test_golden_stdout(capsys, tmp_path, monkeypatch, argv, stdout):
+    # the benchmark's oracles check these values to a tolerance; the CLI
+    # promises the exact bytes, so a change of summation order shows only here
+    monkeypatch.chdir(tmp_path)
+    write_path_json(tmp_path, "loop.json", 0.5, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)])
+    assert run(capsys, argv) == (0, stdout, "")
 
 
 class TestDephase:

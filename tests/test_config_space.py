@@ -340,6 +340,12 @@ class TestWalkCensus:
         for (w2, _ssq), n in census.items():
             grouped[w2] = grouped.get(w2, 0) + n
         assert grouped == by_class
+        # particle 1 ends exactly n_steps moves away, so every walk uses its
+        # full slack at every step; enumerate_walks prunes with the same step
+        # rule as the census, so these walks are counted by brute force
+        far = EndpointPair(lattice.config((-2, 0), (0, 1)), lattice.config((1, 0), (0, 1)))
+        oracle = brute_force_walks(2, (-2, 0, 0, 1), (1, 0, 0, 1), 3)
+        assert sum(walk_census(lattice, far, 3).values()) == len(oracle) > 0
 
     def test_random_walks_always_validate(self):
         rng = random.Random(123)

@@ -11,14 +11,12 @@ from anyonsim import (
     DephasingSample,
     DiscretePath,
     Direction,
-    EndpointPair,
     ExchangeGeometry,
     ExchangePhase,
     HomotopyClass,
     Kind,
     OpClass,
     PhysicsParams,
-    ResolvedKernel,
     StatisticsSpec,
     StepFactor,
     TwoParticleConfig,
@@ -34,10 +32,9 @@ from anyonsim import (
     theta_sweep,
     total_angle,
 )
-from anyonsim.amplitudes import resolved_kernel
-from anyonsim.config_space import LatticeSpec, upper_half_plane
+from anyonsim.config_space import upper_half_plane
 from anyonsim.errors import BudgetExceeded, DegenerateGrid, NotExchangeKernel, ValidationError
-from anyonsim.exchange import MAX_SIZE, path_kernel
+from anyonsim.exchange import MAX_SIZE
 from helpers import check_record, check_refusal
 
 TAU = 2 * math.pi
@@ -220,67 +217,47 @@ class TestDephasing:
 
 
 def _one_path_kernel(direction=Direction.CCW):
+    """The class w of a built exchange path and its amplitude K^w."""
     geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125, direction=direction)
     path = build_exchange_path(geom)
-    return ResolvedKernel(
-        endpoints=EndpointPair(path.start, path.end),
-        n_steps=path.n_steps,
-        partials={classify(path): path_amplitude(path)},
-    )
+    return classify(path), path_amplitude(path)
 
 
 class TestExchangePhase:
     def test_theta_zero_boson(self):
-        result = exchange_phase(_one_path_kernel(), StatisticsSpec(0.0, OpClass.BOSON))
+        result = exchange_phase(*_one_path_kernel(), StatisticsSpec(0.0, OpClass.BOSON))
         assert angle_close(result.phi, 0.0)
 
     def test_theta_zero_fermion(self):
-        result = exchange_phase(_one_path_kernel(), StatisticsSpec(0.0, OpClass.FERMION))
+        result = exchange_phase(*_one_path_kernel(), StatisticsSpec(0.0, OpClass.FERMION))
         assert angle_close(result.phi, math.pi)
 
     def test_theta_pi_boson(self):
-        result = exchange_phase(_one_path_kernel(), StatisticsSpec(math.pi, OpClass.BOSON))
+        result = exchange_phase(*_one_path_kernel(), StatisticsSpec(math.pi, OpClass.BOSON))
         assert angle_close(result.phi, math.pi / 2)
 
     def test_boson_fermion_differ_by_pi(self):
         for theta in (0.0, 0.7, math.pi, 5.0, 11.3):
-            b = exchange_phase(_one_path_kernel(), StatisticsSpec(theta, OpClass.BOSON))
-            f = exchange_phase(_one_path_kernel(), StatisticsSpec(theta, OpClass.FERMION))
+            b = exchange_phase(*_one_path_kernel(), StatisticsSpec(theta, OpClass.BOSON))
+            f = exchange_phase(*_one_path_kernel(), StatisticsSpec(theta, OpClass.FERMION))
             assert angle_close(f.phi - b.phi, math.pi)
 
     def test_amplitude_diagnostic(self):
-        kernel = _one_path_kernel()
-        result = exchange_phase(kernel, StatisticsSpec(0.0, OpClass.FERMION))
-        (amp,) = kernel.partials.values()
+        cls, amp = _one_path_kernel()
+        result = exchange_phase(cls, amp, StatisticsSpec(0.0, OpClass.FERMION))
         assert result.amplitude == pytest.approx(-amp)
 
     def test_direct_kernel_rejected(self):
-        start = TwoParticleConfig(Vec2(1, 0), Vec2(-1, 0))
-        kernel = ResolvedKernel(
-            endpoints=EndpointPair(start, start),
-            n_steps=2,
-            partials={HomotopyClass(Kind.DIRECT, 0.0): 1 + 0j},
-        )
         with pytest.raises(NotExchangeKernel):
-            exchange_phase(kernel, StatisticsSpec(0.0, OpClass.BOSON))
+            exchange_phase(HomotopyClass(Kind.DIRECT, 0.0), 1 + 0j, StatisticsSpec(0.0, OpClass.BOSON))
 
     def test_cw_kernel_gives_minus_half_theta(self):
-        kernel = _one_path_kernel(Direction.CW)
+        cls, amp = _one_path_kernel(Direction.CW)
         for op_class, shift in ((OpClass.BOSON, 0.0), (OpClass.FERMION, math.pi)):
             for theta in (0.0, 0.7, math.pi, 5.0, -11.3):
-                result = exchange_phase(kernel, StatisticsSpec(theta, op_class))
+                result = exchange_phase(cls, amp, StatisticsSpec(theta, op_class))
                 assert 0.0 <= result.phi < TAU
                 assert angle_close(result.phi, -theta / 2 + shift)
-
-    def test_multi_class_kernel_rejected(self):
-        # a lattice path sum holds both windings +1/2 and -1/2, not one path's class
-        endpoints = EndpointPair(
-            TwoParticleConfig(Vec2(-1, 0), Vec2(1, 0)), TwoParticleConfig(Vec2(1, 0), Vec2(-1, 0))
-        )
-        kernel = resolved_kernel(LatticeSpec(extent=2), endpoints, 4)
-        assert len(kernel.partials) > 1
-        with pytest.raises(NotExchangeKernel, match="one class, got"):
-            exchange_phase(kernel, StatisticsSpec(0.0, OpClass.BOSON))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -292,8 +269,9 @@ class TestExchangePhase:
 )
 def test_phase_is_theta_times_path_winding(theta, op_class, direction, n_steps):
     geom = ExchangeGeometry(radius=1.0, n_steps=n_steps, dt=0.125, direction=direction)
+    path = build_exchange_path(geom)
     result = exchange_phase(
-        path_kernel(build_exchange_path(geom), PhysicsParams()), StatisticsSpec(theta, op_class)
+        classify(path), path_amplitude(path, PhysicsParams()), StatisticsSpec(theta, op_class)
     )
     w = 0.5 if direction is Direction.CCW else -0.5
     # phi against theta*w (+ pi) as points on the unit circle: at large theta,
@@ -332,11 +310,11 @@ class TestThetaSweep:
         grid = [StatisticsSpec(t, c) for t in (-1.0, 0.0, 2.5) for c in OpClass]
         for direction in Direction:
             geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125, direction=direction)
-            kernel = _one_path_kernel(direction)
+            cls, amp = _one_path_kernel(direction)
             rows = list(theta_sweep(geom, PhysicsParams(), grid))
             assert len(rows) == len(grid)
             for row, stats in zip(rows, grid):
-                result = exchange_phase(kernel, stats)
+                result = exchange_phase(cls, amp, stats)
                 assert (row.phi, row.amplitude) == (result.phi, result.amplitude)
                 assert (row.theta, row.op_class) == (stats.theta, stats.op_class)
 
