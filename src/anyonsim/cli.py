@@ -148,27 +148,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_dephase(args: argparse.Namespace) -> int:
-    n_ref = 16
-    geom = exchange.ExchangeGeometry(
-        radius=args.radius, n_steps=n_ref, dt=args.duration / n_ref
-    )
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
-    fit = exchange.dephasing_exponent(geom, params, _parse_grid(args.dt_grid))
+    fit = exchange.dephasing_exponent(
+        args.radius, args.duration, params, _parse_grid(args.dt_grid)
+    )
     report = {
         "slope": fit.slope,
         "predicted": fit.predicted,
         "rel_error": fit.rel_error,
         "intercept": fit.intercept,
         "residual": fit.residual,
-        "samples": [
-            {
-                "dt": s.dt,
-                "n_steps": s.n_steps,
-                "phase_op": s.phase_op,
-                "phase_dir": s.phase_dir,
-            }
-            for s in fit.samples
-        ],
+        "samples": [s._asdict() for s in fit.samples],
     }
     print(json.dumps(report))
     return 0

@@ -82,15 +82,6 @@ class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt directi
         check_finite_positive("dt", dt)
         return tuple.__new__(cls, (radius, n_steps, dt, direction))
 
-    @property
-    def duration(self) -> float:
-        return self.n_steps * self.dt
-
-    @property
-    def separation(self) -> float:
-        """Inter-particle distance D, constant along the exchange."""
-        return 2.0 * self.radius
-
 
 def _exchange_configs(geom: ExchangeGeometry, count: int) -> Iterator[TwoParticleConfig]:
     """The first count configurations of the exchange, configuration k the
@@ -183,31 +174,35 @@ class DephasingFit(
 
 
 def dephasing_exponent(
-    geom: ExchangeGeometry,
+    radius: float,
+    duration: float,
     params: PhysicsParams,
     dt_grid: Iterable[float],
 ) -> DephasingFit:
     """Fit the unwrapped opposite-step action phase against 1/dt.
 
-    The exchange duration T = n_steps * dt of geom is held fixed while the
-    grid refines the time step (n = T / dt intermediate points), mirroring
-    how the discretization is meant to be taken to its limit.  The slope
-    approaches m D^2 / hbar; the direct-step phase shrinks linearly in dt.
-    Phases come from exact per-step actions, never from arg of the amplitude,
-    which is blind to multiples of 2*pi.  Every step of the semicircle is
-    congruent, so only its first step is built.
+    The exchange of the given radius (particles at distance D = 2 * radius)
+    and duration T is held fixed while the grid refines the time step
+    (n = round(T / dt) steps), mirroring how the discretization is meant to
+    be taken to its limit.  The slope approaches m D^2 / hbar; the
+    direct-step phase shrinks linearly in dt.  Phases come from exact
+    per-step actions, never from arg of the amplitude, which is blind to
+    multiples of 2*pi.  Every step of the semicircle is congruent, and its
+    squared displacements are the same in either direction, so only the
+    first step of the counter-clockwise exchange is built.
     """
+    check_finite_positive("radius", radius)
+    check_finite_positive("duration", duration)
     dts = sorted(set(float(v) for v in dt_grid), reverse=True)
     if len(dts) < 3 or any(v <= 0 for v in dts):
         raise DegenerateGrid("need at least 3 distinct positive dt values")
     for dt in dts:
         check_finite_positive("dt", dt)
     try:
-        predicted = params.mass * geom.separation**2 / params.hbar
+        predicted = params.mass * (2.0 * radius) ** 2 / params.hbar
     except OverflowError:  # float ** raises where * would give inf
         predicted = math.inf
     check_finite_positive("predicted slope m*D^2/hbar", predicted)
-    duration = geom.duration
     samples = []
     for dt in dts:
         steps = duration / dt
@@ -220,8 +215,7 @@ def dephasing_exponent(
             raise DegenerateGrid(
                 f"dt {dt} leaves fewer than 2 steps of the exchange of duration {duration}"
             )
-        sample = ExchangeGeometry(geom.radius, n, dt, geom.direction)
-        first_step = DiscretePath(dt, _exchange_configs(sample, 2))
+        first_step = DiscretePath(dt, _exchange_configs(ExchangeGeometry(radius, n, dt), 2))
         (factor,) = step_factors(first_step, params)
         samples.append(
             DephasingSample(

@@ -241,9 +241,9 @@ def test_criterion_5_permanent_determinant_oracle():
 def test_criterion_6_dephasing_scaling():
     with criterion(6, "opposite-step phase slope m D^2 / hbar over a dt decade"):
         params = PhysicsParams()
-        geom = ExchangeGeometry(radius=1.0, n_steps=100, dt=0.02)  # duration 2.0
-        fit = dephasing_exponent(geom, params, [0.2, 0.1, 0.05, 0.02])
-        assert fit.predicted == params.mass * geom.separation**2 / params.hbar
+        radius = 1.0
+        fit = dephasing_exponent(radius, 2.0, params, [0.2, 0.1, 0.05, 0.02])
+        assert fit.predicted == params.mass * (2.0 * radius) ** 2 / params.hbar
         assert fit.rel_error < DEPHASING_REL_TOL, f"rel error {fit.rel_error}"
 
         # direct-step phase vanishes linearly in dt

@@ -3,7 +3,9 @@ import gc
 import io
 import json
 import math
+import pathlib
 import re
+import shlex
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -450,6 +452,45 @@ def test_golden_stdout(capsys, tmp_path, monkeypatch, argv, stdout):
     assert run(capsys, argv) == (0, stdout, "")
 
 
+def readme_examples():
+    """Each ``$ anyonsim ...`` command of the README's sh blocks, with its
+    continuation lines, and the output shown under it up to the next command
+    or the end of the block."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        lines = iter(block.splitlines())
+        shown = None
+        for line in lines:
+            if line.startswith("$ anyonsim "):
+                command = line
+                while command.endswith("\\"):
+                    command = command[:-1] + next(lines)
+                shown = []
+                examples.append((shlex.split(command)[2:], shown))
+            elif shown is not None and line:
+                shown.append(line)
+    return [pytest.param(argv, shown, id=" ".join(argv)) for argv, shown in examples]
+
+
+@pytest.mark.parametrize("argv, shown", readme_examples())
+def test_readme_example(capsys, argv, shown):
+    # the README gives no path.json, so its winding example cannot be run
+    if argv == ["winding", "path.json"]:
+        pytest.skip("the README does not give path.json")
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    # wrapped lines are joined by one space; the text between "..." elisions
+    # must appear in the real output in order
+    joined = " ".join(line.strip() for line in out.splitlines())
+    at = 0
+    for part in " ".join(line.strip() for line in shown).split("..."):
+        part = part.strip()
+        found = joined.find(part, at)
+        assert found >= 0, f"{part!r} not in {joined[at:]!r}"
+        at = found + len(part)
+
+
 class TestDephase:
     def test_default_experiment(self, capsys):
         code, out, _ = run(capsys, ["dephase", "--dt-grid", "0.2,0.1,0.05,0.02"])
@@ -463,6 +504,24 @@ class TestDephase:
         code, _, err = run(capsys, ["dephase", "--dt-grid", "0.1,0.05"])
         assert code == 2
         assert "DegenerateGrid" in err
+
+    @pytest.mark.parametrize(
+        "duration, err",
+        [
+            ("-1", "ValidationError: duration must be finite and > 0, got -1.0"),
+            ("nan", "ValidationError: duration must be finite and > 0, got nan"),
+            ("inf", "ValidationError: duration must be finite and > 0, got inf"),
+            # durations too short for one step of any dt name the duration as given
+            ("5e-324", "DegenerateGrid: dt 0.2 leaves fewer than 2 steps of the exchange "
+             "of duration 5e-324"),
+            ("5e-323", "DegenerateGrid: dt 0.2 leaves fewer than 2 steps of the exchange "
+             "of duration 5e-323"),
+        ],
+        ids=["negative", "nan", "inf", "5e-324", "5e-323"],
+    )
+    def test_bad_duration_refusal_names_it(self, capsys, duration, err):
+        argv = ["dephase", "--dt-grid", "0.2,0.1,0.05,0.02", f"--duration={duration}"]
+        assert run(capsys, argv) == (2, "", f"anyonsim: {err}\n")
 
 
 class TestExchange:

@@ -150,45 +150,33 @@ class TestStepFactors:
 
 class TestDephasing:
     def test_slope_matches_m_d_squared(self):
-        geom = ExchangeGeometry(radius=1.0, n_steps=100, dt=0.02)
-        fit = dephasing_exponent(geom, PhysicsParams(), [0.1, 0.05, 0.025, 0.0125])
+        fit = dephasing_exponent(1.0, 2.0, PhysicsParams(), [0.1, 0.05, 0.025, 0.0125])
         assert fit.predicted == 4.0
         assert fit.rel_error < 0.01
 
     def test_doubling_distance_quadruples_slope(self):
         params = PhysicsParams()
         grid = [0.1, 0.05, 0.025, 0.0125]
-        small = dephasing_exponent(ExchangeGeometry(radius=1.0, n_steps=100, dt=0.02), params, grid)
-        large = dephasing_exponent(ExchangeGeometry(radius=2.0, n_steps=100, dt=0.02), params, grid)
+        small = dephasing_exponent(1.0, 2.0, params, grid)
+        large = dephasing_exponent(2.0, 2.0, params, grid)
         assert large.slope == pytest.approx(4 * small.slope, rel=1e-3)
 
-    def test_slope_insensitive_to_reference_step_count(self):
-        # same total duration, different nominal discretization of geom
-        params = PhysicsParams()
-        grid = [0.1, 0.05, 0.025, 0.0125]
-        a = dephasing_exponent(ExchangeGeometry(radius=1.0, n_steps=100, dt=0.02), params, grid)
-        b = dephasing_exponent(ExchangeGeometry(radius=1.0, n_steps=50, dt=0.04), params, grid)
-        assert a.slope == pytest.approx(b.slope, rel=1e-12)
-
     def test_direct_phase_vanishes_linearly(self):
-        geom = ExchangeGeometry(radius=1.0, n_steps=100, dt=0.02)
-        fit = dephasing_exponent(geom, PhysicsParams(), [0.2, 0.1, 0.05, 0.02])
+        fit = dephasing_exponent(1.0, 2.0, PhysicsParams(), [0.2, 0.1, 0.05, 0.02])
         ratios = [s.phase_dir / s.dt for s in fit.samples]
         assert max(ratios) - min(ratios) < 0.02 * max(ratios)
 
     def test_degenerate_grid(self):
-        geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)
         with pytest.raises(DegenerateGrid):
-            dephasing_exponent(geom, PhysicsParams(), [0.1, 0.05])
+            dephasing_exponent(1.0, 2.0, PhysicsParams(), [0.1, 0.05])
         with pytest.raises(DegenerateGrid):
-            dephasing_exponent(geom, PhysicsParams(), [0.1, 0.1, 0.1])
+            dephasing_exponent(1.0, 2.0, PhysicsParams(), [0.1, 0.1, 0.1])
         with pytest.raises(DegenerateGrid):
-            dephasing_exponent(geom, PhysicsParams(), [0.1, -0.2, 0.05])
+            dephasing_exponent(1.0, 2.0, PhysicsParams(), [0.1, -0.2, 0.05])
 
     def test_infinite_step_count_rejected(self):
-        geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)  # duration 2.0
         with pytest.raises(DegenerateGrid, match="dt 1e-310 "):
-            dephasing_exponent(geom, PhysicsParams(), [1e-310, 1e-311, 1e-312])
+            dephasing_exponent(1.0, 2.0, PhysicsParams(), [1e-310, 1e-311, 1e-312])
 
     @pytest.mark.parametrize(
         "grid, hbar",
@@ -199,21 +187,18 @@ class TestDephasing:
         ids=["regression-overflow", "residual-overflow"],
     )
     def test_non_finite_fit_rejected(self, grid, hbar):
-        geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)
         message = f"dt grid {grid} gives a fit with a non-finite slope, intercept or residual"
         with pytest.raises(DegenerateGrid, match=f"^{re.escape(message)}$"):
-            dephasing_exponent(geom, PhysicsParams(hbar=hbar), grid)
+            dephasing_exponent(1.0, 2.0, PhysicsParams(hbar=hbar), grid)
 
     def test_overflowing_phase_refused(self):
         # the opposite-step action ~ 2e300 is finite, its phase S/hbar is not
-        geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)
         with pytest.raises(ValidationError, match=r"^phase S/hbar must be finite, got inf$"):
-            dephasing_exponent(geom, PhysicsParams(hbar=1e-10), [1e-300, 1e-301, 1e-302])
+            dephasing_exponent(1.0, 2.0, PhysicsParams(hbar=1e-10), [1e-300, 1e-301, 1e-302])
 
     def test_dt_larger_than_half_duration_rejected(self):
-        geom = ExchangeGeometry(radius=1.0, n_steps=16, dt=0.125)  # duration 2.0
         with pytest.raises(DegenerateGrid):
-            dephasing_exponent(geom, PhysicsParams(), [2.0, 0.1, 0.05])
+            dephasing_exponent(1.0, 2.0, PhysicsParams(), [2.0, 0.1, 0.05])
 
 
 def _one_path_kernel(direction=Direction.CCW):
@@ -356,9 +341,35 @@ def test_exchange_steps_capped(n_steps):
 
 def test_dephasing_builds_one_step_of_any_length():
     # the geometry type has no cap: dephase builds only the first step
-    fit = dephasing_exponent(ExchangeGeometry(1.0, 16, 0.125), PhysicsParams(), [4e-7, 2e-7, 1e-7])
+    fit = dephasing_exponent(1.0, 2.0, PhysicsParams(), [4e-7, 2e-7, 1e-7])
     assert [s.n_steps for s in fit.samples] == [5_000_000, 10_000_000, 20_000_000]
     assert fit.rel_error < 1e-6
+
+
+POSITIVE = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    radius=POSITIVE,
+    duration=POSITIVE,
+    mass=POSITIVE,
+    hbar=POSITIVE,
+    steps=st.lists(st.integers(2, 10**7), min_size=3, max_size=6, unique=True),
+)
+def test_dephasing_samples_match_the_closed_form(radius, duration, mass, hbar, steps):
+    # the first step turns the pair by pi/n: each particle's opposite chord is
+    # 2r cos(pi/2n), its direct chord 2r sin(pi/2n), so summed over both particles
+    # the squared chords are 8r^2 cos^2(pi/2n) and 8r^2 sin^2(pi/2n)
+    dts = [duration / n for n in steps]
+    fit = dephasing_exponent(radius, duration, PhysicsParams(mass=mass, hbar=hbar), dts)
+    assert sorted(s.dt for s in fit.samples) == sorted(dts)
+    for s in fit.samples:
+        assert s.n_steps == round(duration / s.dt)
+        half = math.pi / (2 * s.n_steps)
+        scale = mass * 8.0 * radius**2 / (2.0 * s.dt * hbar)
+        assert math.isclose(s.phase_op, scale * math.cos(half) ** 2, rel_tol=1e-12)
+        assert math.isclose(s.phase_dir, scale * math.sin(half) ** 2, rel_tol=1e-12)
 
 
 # --- the record types: named tuples built through their checks ---------------
