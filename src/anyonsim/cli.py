@@ -14,10 +14,13 @@ import itertools
 import json
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable
 
 from . import amplitudes, config_space, exchange, homotopy
 from .errors import AnyonSimError, BadRange, BudgetExceeded, ParseError
+
+#: sweep rows joined into one write, so memory stays bounded at any --points
+_SWEEP_BLOCK_ROWS = 4096
 
 
 def _complex_dict(z: complex) -> dict:
@@ -89,9 +92,12 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_grid(args: argparse.Namespace) -> Iterator[amplitudes.StatisticsSpec]:
-    """The statistics of the sweep rows, theta by theta, each theta once per
-    class.  Every refusal is raised here, before the first value is made."""
+def _sweep_grid(
+    args: argparse.Namespace,
+) -> tuple[Iterable[float], tuple[amplitudes.OpClass, ...]]:
+    """The thetas of the sweep rows, lazily and in rising order, and the
+    classes that each theta gets a row for.  Every refusal is raised here,
+    before the first theta is made."""
     points, theta_min, theta_max = args.points, args.theta_min, args.theta_max
     if points < 1:
         raise BadRange(f"points must be >= 1, got {points}")
@@ -103,47 +109,48 @@ def _sweep_grid(args: argparse.Namespace) -> Iterator[amplitudes.StatisticsSpec]
     if theta_max < theta_min:
         raise BadRange(f"theta-max {theta_max} is below theta-min {theta_min}")
     classes = {
-        "boson": [amplitudes.OpClass.BOSON],
-        "fermion": [amplitudes.OpClass.FERMION],
-        "both": [amplitudes.OpClass.BOSON, amplitudes.OpClass.FERMION],
+        "boson": (amplitudes.OpClass.BOSON,),
+        "fermion": (amplitudes.OpClass.FERMION,),
+        "both": (amplitudes.OpClass.BOSON, amplitudes.OpClass.FERMION),
     }[args.op_class]
     if points == 1:
-        thetas = [theta_min]
+        return (theta_min,), classes
+    gaps = points - 1
+    span = theta_max - theta_min
+    if math.isfinite(gaps * span):
+        def theta(i):
+            return theta_min + i * span / gaps
     else:
-        gaps = points - 1
-        span = theta_max - theta_min
-        if math.isfinite(gaps * span):
-            def theta(i):
-                return theta_min + i * span / gaps
-        else:
-            # i * span overflows for the last rows (or span itself does), so the
-            # step span / gaps is taken as theta_max / gaps - theta_min / gaps,
-            # the share of theta_min taken off before that of theta_max is put
-            # on, so that no partial sum leaves the range of the two bounds
-            hi, lo = theta_max / gaps, theta_min / gaps
+        # i * span overflows for the last rows (or span itself does), so the
+        # step span / gaps is taken as theta_max / gaps - theta_min / gaps,
+        # the share of theta_min taken off before that of theta_max is put
+        # on, so that no partial sum leaves the range of the two bounds
+        hi, lo = theta_max / gaps, theta_min / gaps
 
-            def theta(i):
-                return theta_min - i * lo + i * hi
-        # the thetas rise with i, so if one overflows the last does: it is refused here
-        amplitudes.StatisticsSpec(theta=theta(gaps), op_class=classes[0])
-        thetas = map(theta, range(points))
-    return (amplitudes.StatisticsSpec(theta=t, op_class=c) for t in thetas for c in classes)
+        def theta(i):
+            return theta_min - i * lo + i * hi
+    # the thetas rise with i, so if one overflows the last does: it is refused here
+    amplitudes.StatisticsSpec(theta=theta(gaps), op_class=classes[0])
+    return map(theta, range(points)), classes
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     geom = exchange.ExchangeGeometry(radius=args.radius, n_steps=args.steps, dt=args.dt)
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
-    rows = exchange.theta_sweep(geom, params, _sweep_grid(args))
+    rows = exchange.theta_sweep(geom, params, *_sweep_grid(args))
     first = next(rows)  # builds the kernel, so a refusal leaves stdout empty
-    names = {c: c.value for c in amplitudes.OpClass}
+    boson, fermion = amplitudes.OpClass.BOSON, amplitudes.OpClass.FERMION
+    boson_name, fermion_name = boson.value, fermion.value
+    lines = (
+        "%.12g,%s,%.12g,%.12g,%.12g\n"
+        % (theta, boson_name if op_class is boson else fermion_name, phi, amp.real, amp.imag)
+        for phi, amp, theta, op_class in itertools.chain((first,), rows)
+    )
     write = sys.stdout.write
     write("theta,op_class,phi,re_amp,im_amp\n")
-    for row in itertools.chain((first,), rows):
-        amplitude = row.amplitude
-        write(
-            f"{row.theta:.12g},{names[row.op_class]},{row.phi:.12g},"
-            f"{amplitude.real:.12g},{amplitude.imag:.12g}\n"
-        )
+    # one write per block of rows: an unbuffered stdout makes each write a system call
+    while block := "".join(itertools.islice(lines, _SWEEP_BLOCK_ROWS)):
+        write(block)
     return 0
 
 

@@ -324,12 +324,24 @@ def path_to_json_dict(path: DiscretePath) -> dict:
     }
 
 
+#: the Python types json gives JSON numbers as; bool, an int subclass, is not one
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def _configs_from_json(pairs) -> Iterator[TwoParticleConfig]:
-    """The configurations of JSON position pairs [[x1, y1], [x2, y2]], as :func:`_config` builds them."""
+    """The configurations of JSON position pairs [[x1, y1], [x2, y2]], as :func:`_config` builds them.
+
+    A position that is not a pair, or a coordinate that is not a JSON number
+    (a string, a boolean), is refused with TypeError or ValueError.
+    """
     new = tuple.__new__
     isfinite = math.isfinite
-    for p1, p2 in pairs:
-        x1, y1, x2, y2 = float(p1[0]), float(p1[1]), float(p2[0]), float(p2[1])
+    number = _JSON_NUMBERS
+    for (x1, y1), (x2, y2) in pairs:
+        if not (type(x1) in number and type(y1) in number
+                and type(x2) in number and type(y2) in number):
+            raise TypeError(f"coordinates must be numbers, got {[[x1, y1], [x2, y2]]!r}")
+        x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
         # finite coordinates have a finite sum unless it overflows; then _config builds the config
         if isfinite(x1 + y1 + x2 + y2):
             yield new(TwoParticleConfig, (x1, y1, x2, y2))
@@ -338,8 +350,16 @@ def _configs_from_json(pairs) -> Iterator[TwoParticleConfig]:
 
 
 def path_from_json_dict(data: dict) -> DiscretePath:
+    """The path of the JSON form {"dt": ..., "configs": [[[x1, y1], [x2, y2]], ...]}.
+
+    Anything else, down to a coordinate or dt that is not a JSON number or a
+    position that is not a pair, is refused with ValidationError.
+    """
     try:
-        dt = float(data["dt"])
+        dt = data["dt"]
+        if type(dt) not in _JSON_NUMBERS:
+            raise TypeError(f"dt must be a number, got {dt!r}")
+        dt = float(dt)
         configs = tuple(_configs_from_json(data["configs"]))
     except ValidationError:
         raise

@@ -28,7 +28,7 @@ import enum
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .amplitudes import (
     OpClass,
@@ -256,6 +256,32 @@ class ExchangePhase(namedtuple("ExchangePhase", "phi amplitude theta op_class"))
     __slots__ = ()
 
 
+def _phase_rule(
+    cls: HomotopyClass, amp: complex, op_classes: Iterable[OpClass]
+) -> Callable[[float], list[ExchangePhase]]:
+    """rows(theta): the :func:`exchange_phase` rows of class cls (kind
+    Exchange, winding w) and amplitude amp at theta, one per class of
+    op_classes in turn.  The kind and the signs are checked once, here; each
+    call takes exp(i theta w) and its product with amp once, for all classes.
+    """
+    if cls.kind is not Kind.EXCHANGE:
+        raise NotExchangeKernel("exchange phase requires swapped endpoints")
+    signed = [(1.0 if c is OpClass.BOSON else -1.0, c) for c in op_classes]
+    phase, new, row, tau = cmath.phase, tuple.__new__, ExchangePhase, TAU
+
+    def rows(theta: float) -> list[ExchangePhase]:
+        weight = anyonic_weight(cls, theta)
+        scaled = 0j + weight * amp  # 0j + turns -0.0 parts to 0.0, as a class sum does
+        out = []
+        for sign, op_class in signed:
+            phi = phase(weight * sign) % tau
+            # a tiny negative phase rounds up to TAU itself, which is 0.0
+            out.append(new(row, (phi if phi < tau else 0.0, sign * scaled, theta, op_class)))
+        return out
+
+    return rows
+
+
 def exchange_phase(cls: HomotopyClass, amp: complex, stats: StatisticsSpec) -> ExchangePhase:
     """Exchange phase of the winding class w of an exchange path, with the
     path's amplitude K^w = exp(i S / hbar).
@@ -266,37 +292,30 @@ def exchange_phase(cls: HomotopyClass, amp: complex, stats: StatisticsSpec) -> E
     amplitude s exp(i theta w) K^w is reported alongside for diagnostics.  A
     class that is not of exchange kind is refused with NotExchangeKernel.
     """
-    if cls.kind is not Kind.EXCHANGE:
-        raise NotExchangeKernel("exchange phase requires swapped endpoints")
-    sign = 1.0 if stats.op_class is OpClass.BOSON else -1.0
-    weight = anyonic_weight(cls, stats.theta)
-    phi = cmath.phase(weight * sign) % TAU
-    return ExchangePhase(
-        phi=phi if phi < TAU else 0.0,  # a tiny negative phase rounds up to TAU itself
-        amplitude=sign * (0j + weight * amp),  # 0j + turns -0.0 parts to 0.0, as a class sum does
-        theta=stats.theta,
-        op_class=stats.op_class,
-    )
+    return _phase_rule(cls, amp, (stats.op_class,))(stats.theta)[0]
 
 
 def theta_sweep(
     geom: ExchangeGeometry,
     params: PhysicsParams,
-    stats_grid: Iterable[StatisticsSpec],
+    thetas: Iterable[float],
+    op_classes: Iterable[OpClass],
 ) -> Iterator[ExchangePhase]:
-    """Exchange phase across a grid of statistics angles and classes, one row
-    per statistics of the grid, yielded as it is computed.
+    """Exchange phase across statistics angles and classes, one row per
+    theta and class, theta by theta with the classes in the order given,
+    yielded as it is computed.
 
     The path is the designated exchange built from geom (the experiment is
     about that path, not a path sum).  It is built, classified and its
     amplitude taken once, when the first row is asked for, and not at all for
-    an empty grid; each row is what :func:`exchange_phase` gives for its
-    statistics.  phi is affine in theta with slope w = +-1/2, the sign set by
-    the direction of geom.
+    no thetas; each row is what :func:`exchange_phase` gives for its theta
+    and class, bit for bit.  A theta that is not finite is refused with
+    ValidationError when its rows are asked for.  phi is affine in theta
+    with slope w = +-1/2, the sign set by the direction of geom.
     """
-    cls = amp = None
-    for stats in stats_grid:
-        if cls is None:
-            path = build_exchange_path(geom)
-            cls, amp = classify(path), path_amplitude(path, params)
-        yield exchange_phase(cls, amp, stats)
+    thetas = iter(thetas)
+    for theta in thetas:  # the first theta only: the rule built for it takes the rest
+        path = build_exchange_path(geom)
+        rows = _phase_rule(classify(path), path_amplitude(path, params), op_classes)
+        yield from rows(theta)
+        yield from itertools.chain.from_iterable(map(rows, thetas))

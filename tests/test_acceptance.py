@@ -198,9 +198,7 @@ def test_criterion_4_anyonic_interpolation():
         thetas = [4 * math.pi * k / 81 for k in range(81)]
 
         def sweep(cls, offset=0.0):
-            rows = theta_sweep(
-                geom, params, [StatisticsSpec(t + offset, cls) for t in thetas]
-            )
+            rows = theta_sweep(geom, params, [t + offset for t in thetas], (cls,))
             return [row.phi for row in rows]
 
         boson = sweep(OpClass.BOSON)

@@ -3,23 +3,29 @@ import gc
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import anyonsim
 from anyonsim import (
     ExchangeGeometry,
     OpClass,
     PhysicsParams,
     StatisticsSpec,
     build_exchange_path,
+    path_from_json_dict,
     step_factors,
     theta_sweep,
 )
+from anyonsim.cli import _SWEEP_BLOCK_ROWS as BLOCK
 from anyonsim.cli import main
 
 TAU = 2 * math.pi
@@ -93,6 +99,39 @@ class TestWinding:
         code, out, err = run(capsys, ["winding", str(target)])
         assert code == 2 and out == ""
         assert re.fullmatch(rf"anyonsim: {error}: [^\n]+\n", err)
+
+    @pytest.mark.parametrize(
+        "dt, configs",
+        [
+            ("1.0", '["10", "00"], ["01", "00"], ["10", "00"]'),
+            ("1.0", '[["1", "0"], [0, 0]], [[0, 1], [0, 0]], [["1", "0"], [0, 0]]'),
+            ("1.0", "[[true, false], [0, 0]], [[0, 1], [0, 0]], [[true, false], [0, 0]]"),
+            ('"1"', "[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 0], [0, 0]]"),
+            ("1.0", "[[1, 0, 7], [0, 0]], [[0, 1], [0, 0]], [[1, 0, 7], [0, 0]]"),
+        ],
+        ids=["two-character-strings", "string-coordinates", "booleans", "string-dt", "three-coordinates"],
+    )
+    def test_value_that_is_not_a_json_number_is_malformed(self, capsys, tmp_path, dt, configs):
+        # each of these closed loops used to be read as a path and classified
+        target = tmp_path / "not_numbers.json"
+        target.write_text(f'{{"dt": {dt}, "configs": [{configs}]}}', encoding="utf-8")
+        code, out, err = run(capsys, ["winding", str(target)])
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"anyonsim: ValidationError: malformed path JSON: [^\n]+\n", err)
+
+    def test_int_and_negative_zero_coordinates_are_exact(self, capsys, tmp_path):
+        target = tmp_path / "ints.json"
+        target.write_text(
+            '{"dt": 1, "configs": [[[1, -0.0], [0, 0]], [[0, 1], [-0.0, 0]], [[1, -0.0], [0, 0]]]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, ["winding", str(target)])
+        assert code == 0 and err == ""
+        assert json.loads(out)["kind"] == "Direct"
+        path = path_from_json_dict(json.loads(target.read_text(encoding="utf-8")))
+        assert path.dt == 1.0 and type(path.dt) is float
+        assert [math.copysign(1.0, v) for v in path.start] == [1.0, -1.0, 1.0, 1.0]
+        assert all(type(v) is float for config in path.configs for v in config)
 
     def test_nan_coordinate_is_validation_error(self, capsys, tmp_path):
         cases = [
@@ -253,6 +292,20 @@ class TestKernel:
         assert err.value.code == 2
 
 
+def _expected_sweep(points, classes):
+    """The CSV of theta_sweep's rows for --theta-min=-2.5 --theta-max 9.75, formatted field by field."""
+    thetas = [-2.5 + i * 12.25 / (points - 1) for i in range(points)]
+    rows = theta_sweep(ExchangeGeometry(1.0, 12, 0.07), PhysicsParams(mass=1.3), thetas, classes)
+    return "".join(
+        ",".join(
+            [format(r.theta, ".12g"), r.op_class.value]
+            + [format(v, ".12g") for v in (r.phi, r.amplitude.real, r.amplitude.imag)]
+        )
+        + "\n"
+        for r in rows
+    )
+
+
 class TestSweep:
     def test_boson_phi_column(self, capsys):
         argv = [
@@ -335,18 +388,91 @@ class TestSweep:
         code, out, err = run(capsys, argv)
         assert code == 0 and err == ""
         classes = [OpClass.BOSON, OpClass.FERMION] if op_class == "both" else [OpClass(op_class)]
-        grid = [
-            StatisticsSpec(-2.5 + i * 12.25 / 8, c) for i in range(9) for c in classes
-        ]
-        rows = theta_sweep(ExchangeGeometry(1.0, 12, 0.07), PhysicsParams(mass=1.3), grid)
-        lines = ["theta,op_class,phi,re_amp,im_amp"] + [
-            ",".join(
-                [format(r.theta, ".12g"), r.op_class.value]
-                + [format(v, ".12g") for v in (r.phi, r.amplitude.real, r.amplitude.imag)]
-            )
-            for r in rows
-        ]
-        assert out == "\n".join(lines) + "\n"
+        assert out == "theta,op_class,phi,re_amp,im_amp\n" + _expected_sweep(9, classes)
+
+
+class TestSweepBlocks:
+    """Sweep rows are written in blocks of at most BLOCK rows; the bytes do not depend on it."""
+
+    @pytest.mark.parametrize(
+        "op_class, points",
+        [
+            ("boson", BLOCK - 1),
+            ("boson", BLOCK),
+            ("boson", BLOCK + 1),
+            ("boson", 2 * BLOCK + 1),
+            ("both", BLOCK // 2 - 1),
+            ("both", BLOCK // 2),
+            ("both", BLOCK // 2 + 1),
+            ("both", BLOCK + 1),
+        ],
+    )
+    def test_rows_across_block_boundaries(self, monkeypatch, op_class, points):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        argv = ["sweep", "--theta-min=-2.5", "--theta-max", "9.75", "--points", str(points),
+                "--op-class", op_class, "--steps", "12", "--dt", "0.07", "--mass", "1.3"]
+        assert main(argv) == 0
+        classes = (OpClass.BOSON, OpClass.FERMION) if op_class == "both" else (OpClass.BOSON,)
+        n_rows = points * len(classes)
+        assert "".join(writes) == (
+            "theta,op_class,phi,re_amp,im_amp\n" + _expected_sweep(points, classes)
+        )
+        # the header, then full blocks and one last partial block
+        assert [w.count("\n") for w in writes] == [1] + [BLOCK] * (n_rows // BLOCK) + (
+            [n_rows % BLOCK] if n_rows % BLOCK else []
+        )
+
+    @staticmethod
+    def _run(argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(pathlib.Path(anyonsim.__file__).parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "anyonsim.cli", *argv], capture_output=True, env=env, timeout=120
+        )
+
+    def test_unbuffered_stdout_prints_the_same_bytes(self):
+        argv = ["sweep", "--theta-min=-2.5", "--theta-max", "9.75", "--points", str(BLOCK + 1),
+                "--op-class", "both", "--steps", "12", "--dt", "0.07", "--mass", "1.3"]
+        buffered, unbuffered = self._run(argv, False), self._run(argv, True)
+        assert buffered.returncode == unbuffered.returncode == 0
+        assert buffered.stderr == unbuffered.stderr == b""
+        expected = "theta,op_class,phi,re_amp,im_amp\n" + _expected_sweep(
+            BLOCK + 1, (OpClass.BOSON, OpClass.FERMION)
+        )
+        assert buffered.stdout == unbuffered.stdout == expected.encode()
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["sweep", "--theta-min", "0", "--theta-max", "1", "--points", "2",
+                 "--steps", str(10**6 + 1)],
+                b"anyonsim: BudgetExceeded: 1000001 exchange steps exceed the cap 1000000\n",
+            ),
+            (
+                ["sweep", f"--theta-min=-{1.7976931348623157e308!r}",
+                 f"--theta-max={1.7976931348623157e308!r}", "--points", "4"],
+                b"anyonsim: ValidationError: theta must be finite, got inf\n",
+            ),
+        ],
+        ids=["steps-cap", "last-theta-overflows"],
+    )
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_refused_sweep_leaves_stdout_empty(self, argv, err, unbuffered):
+        result = self._run(argv, unbuffered)
+        assert (result.returncode, result.stdout, result.stderr) == (2, b"", err)
 
 
 SWEEP_ARGS = ["sweep", "--theta-min", "0", "--theta-max", "1"]

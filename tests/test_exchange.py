@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anyonsim import (
@@ -271,23 +271,19 @@ def test_phase_is_theta_times_path_winding(theta, op_class, direction, n_steps):
 class TestThetaSweep:
     def test_boson_phi_values(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
-        grid = [StatisticsSpec(t, OpClass.BOSON) for t in (0.0, math.pi, TAU)]
-        rows = list(theta_sweep(geom, PhysicsParams(), grid))
+        rows = list(theta_sweep(geom, PhysicsParams(), (0.0, math.pi, TAU), (OpClass.BOSON,)))
         assert [r.phi for r in rows] == pytest.approx([0.0, math.pi / 2, math.pi], abs=1e-9)
 
     def test_fermion_wraps(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
-        grid = [StatisticsSpec(t, OpClass.FERMION) for t in (0.0, TAU)]
-        rows = list(theta_sweep(geom, PhysicsParams(), grid))
+        rows = list(theta_sweep(geom, PhysicsParams(), (0.0, TAU), (OpClass.FERMION,)))
         assert angle_close(rows[0].phi, math.pi)
         assert angle_close(rows[1].phi, 0.0)
 
     def test_slope_is_half(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
         thetas = [0.3 + 0.4 * k for k in range(8)]
-        rows = theta_sweep(
-            geom, PhysicsParams(), [StatisticsSpec(t, OpClass.BOSON) for t in thetas]
-        )
+        rows = theta_sweep(geom, PhysicsParams(), thetas, (OpClass.BOSON,))
         for row in rows:
             assert angle_close(row.phi, row.theta / 2)
 
@@ -296,7 +292,7 @@ class TestThetaSweep:
         for direction in Direction:
             geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125, direction=direction)
             cls, amp = _one_path_kernel(direction)
-            rows = list(theta_sweep(geom, PhysicsParams(), grid))
+            rows = list(theta_sweep(geom, PhysicsParams(), (-1.0, 0.0, 2.5), OpClass))
             assert len(rows) == len(grid)
             for row, stats in zip(rows, grid):
                 result = exchange_phase(cls, amp, stats)
@@ -306,24 +302,71 @@ class TestThetaSweep:
     def test_cw_rows_are_minus_half_theta(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125, direction=Direction.CW)
         thetas = [-3.0 + 0.9 * k for k in range(10)]
-        grid = [StatisticsSpec(t, c) for t in thetas for c in OpClass]
-        for row in theta_sweep(geom, PhysicsParams(), grid):
+        for row in theta_sweep(geom, PhysicsParams(), thetas, OpClass):
             shift = math.pi if row.op_class is OpClass.FERMION else 0.0
             assert angle_close(row.phi, -row.theta / 2 + shift)
 
     def test_empty_grid(self):
         geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125)
-        assert list(theta_sweep(geom, PhysicsParams(), [])) == []
+        assert list(theta_sweep(geom, PhysicsParams(), [], OpClass)) == []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        thetas=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e300, -1e300]),
+                st.floats(-1e3, 1e3),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=12,
+        ),
+        direction=st.sampled_from(Direction),
+        op_classes=st.sampled_from(
+            [(OpClass.BOSON,), (OpClass.FERMION,), (OpClass.BOSON, OpClass.FERMION),
+             (OpClass.FERMION, OpClass.BOSON)]
+        ),
+        non_finite=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+    )
+    # signed zeros and extremes first in the sweep, where the path is built
+    @example(
+        thetas=[-0.0, 0.0, -5e-324, 1e300, -1e300], direction=Direction.CW,
+        op_classes=(OpClass.FERMION, OpClass.BOSON), non_finite=None,
+    )
+    @example(
+        thetas=[-5e-324, -0.0], direction=Direction.CCW,
+        op_classes=(OpClass.BOSON, OpClass.FERMION), non_finite=math.nan,
+    )
+    def test_rows_are_exchange_phase_bit_for_bit(self, thetas, direction, op_classes, non_finite):
+        # each row is the rule of exchange_phase for its theta and class, to the
+        # last bit; a non-finite theta is refused when its rows are reached
+        cls, amp = _one_path_kernel(direction)
+        geom = ExchangeGeometry(radius=1.0, n_steps=8, dt=0.125, direction=direction)
+        tail = [] if non_finite is None else [non_finite]
+        rows = theta_sweep(geom, PhysicsParams(), thetas + tail, op_classes)
+
+        def bits(row):
+            return (
+                row.phi.hex(), row.amplitude.real.hex(), row.amplitude.imag.hex(),
+                row.theta.hex(), row.op_class,
+            )
+
+        for theta in thetas:
+            for op_class in op_classes:
+                assert bits(next(rows)) == bits(exchange_phase(cls, amp, StatisticsSpec(theta, op_class)))
+        if non_finite is not None:
+            with pytest.raises(ValidationError):
+                next(rows)
+        assert list(rows) == []
 
     def test_rows_are_computed_as_they_are_asked_for(self):
         # nothing is built before the first row, so an empty grid never meets
-        # the step cap, and each row draws its statistics from the grid then
+        # the step cap, and each row draws its theta from the thetas then
         capped = ExchangeGeometry(1.0, MAX_SIZE + 1, 0.125)
-        assert list(theta_sweep(capped, PhysicsParams(), [])) == []
-        grid = iter([StatisticsSpec(0.0, OpClass.BOSON), StatisticsSpec(TAU, OpClass.BOSON)])
-        rows = theta_sweep(ExchangeGeometry(1.0, 8, 0.125), PhysicsParams(), grid)
+        assert list(theta_sweep(capped, PhysicsParams(), [], (OpClass.BOSON,))) == []
+        thetas = iter([0.0, TAU])
+        rows = theta_sweep(ExchangeGeometry(1.0, 8, 0.125), PhysicsParams(), thetas, (OpClass.BOSON,))
         assert angle_close(next(rows).phi, 0.0)
-        assert next(grid).theta == TAU and list(rows) == []
+        assert next(thetas) == TAU and list(rows) == []
 
 
 # --- size caps: refused before anything of that size is built ----------------
@@ -336,7 +379,7 @@ def test_exchange_steps_capped(n_steps):
     with pytest.raises(BudgetExceeded, match=f"^{message}$"):
         build_exchange_path(geom)
     with pytest.raises(BudgetExceeded, match=f"^{message}$"):
-        next(theta_sweep(geom, PhysicsParams(), [StatisticsSpec(1.0, OpClass.BOSON)]))
+        next(theta_sweep(geom, PhysicsParams(), [1.0], (OpClass.BOSON,)))
 
 
 def test_dephasing_builds_one_step_of_any_length():
