@@ -28,6 +28,7 @@ from .config_space import (
     EndpointPair,
     LatticeSpec,
     _snap_to_sites,
+    check_count,
     check_finite_positive,
     validate_path,
     walk_census,
@@ -181,6 +182,7 @@ def resolved_kernel(
     end4 = _snap_to_sites(lattice, endpoints.end)
     kind = endpoint_kind(start4, end4)
     check_finite_positive("dt", dt)
+    n_steps = check_count("n_steps", n_steps)
     base = len(lattice.moves) ** 2
     # the power is built only while it is within the budget, since at n_steps
     # in the thousands it has thousands of digits; one built in full is

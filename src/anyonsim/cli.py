@@ -40,7 +40,7 @@ def _load_path(path_file: str) -> config_space.DiscretePath:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path_file}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
         raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
     return config_space.path_from_json_dict(data)
 
@@ -64,7 +64,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         raise ParseError(f"workers must be >= 1, got {args.workers}")
     lattice = config_space.LatticeSpec(extent=args.extent, spacing=args.spacing)
     endpoints = config_space.EndpointPair(
-        start=config_space._config(*args.start), end=config_space._config(*args.end)
+        config_space.TwoParticleConfig(*args.start), config_space.TwoParticleConfig(*args.end)
     )
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
     kernel = amplitudes.resolved_kernel(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
@@ -52,6 +53,14 @@ def check_finite_positive(name: str, value) -> None:
         raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
+def check_count(name: str, value) -> int:
+    """value as an int; anything that operator.index refuses is refused with ValidationError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 class Vec2(namedtuple("Vec2", "x y")):
     """A point or displacement in the plane. Components must be finite."""
 
@@ -64,27 +73,26 @@ class Vec2(namedtuple("Vec2", "x y")):
         return tuple.__new__(cls, (x, y))
 
 
-class TwoParticleConfig(tuple):
-    """Positions of the two labeled particles, held as (x1, y1, x2, y2).
+class TwoParticleConfig(namedtuple("TwoParticleConfig", "x1 y1 x2 y2")):
+    """Positions of the two labeled particles, the coordinates (x1, y1, x2, y2).
 
-    Built from the two positions, ``TwoParticleConfig(p1, p2)``; ``p1`` and
-    ``p2`` are read back as Vec2.  Being a tuple, a configuration unpacks,
-    indexes, orders and compares equal like the plain 4-tuple of its
-    coordinates.  Construction is permissive so that externally supplied
-    data can be loaded and then diagnosed; coincidence is reported by
-    :func:`validate_path`.
+    Unpacks, indexes, orders and compares equal like the plain 4-tuple of its
+    coordinates; ``p1`` and ``p2`` are read back as Vec2.  Built, also by
+    ``_replace``, through the check that its coordinates are finite, p1's
+    pair first, with the message Vec2 gives.  Coincidence is left to
+    :func:`validate_path`, so that loaded data can be diagnosed.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __new__(cls, p1: Vec2, p2: Vec2) -> "TwoParticleConfig":
-        return tuple.__new__(cls, (p1.x, p1.y, p2.x, p2.y))
-
-    def __getnewargs__(self) -> tuple[Vec2, Vec2]:
-        return (self.p1, self.p2)
-
-    def __repr__(self) -> str:
-        return f"TwoParticleConfig(p1={self.p1!r}, p2={self.p2!r})"
+    def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> TwoParticleConfig:
+        isfinite = math.isfinite
+        if not (isfinite(x1) and isfinite(y1)):
+            raise ValidationError(f"non-finite vector component ({x1}, {y1})")
+        if not (isfinite(x2) and isfinite(y2)):
+            raise ValidationError(f"non-finite vector component ({x2}, {y2})")
+        return tuple.__new__(cls, (x1, y1, x2, y2))
 
     @property
     def p1(self) -> Vec2:
@@ -95,20 +103,10 @@ class TwoParticleConfig(tuple):
         return Vec2(self[2], self[3])
 
 
-def _config(x1: float, y1: float, x2: float, y2: float) -> TwoParticleConfig:
-    """The configuration with these coordinates, refusing non-finite ones as Vec2 does."""
-    isfinite = math.isfinite
-    if not (isfinite(x1) and isfinite(y1)):
-        raise ValidationError(f"non-finite vector component ({x1}, {y1})")
-    if not (isfinite(x2) and isfinite(y2)):
-        raise ValidationError(f"non-finite vector component ({x2}, {y2})")
-    return tuple.__new__(TwoParticleConfig, (x1, y1, x2, y2))
-
-
 def swap(config: TwoParticleConfig) -> TwoParticleConfig:
     """Exchange the two particle labels. Involutive."""
     x1, y1, x2, y2 = config
-    return _config(x2, y2, x1, y1)
+    return TwoParticleConfig(x2, y2, x1, y1)
 
 
 class DiscretePath(namedtuple("DiscretePath", "dt configs")):
@@ -149,9 +147,9 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
         r = p1 - p2 (ValidationError), and a turn of strictly less than pi
         from the previous r (TurnTooLargeAtStep with the step index, config
         k -> k+1).  Yields each step's signed turn, and appends each step
-        that changes :func:`upper_half_plane` half to flips as (k, sign),
-        sign 0 when the cross product has none.  The cross product and its
-        rescaling are :func:`sheet_step`'s, inlined.
+        that changes :func:`upper_half_plane` half to flips as (k, sign).  The
+        cross product and its rescaling are :func:`sheet_step`'s, inlined; a
+        sign-less one is left to sheet_step, which raises for it.
         """
         isfinite = math.isfinite
         atan2 = math.atan2
@@ -175,7 +173,8 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
                 if cross == 0.0 and dot < 0.0:
                     raise TurnTooLargeAtStep(k - 1)
                 if nupper != upper:
-                    flips.append((k - 1, 1 if cross > 0 else -1 if cross < 0 else 0))
+                    sign = 1 if cross > 0 else -1 if cross < 0 else sheet_step(rx, ry, nrx, nry)
+                    flips.append((k - 1, sign))
                 yield atan2(cross, dot)
             rx = nrx
             ry = nry
@@ -193,23 +192,15 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
         turning = math.fsum(self._turns(flips))
         return tuple(flips), turning
 
-    @functools.cached_property
+    @property
     def crossings(self) -> tuple[tuple[int, int], ...]:
         """The steps whose relative vector changes :func:`upper_half_plane`
         half, as (k, sign) for step k (config k -> k+1) in path order.
 
         sign is that step's :func:`sheet_step`, +1 counter-clockwise and -1
-        clockwise, so the signs sum to twice the winding.  A crossing with no
-        representable sign raises RoundingInconsistency on every access.
+        clockwise, so the signs sum to twice the winding.
         """
-        flips = self._pass[0]
-        configs = self.configs
-        for k, sign in flips:
-            if not sign:
-                ax1, ay1, ax2, ay2 = configs[k]
-                bx1, by1, bx2, by2 = configs[k + 1]
-                sheet_step(ax1 - ax2, ay1 - ay2, bx1 - bx2, by1 - by2)
-        return flips
+        return self._pass[0]
 
 
 class EndpointPair(namedtuple("EndpointPair", "start end")):
@@ -227,6 +218,7 @@ class LatticeSpec(namedtuple("LatticeSpec", "extent spacing moves")):
     def __new__(
         cls, extent: int, spacing: float = 1.0, moves: Sequence[tuple[int, int]] = DEFAULT_MOVES
     ) -> LatticeSpec:
+        extent = check_count("extent", extent)
         if extent < 1:
             raise ValidationError(f"extent must be >= 1, got {extent}")
         check_finite_positive("spacing", spacing)
@@ -235,7 +227,7 @@ class LatticeSpec(namedtuple("LatticeSpec", "extent spacing moves")):
     def config(self, site1: tuple[int, int], site2: tuple[int, int]) -> TwoParticleConfig:
         (i1, j1), (i2, j2) = site1, site2
         sp = self.spacing
-        return _config(i1 * sp, j1 * sp, i2 * sp, j2 * sp)
+        return TwoParticleConfig(i1 * sp, j1 * sp, i2 * sp, j2 * sp)
 
 
 def upper_half_plane(rx: float, ry: float) -> bool:
@@ -292,11 +284,12 @@ def validate_path(path: DiscretePath) -> None:
     """Raise on the first invariant violation along the path.
 
     Checks, in path order: no coincident configuration, a finite relative
-    vector, and every step turns the relative vector by strictly less than
-    pi.  CoincidenceAtStep carries the config index, TurnTooLargeAtStep the
-    step index (config k -> k+1).  The checks are the one pass over the
-    path that also records its crossings and turning, so a valid path object
-    is validated once however often this is called.
+    vector, a turn of strictly less than pi per step, and a :func:`sheet_step`
+    sign for each crossing, so a valid path can always be classified.
+    CoincidenceAtStep carries the config index, TurnTooLargeAtStep the step
+    index (config k -> k+1).  The checks are the one pass over the path that
+    also records its crossings and turning, so a valid path object is
+    validated once however often this is called.
     """
     path._pass
 
@@ -329,7 +322,7 @@ _JSON_NUMBERS = frozenset((int, float))
 
 
 def _configs_from_json(pairs) -> Iterator[TwoParticleConfig]:
-    """The configurations of JSON position pairs [[x1, y1], [x2, y2]], as :func:`_config` builds them.
+    """The configurations of JSON position pairs [[x1, y1], [x2, y2]], as TwoParticleConfig builds them.
 
     A position that is not a pair, or a coordinate that is not a JSON number
     (a string, a boolean), is refused with TypeError or ValueError.
@@ -342,11 +335,11 @@ def _configs_from_json(pairs) -> Iterator[TwoParticleConfig]:
                 and type(x2) in number and type(y2) in number):
             raise TypeError(f"coordinates must be numbers, got {[[x1, y1], [x2, y2]]!r}")
         x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
-        # finite coordinates have a finite sum unless it overflows; then _config builds the config
+        # finite coordinates have a finite sum unless it overflows; then the constructor checks them
         if isfinite(x1 + y1 + x2 + y2):
             yield new(TwoParticleConfig, (x1, y1, x2, y2))
         else:
-            yield _config(x1, y1, x2, y2)
+            yield TwoParticleConfig(x1, y1, x2, y2)
 
 
 def path_from_json_dict(data: dict) -> DiscretePath:
@@ -397,7 +390,7 @@ def _joint_moves(moves: Sequence[tuple[int, int]]) -> tuple[tuple[int, int, int,
 
 
 def _check_endpoints(start4: tuple[int, ...], end4: tuple[int, ...], n_steps: int) -> None:
-    if n_steps < 1:
+    if check_count("n_steps", n_steps) < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     if start4[0] == start4[2] and start4[1] == start4[3]:
         raise ValidationError("start configuration is coincident")
@@ -481,7 +474,7 @@ def enumerate_walks(
             yield from rec(nxt, left - 1, trail + (nxt,))
 
     for trail in rec(start4, n_steps, (start4,)):
-        configs = tuple(_config(a * sp, b * sp, c * sp, d * sp) for a, b, c, d in trail)
+        configs = tuple(TwoParticleConfig(a * sp, b * sp, c * sp, d * sp) for a, b, c, d in trail)
         yield DiscretePath(dt=dt, configs=configs)
 
 

@@ -41,6 +41,7 @@ from .amplitudes import (
 from .config_space import (
     DiscretePath,
     TwoParticleConfig,
+    check_count,
     check_finite_positive,
     swap,
     validate_path,
@@ -77,6 +78,7 @@ class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt directi
         cls, radius: float, n_steps: int, dt: float, direction: Direction = Direction.CCW
     ) -> ExchangeGeometry:
         check_finite_positive("radius", radius)
+        n_steps = check_count("n_steps", n_steps)
         if n_steps < 2:
             raise ValidationError(f"n_steps must be >= 2, got {n_steps}")
         check_finite_positive("dt", dt)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from anyonsim import DiscretePath, TwoParticleConfig, Vec2
+from anyonsim import DiscretePath, TwoParticleConfig
 
 #: copy, deepcopy and a pickle round trip at every protocol, by name
 CLONES = {
@@ -72,7 +72,7 @@ MOVES = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 def lattice_path(sites, dt=1.0, spacing=1.0):
     """Build a DiscretePath from (x1, y1, x2, y2) integer site tuples."""
     configs = tuple(
-        TwoParticleConfig(Vec2(a * spacing, b * spacing), Vec2(c * spacing, d * spacing))
+        TwoParticleConfig(a * spacing, b * spacing, c * spacing, d * spacing)
         for a, b, c, d in sites
     )
     return DiscretePath(dt=dt, configs=configs)
@@ -82,7 +82,7 @@ def relative_path(rel_points, dt=1.0, origin=(0.0, 0.0)):
     """Path with particle 2 pinned at origin and particle 1 at origin + r."""
     ox, oy = origin
     configs = tuple(
-        TwoParticleConfig(Vec2(ox + rx, oy + ry), Vec2(ox, oy)) for rx, ry in rel_points
+        TwoParticleConfig(ox + rx, oy + ry, ox, oy) for rx, ry in rel_points
     )
     return DiscretePath(dt=dt, configs=configs)
 
@@ -90,7 +90,7 @@ def relative_path(rel_points, dt=1.0, origin=(0.0, 0.0)):
 def antipodal_path(rel_points, dt=1.0):
     """Path with the particles at +/- r/2, so reversing r swaps the pair."""
     configs = tuple(
-        TwoParticleConfig(Vec2(rx / 2, ry / 2), Vec2(-rx / 2, -ry / 2))
+        TwoParticleConfig(rx / 2, ry / 2, -rx / 2, -ry / 2)
         for rx, ry in rel_points
     )
     return DiscretePath(dt=dt, configs=configs)

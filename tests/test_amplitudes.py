@@ -19,7 +19,6 @@ from anyonsim import (
     ResolvedKernel,
     StatisticsSpec,
     TwoParticleConfig,
-    Vec2,
     action,
     anyonic_kernel,
     anyonic_weight,
@@ -170,6 +169,16 @@ class TestResolvedKernel:
         ):
             resolved_kernel(lattice, ep, 4000)
 
+    @pytest.mark.parametrize("n_steps", [2.5, 1e9, math.nan, "2"], ids=repr)
+    def test_steps_that_are_not_an_integer_refused(self, n_steps):
+        # refused before the budget, which they used to reach as a bare
+        # TypeError or a bound of 25^1000000000.0
+        lattice = LatticeSpec(extent=2)
+        ep = EndpointPair(lattice.config((0, 0), (2, 0)), lattice.config((0, 0), (2, 0)))
+        with pytest.raises(ValidationError) as caught:
+            resolved_kernel(lattice, ep, n_steps)
+        assert str(caught.value) == f"n_steps must be an integer, got {n_steps!r}"
+
     @pytest.mark.parametrize(
         "params,dt",
         [(PhysicsParams(mass=1e308), 1e-10), (PhysicsParams(hbar=1e-200), 1e-200)],
@@ -219,7 +228,7 @@ def jittered_requests(draw):
         x1, y1, x2, y2 = (
             i * spacing + (draw(jitter) * spacing if jittered else 0.0) for i in sites
         )
-        return TwoParticleConfig(Vec2(x1, y1), Vec2(x2, y2))
+        return TwoParticleConfig(x1, y1, x2, y2)
 
     lattice = LatticeSpec(extent=extent, spacing=spacing)
     exact = EndpointPair(config(start4, False), config(end4, False))
@@ -301,7 +310,7 @@ class TestAnyonicWeight:
 
 
 def _exchange_kernel(a, b):
-    start = TwoParticleConfig(Vec2(-1, 0), Vec2(1, 0))
+    start = TwoParticleConfig(-1, 0, 1, 0)
     return ResolvedKernel(
         endpoints=EndpointPair(start, swap(start)),
         n_steps=2,
@@ -317,7 +326,7 @@ class TestAnyonicKernel:
     @pytest.mark.parametrize("partials", [{}, {HomotopyClass(Kind.EXCHANGE, 0.5): 1j}])
     def test_non_finite_theta_refused(self, theta, partials):
         # with no classes there is no theta*w to refuse, and theta alone was printed
-        ends = TwoParticleConfig(Vec2(1.0, 0.0), Vec2(-1.0, 0.0))
+        ends = TwoParticleConfig(1.0, 0.0, -1.0, 0.0)
         kernel = ResolvedKernel(EndpointPair(ends, swap(ends)), 3, partials)
         with pytest.raises(ValidationError, match=f"^theta must be finite, got {theta}$"):
             anyonic_kernel(kernel, theta)
@@ -350,7 +359,7 @@ class TestAnyonicKernel:
         )
 
     def test_two_pi_shift_leaves_direct_kernel_alone(self):
-        start = TwoParticleConfig(Vec2(-1, 0), Vec2(1, 0))
+        start = TwoParticleConfig(-1, 0, 1, 0)
         kernel = ResolvedKernel(
             endpoints=EndpointPair(start, start),
             n_steps=4,
@@ -473,8 +482,8 @@ class TestNoninteractingAlpha:
 
 # --- the record types: named tuples built through their checks ---------------
 
-A = TwoParticleConfig(Vec2(1.0, 0.0), Vec2(0.0, 0.0))
-A_TEXT = "TwoParticleConfig(p1=Vec2(x=1.0, y=0.0), p2=Vec2(x=0.0, y=0.0))"
+A = TwoParticleConfig(1.0, 0.0, 0.0, 0.0)
+A_TEXT = "TwoParticleConfig(x1=1.0, y1=0.0, x2=0.0, y2=0.0)"
 CLOSED = EndpointPair(A, A)
 DIRECT_0 = HomotopyClass(Kind.DIRECT, 0.0)
 
@@ -541,7 +550,7 @@ SWAPPED_HALF = {HomotopyClass(Kind.EXCHANGE, 0.5): 1j}
         ),
         (
             ResolvedKernel,
-            {"endpoints": EndpointPair(A, TwoParticleConfig(Vec2(0.0, 1.0), Vec2(0.0, 0.0)))},
+            {"endpoints": EndpointPair(A, TwoParticleConfig(0.0, 1.0, 0.0, 0.0))},
             EndpointsNotClosedOrExchanged,
             "endpoints must be equal (Direct) or swapped (Exchange) to resolve winding classes",
         ),

@@ -90,8 +90,18 @@ class TestWinding:
             (b'{"dt": 1' + b"0" * 5000 + b', "configs": []}', "ParseError"),
             (b'{"dt": 1' + b"0" * 400 + b', "configs": []}', "ValidationError"),
             (b'{"dt": 1, "configs": [[[1' + b"0" * 400 + b", 0], [0, 0]]]}", "ValidationError"),
+            # nesting past the recursion limit used to crash with a RecursionError traceback
+            (b"[" * 10**5, "ParseError"),
+            (b'{"dt": 1, "configs": ' + b"[" * 10**5, "ParseError"),
         ],
-        ids=["not-utf8", "past-int-digit-limit", "dt-past-float-range", "coordinate-past-float-range"],
+        ids=[
+            "not-utf8",
+            "past-int-digit-limit",
+            "dt-past-float-range",
+            "coordinate-past-float-range",
+            "nested-past-recursion-limit",
+            "configs-nested-past-recursion-limit",
+        ],
     )
     def test_unloadable_file_is_one_error_line(self, capsys, tmp_path, content, error):
         target = tmp_path / "unloadable.json"
@@ -797,6 +807,7 @@ MALFORMED_FILES = st.sampled_from(
         b"[]",
         b"\xff\xfe",
         b'{"dt": 1' + b"0" * 5000 + b', "configs": []}',
+        b'{"dt": 0.1, "configs": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",
     )
 )
 

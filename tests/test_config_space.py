@@ -46,7 +46,7 @@ KING_MOVES = MOVES + ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
 def cfg(x1, y1, x2, y2):
-    return TwoParticleConfig(Vec2(x1, y1), Vec2(x2, y2))
+    return TwoParticleConfig(x1, y1, x2, y2)
 
 
 class TestVec2:
@@ -90,8 +90,8 @@ class TestTwoParticleConfig:
         x1, y1, x2, y2 = c
         assert (x1, y1, x2, y2) == (c[0], c[1], c[2], c[3]) == (1.0, 2.0, 3.0, 4.0)
         assert c < swap(c)
-        assert repr(c) == "TwoParticleConfig(p1=Vec2(x=1.0, y=2.0), p2=Vec2(x=3.0, y=4.0))"
-        assert TwoParticleConfig(p1=Vec2(1.0, 2.0), p2=Vec2(3.0, 4.0)) == c
+        assert repr(c) == "TwoParticleConfig(x1=1.0, y1=2.0, x2=3.0, y2=4.0)"
+        assert TwoParticleConfig(x1=1.0, y1=2.0, x2=3.0, y2=4.0) == c
 
     @pytest.mark.parametrize("clone", list(CLONES.values()), ids=list(CLONES))
     def test_copy_and_pickle_round_trip(self, clone):
@@ -104,8 +104,10 @@ class TestTwoParticleConfig:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(finite_coords, finite_coords, finite_coords, finite_coords)
     def test_coordinate_and_vec2_construction_agree(self, x1, y1, x2, y2):
-        built = TwoParticleConfig(Vec2(x1, y1), Vec2(x2, y2))
+        # the JSON loader's unchecked fast path builds what the constructor builds
+        built = TwoParticleConfig(x1, y1, x2, y2)
         loaded = path_from_json_dict({"dt": 1.0, "configs": [[[x1, y1], [x2, y2]]] * 2}).start
+        assert type(loaded) is type(built) is TwoParticleConfig
         assert loaded == built and hash(loaded) == hash(built)
         assert loaded.p1 == built.p1 == Vec2(x1, y1)
         assert loaded.p2 == built.p2 == Vec2(x2, y2)
@@ -352,6 +354,20 @@ class TestWalkCensus:
         for _ in range(25):
             validate_path(random_valid_walk(rng, extent=2, n_steps=6))
 
+    @pytest.mark.parametrize(
+        "count",
+        [walk_census, lambda *a: list(enumerate_walks(*a))],
+        ids=["walk_census", "enumerate_walks"],
+    )
+    @pytest.mark.parametrize("n_steps", [2.5, 2.0, math.nan, "2"], ids=repr)
+    def test_steps_that_are_not_an_integer_refused(self, count, n_steps):
+        # they used to reach range() and raise a bare TypeError
+        lattice = LatticeSpec(extent=2)
+        ep = EndpointPair(lattice.config((0, 0), (2, 0)), lattice.config((0, 0), (2, 0)))
+        with pytest.raises(ValidationError) as caught:
+            count(lattice, ep, n_steps)
+        assert str(caught.value) == f"n_steps must be an integer, got {n_steps!r}"
+
 
 @st.composite
 def census_instances(
@@ -510,16 +526,17 @@ def test_census_composes_over_midpoints(instance):
 
 # --- the record types: named tuples built through their checks ---------------
 
-A = TwoParticleConfig(Vec2(1.0, 0.0), Vec2(0.0, 0.0))
-B = TwoParticleConfig(Vec2(0.0, 1.0), Vec2(0.0, 0.0))
-A_TEXT = "TwoParticleConfig(p1=Vec2(x=1.0, y=0.0), p2=Vec2(x=0.0, y=0.0))"
-B_TEXT = "TwoParticleConfig(p1=Vec2(x=0.0, y=1.0), p2=Vec2(x=0.0, y=0.0))"
+A = TwoParticleConfig(1.0, 0.0, 0.0, 0.0)
+B = TwoParticleConfig(0.0, 1.0, 0.0, 0.0)
+A_TEXT = "TwoParticleConfig(x1=1.0, y1=0.0, x2=0.0, y2=0.0)"
+B_TEXT = "TwoParticleConfig(x1=0.0, y1=1.0, x2=0.0, y2=0.0)"
 
 
 @pytest.mark.parametrize(
     "cls, args, text",
     [
         (Vec2, (1.0, -2.5), "Vec2(x=1.0, y=-2.5)"),
+        (TwoParticleConfig, (1.0, 0.0, 0.0, 0.0), A_TEXT),
         (DiscretePath, (0.1, (A, B)), f"DiscretePath(dt=0.1, configs=({A_TEXT}, {B_TEXT}))"),
         (EndpointPair, (A, B), f"EndpointPair(start={A_TEXT}, end={B_TEXT})"),
         (
@@ -546,7 +563,12 @@ def test_path_caches_survive_copy_and_replace():
 
 
 # valid field values that each refusal below spoils
-VALID = {Vec2: (0, 0), DiscretePath: (0.1, (A, B)), LatticeSpec: (2, 1.0, DEFAULT_MOVES)}
+VALID = {
+    Vec2: (0, 0),
+    TwoParticleConfig: tuple(A),
+    DiscretePath: (0.1, (A, B)),
+    LatticeSpec: (2, 1.0, DEFAULT_MOVES),
+}
 
 
 @pytest.mark.parametrize(
@@ -568,6 +590,18 @@ VALID = {Vec2: (0, 0), DiscretePath: (0.1, (A, B)), LatticeSpec: (2, 1.0, DEFAUL
         (LatticeSpec, {"extent": 0, "spacing": math.nan}, ValidationError, "extent must be >= 1, got 0"),
         (LatticeSpec, {"spacing": -1.0, "moves": (5,)}, ValidationError, "spacing must be finite and > 0, got -1.0"),
         (LatticeSpec, {"moves": (5,)}, TypeError, "'int' object is not iterable"),
+        # a NaN extent would leave every bound test false, so the lattice unbounded
+        (LatticeSpec, {"extent": math.nan}, ValidationError, "extent must be an integer, got nan"),
+        (LatticeSpec, {"extent": 2.5}, ValidationError, "extent must be an integer, got 2.5"),
+        (LatticeSpec, {"extent": 2.0}, ValidationError, "extent must be an integer, got 2.0"),
+        (LatticeSpec, {"extent": "2"}, ValidationError, "extent must be an integer, got '2'"),
+        (TwoParticleConfig, {"x1": math.nan}, ValidationError, "non-finite vector component (nan, 0.0)"),
+        (TwoParticleConfig, {"y1": math.inf}, ValidationError, "non-finite vector component (1.0, inf)"),
+        (TwoParticleConfig, {"x2": -math.inf}, ValidationError, "non-finite vector component (-inf, 0.0)"),
+        (TwoParticleConfig, {"y2": math.nan}, ValidationError, "non-finite vector component (0.0, nan)"),
+        # p1's pair is checked before p2's
+        (TwoParticleConfig, {"y1": math.nan, "x2": math.inf}, ValidationError, "non-finite vector component (1.0, nan)"),
+        (TwoParticleConfig, {"x2": "0"}, TypeError, "must be real number, not str"),
     ],
 )
 def test_invalid_record_refused(cls, bad, error, message):

@@ -95,22 +95,19 @@ class TestFundamentalDomain:
     def test_exactly_one_of_config_and_swap(self):
         rng = random.Random(19)
         for _ in range(500):
-            c = TwoParticleConfig(
-                Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-                Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-            )
+            c = TwoParticleConfig(*(rng.uniform(-3, 3) for _ in range(4)))
             if c.p1 == c.p2:
                 continue
             assert in_domain(c) != in_domain(swap(c))
 
     def test_boundary_rays(self):
-        assert in_domain(TwoParticleConfig(Vec2(1, 0), Vec2(-1, 0)))
-        assert not in_domain(TwoParticleConfig(Vec2(-1, 0), Vec2(1, 0)))
+        assert in_domain(TwoParticleConfig(1, 0, -1, 0))
+        assert not in_domain(TwoParticleConfig(-1, 0, 1, 0))
 
 
 class TestStepFactors:
     def test_stationary_step_at_separation_two(self):
-        c = TwoParticleConfig(Vec2(1.0, 0.0), Vec2(-1.0, 0.0))
+        c = TwoParticleConfig(1.0, 0.0, -1.0, 0.0)
         path = DiscretePath(dt=1.0, configs=(c, c))
         (factor,) = step_factors(path)
         assert factor.alpha_dir == 1 + 0j
@@ -121,7 +118,7 @@ class TestStepFactors:
         assert not factor.flipped
 
     def test_halving_dt_doubles_opposite_phase(self):
-        c = TwoParticleConfig(Vec2(1.0, 0.0), Vec2(-1.0, 0.0))
+        c = TwoParticleConfig(1.0, 0.0, -1.0, 0.0)
         coarse = step_factors(DiscretePath(dt=1.0, configs=(c, c)))[0]
         fine = step_factors(DiscretePath(dt=0.5, configs=(c, c)))[0]
         assert fine.action_op == pytest.approx(2 * coarse.action_op)
@@ -468,6 +465,11 @@ def test_geometry_defaults():
         # radius, then n_steps, then dt
         ({"radius": math.nan, "n_steps": 1, "dt": 0.0}, ValidationError, "radius must be finite and > 0, got nan"),
         ({"n_steps": 1, "dt": 0.0}, ValidationError, "n_steps must be >= 2, got 1"),
+        # build_exchange_path used to meet a fractional n_steps as a bare TypeError
+        ({"n_steps": 2.5}, ValidationError, "n_steps must be an integer, got 2.5"),
+        ({"n_steps": math.nan}, ValidationError, "n_steps must be an integer, got nan"),
+        ({"n_steps": 4.0, "dt": 0.0}, ValidationError, "n_steps must be an integer, got 4.0"),
+        ({"radius": 0.0, "n_steps": 2.5}, ValidationError, "radius must be finite and > 0, got 0.0"),
     ],
 )
 def test_invalid_geometry_refused(bad, error, message):

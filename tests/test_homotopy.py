@@ -17,6 +17,7 @@ from anyonsim import (
     class_relative,
     classify,
     concat_paths,
+    path_amplitude,
     reverse_path,
     step_factors,
     swap,
@@ -87,7 +88,7 @@ class TestTotalAngle:
         shifted = DiscretePath(
             walk.dt,
             tuple(
-                TwoParticleConfig(Vec2(x1 + sx, y1 + sy), Vec2(x2 + sx, y2 + sy))
+                TwoParticleConfig(x1 + sx, y1 + sy, x2 + sx, y2 + sy)
                 for x1, y1, x2, y2 in walk.configs
             ),
         )
@@ -142,8 +143,9 @@ class TestClassify:
             validate_path(relative_path([(tiny, 0.0), (-tiny, 0.0)]))
 
     def test_overflowing_turn_sign_is_refused(self):
-        # a valid closed loop whose first step crosses the half-planes with a
-        # cross product inf - inf = NaN, so that crossing has no sign
+        # a closed loop of turns below pi whose first step crosses the
+        # half-planes with a cross product inf - inf = NaN, so that crossing
+        # has no sign
         huge = 1e200
         corners = [(-huge, huge), (huge, -huge / 2), (huge, huge), (-huge, huge)]
         path = relative_path(corners)
@@ -155,6 +157,27 @@ class TestClassify:
                 path.crossings
         with pytest.raises(RoundingInconsistency):
             step_factors(path)
+        # the crossing is checked by the validating pass itself, so the path
+        # no longer validates, nor gives a NaN turning or an amplitude
+        message = (
+            "turn from (-1e+200, 1e+200) to (1e+200, -5e+199) changes half-plane but has no sign"
+        )
+        for read in (validate_path, total_angle, path_amplitude) * 2:
+            with pytest.raises(RoundingInconsistency) as caught:
+                read(path)
+            assert str(caught.value) == message, read.__name__
+
+    def test_first_defect_in_path_order_is_reported(self):
+        huge = 1e200
+        # the sign-less crossing of step 0 comes before the coincident config 3
+        path = relative_path([(-huge, huge), (huge, -huge / 2), (huge, huge), (0.0, 0.0)])
+        for read in (validate_path, classify, total_angle):
+            with pytest.raises(RoundingInconsistency, match="has no sign$"):
+                read(path)
+        # and a coincident config 0 comes before that crossing
+        path = relative_path([(0.0, 0.0), (-huge, huge), (huge, -huge / 2), (huge, huge)])
+        with pytest.raises(CoincidenceAtStep, match="^particles coincide at config 0$"):
+            classify(path)
 
     def test_swapped_endpoints_need_both_particles_swapped(self):
         # end is p1's swap only if both coordinates exchange
@@ -220,7 +243,7 @@ def float_path_pairs(draw):
             rs.append(cmath.rect(draw(magnitude), angle))
         assume(abs(math.remainder(end_angle - angle, TAU)) < 3.1)
         configs = [
-            TwoParticleConfig(Vec2(r.real / 2, r.imag / 2), Vec2(-r.real / 2, -r.imag / 2))
+            TwoParticleConfig(r.real / 2, r.imag / 2, -r.real / 2, -r.imag / 2)
             for r in rs
         ]
         configs.append(swap(configs[0]) if swapped else configs[0])
@@ -279,18 +302,18 @@ def float_paths(draw):
         r = cmath.rect(draw(st.floats(0.5, 2.0)) * scale, angle)
         half = Vec2(r.real / 2, r.imag / 2)
         configs.append(
-            TwoParticleConfig(Vec2(cx + half.x, cy + half.y), Vec2(cx - half.x, cy - half.y))
+            TwoParticleConfig(cx + half.x, cy + half.y, cx - half.x, cy - half.y)
         )
     defect = draw(st.sampled_from([None, "coincident", "antiparallel", "overflow"]))
     k = draw(st.integers(1 if defect == "antiparallel" else 0, len(configs) - 1))
     if defect == "coincident":
-        configs[k] = TwoParticleConfig(configs[k].p1, configs[k].p1)
+        configs[k] = TwoParticleConfig(*configs[k].p1, *configs[k].p1)
     elif defect == "antiparallel":
         x1, y1, x2, y2 = configs[k - 1]
         rx, ry = x1 - x2, y1 - y2
-        configs[k] = TwoParticleConfig(Vec2(-rx, -ry), Vec2(rx, ry))
+        configs[k] = TwoParticleConfig(-rx, -ry, rx, ry)
     elif defect == "overflow":
-        configs[k] = TwoParticleConfig(Vec2(1e308, cy), Vec2(-1e308, cy))
+        configs[k] = TwoParticleConfig(1e308, cy, -1e308, cy)
     return DiscretePath(1.0, configs)
 
 
