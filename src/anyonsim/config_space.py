@@ -142,7 +142,9 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     def _turns(self, flips: list[tuple[int, int]]) -> Iterator[float]:
         """The one validating pass over the path, as a generator.
 
-        Checks, in path order for each configuration: no coincidence
+        Checks, in path order for each configuration: four real coordinates
+        (ValidationError with the config index, from the unpacking or the
+        arithmetic that fails on anything else), no coincidence
         (CoincidenceAtStep with the config index), a finite relative vector
         r = p1 - p2 (ValidationError), and a turn of strictly less than pi
         from the previous r (TurnTooLargeAtStep with the step index, config
@@ -156,29 +158,33 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
         tiny = _TINY
         rx = ry = 0.0
         upper = False
-        for k, (x1, y1, x2, y2) in enumerate(self.configs):
-            if x1 == x2 and y1 == y2:
-                raise CoincidenceAtStep(k)
-            nrx = x1 - x2
-            nry = y1 - y2
-            # a finite pair has a finite sum unless the sum overflows
-            if not isfinite(nrx + nry) and not (isfinite(nrx) and isfinite(nry)):
-                raise ValidationError(f"non-finite vector component ({nrx}, {nry})")
-            nupper = nry > 0 or (nry == 0 and nrx > 0)
-            if k:
-                cross = rx * nry - ry * nrx
-                dot = rx * nrx + ry * nry
-                if dot < tiny and -tiny < dot and -tiny < cross < tiny:
-                    cross, dot = _rescaled_cross_dot(rx, ry, nrx, nry)
-                if cross == 0.0 and dot < 0.0:
-                    raise TurnTooLargeAtStep(k - 1)
-                if nupper != upper:
-                    sign = 1 if cross > 0 else -1 if cross < 0 else sheet_step(rx, ry, nrx, nry)
-                    flips.append((k - 1, sign))
-                yield atan2(cross, dot)
-            rx = nrx
-            ry = nry
-            upper = nupper
+        configs = self.configs
+        try:
+            for k, (x1, y1, x2, y2) in enumerate(configs):
+                if x1 == x2 and y1 == y2:
+                    raise CoincidenceAtStep(k)
+                nrx = x1 - x2
+                nry = y1 - y2
+                # a finite pair has a finite sum unless the sum overflows
+                if not isfinite(nrx + nry) and not (isfinite(nrx) and isfinite(nry)):
+                    raise ValidationError(f"non-finite vector component ({nrx}, {nry})")
+                nupper = nry > 0 or (nry == 0 and nrx > 0)
+                if k:
+                    cross = rx * nry - ry * nrx
+                    dot = rx * nrx + ry * nry
+                    if dot < tiny and -tiny < dot and -tiny < cross < tiny:
+                        cross, dot = _rescaled_cross_dot(rx, ry, nrx, nry)
+                    if cross == 0.0 and dot < 0.0:
+                        raise TurnTooLargeAtStep(k - 1)
+                    if nupper != upper:
+                        sign = 1 if cross > 0 else -1 if cross < 0 else sheet_step(rx, ry, nrx, nry)
+                        flips.append((k - 1, sign))
+                    yield atan2(cross, dot)
+                rx = nrx
+                ry = nry
+                upper = nupper
+        except (TypeError, ValueError):
+            raise ValidationError(f"configuration {k} is not four coordinates: {configs[k]!r}") from None
 
     @functools.cached_property
     def _pass(self) -> tuple[tuple[tuple[int, int], ...], float]:
@@ -209,6 +215,15 @@ class EndpointPair(namedtuple("EndpointPair", "start end")):
     __slots__ = ()
 
 
+def _check_move(move) -> tuple[int, int]:
+    """move, made a tuple, as a pair of counts (dx, dy); any other length or a
+    component that is not an integer is refused with ValidationError."""
+    move = tuple(move)
+    if len(move) != 2:
+        raise ValidationError(f"a move must be a pair (dx, dy), got {move!r}")
+    return check_count("move dx", move[0]), check_count("move dy", move[1])
+
+
 class LatticeSpec(namedtuple("LatticeSpec", "extent spacing moves")):
     """Square lattice of sites (i, j) * spacing with |i|, |j| <= extent."""
 
@@ -222,7 +237,7 @@ class LatticeSpec(namedtuple("LatticeSpec", "extent spacing moves")):
         if extent < 1:
             raise ValidationError(f"extent must be >= 1, got {extent}")
         check_finite_positive("spacing", spacing)
-        return tuple.__new__(cls, (extent, spacing, tuple(tuple(m) for m in moves)))
+        return tuple.__new__(cls, (extent, spacing, tuple(_check_move(m) for m in moves)))
 
     def config(self, site1: tuple[int, int], site2: tuple[int, int]) -> TwoParticleConfig:
         (i1, j1), (i2, j2) = site1, site2
@@ -283,9 +298,10 @@ def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
 def validate_path(path: DiscretePath) -> None:
     """Raise on the first invariant violation along the path.
 
-    Checks, in path order: no coincident configuration, a finite relative
-    vector, a turn of strictly less than pi per step, and a :func:`sheet_step`
-    sign for each crossing, so a valid path can always be classified.
+    Checks, in path order: configurations of four coordinates, no coincident
+    configuration, a finite relative vector, a turn of strictly less than pi
+    per step, and a :func:`sheet_step` sign for each crossing, so a valid path
+    can always be classified.
     CoincidenceAtStep carries the config index, TurnTooLargeAtStep the step
     index (config k -> k+1).  The checks are the one pass over the path that
     also records its crossings and turning, so a valid path object is
@@ -321,25 +337,33 @@ def path_to_json_dict(path: DiscretePath) -> dict:
 _JSON_NUMBERS = frozenset((int, float))
 
 
-def _configs_from_json(pairs) -> Iterator[TwoParticleConfig]:
+def _configs_from_json(pairs) -> list[TwoParticleConfig]:
     """The configurations of JSON position pairs [[x1, y1], [x2, y2]], as TwoParticleConfig builds them.
 
     A position that is not a pair, or a coordinate that is not a JSON number
-    (a string, a boolean), is refused with TypeError or ValueError.
+    (a string, a boolean), is refused with TypeError or ValueError.  Each entry
+    of a list is set to None once converted, so the tree shrinks as the
+    configurations grow; any other iterable is left as it is.
     """
     new = tuple.__new__
     isfinite = math.isfinite
     number = _JSON_NUMBERS
-    for (x1, y1), (x2, y2) in pairs:
+    owned = type(pairs) is list
+    configs = []
+    append = configs.append
+    for k, ((x1, y1), (x2, y2)) in enumerate(pairs):
         if not (type(x1) in number and type(y1) in number
                 and type(x2) in number and type(y2) in number):
             raise TypeError(f"coordinates must be numbers, got {[[x1, y1], [x2, y2]]!r}")
         x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
         # finite coordinates have a finite sum unless it overflows; then the constructor checks them
         if isfinite(x1 + y1 + x2 + y2):
-            yield new(TwoParticleConfig, (x1, y1, x2, y2))
+            append(new(TwoParticleConfig, (x1, y1, x2, y2)))
         else:
-            yield TwoParticleConfig(x1, y1, x2, y2)
+            append(TwoParticleConfig(x1, y1, x2, y2))
+        if owned:
+            pairs[k] = None
+    return configs
 
 
 def path_from_json_dict(data: dict) -> DiscretePath:
@@ -347,13 +371,17 @@ def path_from_json_dict(data: dict) -> DiscretePath:
 
     Anything else, down to a coordinate or dt that is not a JSON number or a
     position that is not a pair, is refused with ValidationError.
+
+    A ``configs`` list is consumed: each of its entries is replaced by None
+    as soon as it is converted, so a loaded file is held once, as JSON or as
+    configurations, never as both.  A tuple or other iterable is left as is.
     """
     try:
         dt = data["dt"]
         if type(dt) not in _JSON_NUMBERS:
             raise TypeError(f"dt must be a number, got {dt!r}")
         dt = float(dt)
-        configs = tuple(_configs_from_json(data["configs"]))
+        configs = _configs_from_json(data["configs"])
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:

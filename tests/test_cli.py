@@ -129,6 +129,25 @@ class TestWinding:
         assert code == 2 and out == ""
         assert re.fullmatch(r"anyonsim: ValidationError: malformed path JSON: [^\n]+\n", err)
 
+    @pytest.mark.parametrize(
+        "pair, detail",
+        [
+            ([[0, 1]], "not enough values to unpack (expected 2, got 1)"),
+            ([[0, "1"], [0, 0]], "coordinates must be numbers, got [[0, '1'], [0, 0]]"),
+            ([[0, 10**400], [0, 0]], "int too large to convert to float"),
+        ],
+        ids=["not-a-pair", "string", "past-float-range"],
+    )
+    def test_malformed_pair_midway_is_one_error_line(self, capsys, tmp_path, pair, detail):
+        # the pairs before it are already converted, and freed, when it is read
+        configs = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[-1, 0], [0, 0]], [[0, -1], [0, 0]]] * 250
+        configs[601] = pair
+        target = tmp_path / "midway.json"
+        target.write_text(json.dumps({"dt": 1.0, "configs": configs}), encoding="utf-8")
+        code, out, err = run(capsys, ["winding", str(target)])
+        assert (code, out) == (2, "")
+        assert err == f"anyonsim: ValidationError: malformed path JSON: {detail}\n"
+
     def test_int_and_negative_zero_coordinates_are_exact(self, capsys, tmp_path):
         target = tmp_path / "ints.json"
         target.write_text(

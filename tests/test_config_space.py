@@ -1,7 +1,9 @@
 import copy
 import itertools
+import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +159,25 @@ class TestValidatePath:
         with pytest.raises(ValidationError, match=r"^non-finite vector component \(inf, 0\.0\)$"):
             check(path)
 
+    @pytest.mark.parametrize("check", [validate_path, classify, total_angle])
+    @pytest.mark.parametrize(
+        "configs, message",
+        [
+            ([(1.0, 0.0, 0.0), (1.0, 0.0, 0.0)], "configuration 0 is not four coordinates: (1.0, 0.0, 0.0)"),
+            ([cfg(0, 0, 1, 0), (0.0, 1.0, 0.0, 0.0, 0.0)], "configuration 1 is not four coordinates: (0.0, 1.0, 0.0, 0.0, 0.0)"),
+            ([cfg(0, 0, 1, 0), cfg(0, 1, 1, 0), 5], "configuration 2 is not four coordinates: 5"),
+            ([cfg(0, 0, 1, 0), "abcd"], "configuration 1 is not four coordinates: 'abcd'"),
+        ],
+        ids=["three", "five", "not-iterable", "string"],
+    )
+    def test_configuration_that_is_not_four_coordinates_refused(self, check, configs, message):
+        # refused by the one validating pass, which names the configuration
+        path = DiscretePath(dt=1.0, configs=configs)
+        for _ in range(2):
+            with pytest.raises(ValidationError) as err:
+                check(path)
+            assert type(err.value) is ValidationError and str(err.value) == message
+
     def test_invalid_path_raises_on_every_call(self):
         path = DiscretePath(dt=1.0, configs=(cfg(0, 0, 1, 0), cfg(1, 1, 1, 1)))
         for _ in range(2):
@@ -190,6 +211,45 @@ class TestPathHelpers:
     def test_malformed_json(self):
         with pytest.raises(ValidationError):
             path_from_json_dict({"dt": 1.0, "configs": [[[0, 0]]]})
+
+    def test_configs_list_is_consumed(self):
+        p = lattice_path([(0, 0, 2, 0), (0, 1, 2, 0), (1, 1, 2, 0)], dt=0.25)
+        data = path_to_json_dict(p)
+        assert path_from_json_dict(data) == p
+        assert data["configs"] == [None, None, None]
+
+    def test_configs_tuple_is_read_unchanged(self):
+        p = lattice_path([(0, 0, 2, 0), (0, 1, 2, 0), (1, 1, 2, 0)], dt=0.25)
+        pairs = tuple(path_to_json_dict(p)["configs"])
+        before = copy.deepcopy(pairs)
+        loaded = path_from_json_dict({"dt": 0.25, "configs": pairs})
+        assert loaded == p and type(loaded.start) is TwoParticleConfig
+        assert pairs == before
+
+    def test_loading_peaks_at_the_json_tree(self):
+        # particle 1 laps particle 2 on the 16-site ring of radius 2, as JSON ints;
+        # a tree kept whole until the path is built would peak at ~1.7 times the tree
+        ring = (
+            [(2, j) for j in range(-2, 2)] + [(i, 2) for i in range(2, -2, -1)]
+            + [(-2, j) for j in range(2, -2, -1)] + [(i, -2) for i in range(-2, 2)]
+        )
+        n_steps = 20000
+        text = json.dumps({"dt": 0.5, "configs": [[list(ring[k % 16]), [0, 0]] for k in range(n_steps + 1)]})
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            data = json.loads(text)
+            tree = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            path = path_from_json_dict(data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert path.n_steps == n_steps and classify(path).winding == n_steps / 16
+        assert peak <= 1.1 * tree, peak / tree
 
 
 class TestEnumerateWalks:
@@ -315,6 +375,11 @@ class TestLatticeSpec:
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValidationError):
             LatticeSpec(extent=2, spacing=0.0)
+
+    def test_moves_are_pairs_of_ints(self):
+        lattice = LatticeSpec(2, moves=[[np.int64(1), True], (0, 0)])
+        assert lattice.moves == ((1, 1), (0, 0))
+        assert all(type(d) is int for move in lattice.moves for d in move)
 
     def test_rejects_zero_steps(self):
         lattice = LatticeSpec(extent=1)
@@ -602,6 +667,11 @@ VALID = {
         # p1's pair is checked before p2's
         (TwoParticleConfig, {"y1": math.nan, "x2": math.inf}, ValidationError, "non-finite vector component (1.0, nan)"),
         (TwoParticleConfig, {"x2": "0"}, TypeError, "must be real number, not str"),
+        # each move is a pair of counts, so walk_census never meets a move it cannot
+        # unpack, nor counts a half-site move under a float ssq
+        (LatticeSpec, {"moves": ((1, 0, 0),)}, ValidationError, "a move must be a pair (dx, dy), got (1, 0, 0)"),
+        (LatticeSpec, {"moves": ((0.5, 0), (0, 0))}, ValidationError, "move dx must be an integer, got 0.5"),
+        (LatticeSpec, {"moves": ((0, 0), (1, math.nan))}, ValidationError, "move dy must be an integer, got nan"),
     ],
 )
 def test_invalid_record_refused(cls, bad, error, message):
