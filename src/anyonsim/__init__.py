@@ -35,7 +35,6 @@ from .config_space import (
     concat_paths,
     enumerate_walks,
     path_from_json_dict,
-    path_to_json_dict,
     reverse_path,
     swap,
     validate_path,
@@ -57,7 +56,6 @@ from .exchange import (
 from .homotopy import (
     HomotopyClass,
     Kind,
-    class_relative,
     classify,
     endpoint_kind,
     total_angle,

@@ -78,14 +78,17 @@ class StatisticsSpec(namedtuple("StatisticsSpec", "theta op_class")):
 
 
 class ResolvedKernel(namedtuple("ResolvedKernel", "endpoints n_steps partials")):
-    """Propagator split into per-winding-class partial amplitudes."""
+    """Propagator split into per-winding-class partial amplitudes, stored in
+    rising winding order, the order every sum over them and the JSON form take."""
 
     _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(
         cls, endpoints: EndpointPair, n_steps: int, partials: Mapping[HomotopyClass, complex]
     ) -> ResolvedKernel:
-        self = tuple.__new__(cls, (endpoints, n_steps, dict(partials)))
+        partials = dict(partials)
+        partials = {c: partials[c] for c in sorted(partials, key=lambda c: c.winding)}
+        self = tuple.__new__(cls, (endpoints, n_steps, partials))
         kind = self.kind
         for c in self.partials:
             if c.kind is not kind:
@@ -97,12 +100,9 @@ class ResolvedKernel(namedtuple("ResolvedKernel", "endpoints n_steps partials"))
         """Direct or Exchange, from the endpoints; computed once, since the kernel is frozen."""
         return endpoint_kind(self.endpoints.start, self.endpoints.end)
 
-    def sorted_classes(self) -> list[HomotopyClass]:
-        return sorted(self.partials, key=lambda c: c.winding)
-
     def total(self) -> complex:
         """Partition total: the unrestricted walk sum, recovered from the classes."""
-        return sum((self.partials[c] for c in self.sorted_classes()), 0j)
+        return sum(self.partials.values(), 0j)
 
     def to_json_dict(self) -> dict:
         (sx1, sy1, sx2, sy2), (ex1, ey1, ex2, ey2) = self.endpoints.start, self.endpoints.end
@@ -113,13 +113,8 @@ class ResolvedKernel(namedtuple("ResolvedKernel", "endpoints n_steps partials"))
             },
             "n_steps": self.n_steps,
             "partials": [
-                {
-                    "kind": c.kind.value,
-                    "winding": c.winding,
-                    "re": self.partials[c].real,
-                    "im": self.partials[c].imag,
-                }
-                for c in self.sorted_classes()
+                {"kind": c.kind.value, "winding": c.winding, "re": amp.real, "im": amp.imag}
+                for c, amp in self.partials.items()
             ],
         }
 
@@ -241,10 +236,7 @@ def anyonic_kernel(resolved: ResolvedKernel, theta: float) -> complex:
     the kernel has no classes."""
     if not math.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta}")
-    return sum(
-        (anyonic_weight(c, theta) * resolved.partials[c] for c in resolved.sorted_classes()),
-        0j,
-    )
+    return sum((anyonic_weight(c, theta) * amp for c, amp in resolved.partials.items()), 0j)
 
 
 # --- the three composition rules for outcome-sequence amplitudes -------------

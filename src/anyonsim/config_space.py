@@ -53,6 +53,14 @@ def check_finite_positive(name: str, value) -> None:
         raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
+def _iterate(value, what: str) -> Iterator:
+    """iter(value); a value that is not iterable is refused with ValidationError."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValidationError(f"{what}, got {value!r}") from None
+
+
 def check_count(name: str, value) -> int:
     """value as an int; anything that operator.index refuses is refused with ValidationError."""
     try:
@@ -121,7 +129,7 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, dt: float, configs: Sequence[TwoParticleConfig]) -> DiscretePath:
-        configs = tuple(configs)
+        configs = tuple(_iterate(configs, "configs must be an iterable of configurations"))
         check_finite_positive("dt", dt)
         if len(configs) < 2:
             raise ValidationError("a path needs at least two configurations")
@@ -216,9 +224,10 @@ class EndpointPair(namedtuple("EndpointPair", "start end")):
 
 
 def _check_move(move) -> tuple[int, int]:
-    """move, made a tuple, as a pair of counts (dx, dy); any other length or a
-    component that is not an integer is refused with ValidationError."""
-    move = tuple(move)
+    """move, made a tuple, as a pair of counts (dx, dy); anything but an
+    iterable of two, or a component that is not an integer, is refused with
+    ValidationError."""
+    move = tuple(_iterate(move, "a move must be a pair (dx, dy)"))
     if len(move) != 2:
         raise ValidationError(f"a move must be a pair (dx, dy), got {move!r}")
     return check_count("move dx", move[0]), check_count("move dy", move[1])
@@ -237,6 +246,7 @@ class LatticeSpec(namedtuple("LatticeSpec", "extent spacing moves")):
         if extent < 1:
             raise ValidationError(f"extent must be >= 1, got {extent}")
         check_finite_positive("spacing", spacing)
+        moves = _iterate(moves, "moves must be an iterable of (dx, dy) pairs")
         return tuple.__new__(cls, (extent, spacing, tuple(_check_move(m) for m in moves)))
 
     def config(self, site1: tuple[int, int], site2: tuple[int, int]) -> TwoParticleConfig:
@@ -324,13 +334,6 @@ def concat_paths(first: DiscretePath, second: DiscretePath) -> DiscretePath:
 
 
 # --- JSON form used by the CLI: {"dt": ..., "configs": [[[x1,y1],[x2,y2]], ...]}
-
-
-def path_to_json_dict(path: DiscretePath) -> dict:
-    return {
-        "dt": path.dt,
-        "configs": [[[x1, y1], [x2, y2]] for x1, y1, x2, y2 in path.configs],
-    }
 
 
 #: the Python types json gives JSON numbers as; bool, an int subclass, is not one

@@ -37,10 +37,6 @@ class RoundingInconsistency(AnyonSimError):
     """A half-plane crossing of the relative vector has no representable turn sign."""
 
 
-class NotComparable(AnyonSimError):
-    """Two paths with different endpoints have no relative winding."""
-
-
 class EndpointOffLattice(AnyonSimError):
     """An endpoint configuration does not sit on a lattice site."""
 

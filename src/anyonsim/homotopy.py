@@ -20,7 +20,7 @@ import enum
 from collections import namedtuple
 
 from .config_space import DiscretePath
-from .errors import EndpointsNotClosedOrExchanged, NotComparable
+from .errors import EndpointsNotClosedOrExchanged
 
 
 class Kind(enum.Enum):
@@ -80,11 +80,6 @@ def total_angle(path: DiscretePath) -> float:
     return path._pass[1]
 
 
-def _doubled_winding(path: DiscretePath) -> int:
-    """Sum the signs of the path's :attr:`DiscretePath.crossings`."""
-    return sum(sign for _, sign in path.crossings)
-
-
 def classify(path: DiscretePath) -> HomotopyClass:
     """Homotopy class of a closed (Direct) or swapped-endpoint (Exchange) path.
 
@@ -92,19 +87,6 @@ def classify(path: DiscretePath) -> HomotopyClass:
     relative vector, so it is exact.  RoundingInconsistency is raised only
     when a crossing step has no representable turning sign.
     """
-    w2 = _doubled_winding(path)
+    w2 = sum(sign for _, sign in path.crossings)
     return HomotopyClass(endpoint_kind(path.start, path.end), w2 / 2.0)
 
-
-def class_relative(path_a: DiscretePath, path_b: DiscretePath) -> int:
-    """Winding of path_a relative to path_b; 0 means homotopic.
-
-    Both paths must share start and end configurations.  Their lifted polar
-    angles then end a whole number of turns apart, so their half-plane
-    crossing counts differ by an even number, and half of it is returned.
-    """
-    w2_a = _doubled_winding(path_a)
-    w2_b = _doubled_winding(path_b)
-    if path_a.start != path_b.start or path_a.end != path_b.end:
-        raise NotComparable("paths have different endpoints")
-    return (w2_a - w2_b) // 2

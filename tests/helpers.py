@@ -69,6 +69,11 @@ def check_refusal(cls, args, bad, error, message):
 MOVES = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
 
+def json_path(sites, dt=1.0):
+    """lattice_path(sites, dt) in the JSON form of winding's file, built anew on each call."""
+    return {"dt": dt, "configs": [[[a, b], [c, d]] for a, b, c, d in sites]}
+
+
 def lattice_path(sites, dt=1.0, spacing=1.0):
     """Build a DiscretePath from (x1, y1, x2, y2) integer site tuples."""
     configs = tuple(

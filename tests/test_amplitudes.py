@@ -522,6 +522,13 @@ def test_record_defaults_and_normalized_maps():
     assert PermutationAmplitudes(1, [((0,), 2j)])._replace(n=2).alpha == {(0,): 2j}
 
 
+def test_kernel_classes_stored_in_winding_order():
+    classes = [HomotopyClass(Kind.DIRECT, w) for w in (1.0, -2.0, 0.0, -1.0)]
+    kernel = ResolvedKernel(CLOSED, 2, {c: 1j * c.winding for c in classes})
+    assert [c.winding for c in kernel.partials] == [-2.0, -1.0, 0.0, 1.0]
+    assert list(kernel.partials.values()) == [-2j, -1j, 0j, 1j]
+
+
 # valid field values that each refusal below spoils
 VALID = {
     PhysicsParams: (1.0, 1.0),

@@ -607,11 +607,14 @@ def test_golden_stdout(capsys, tmp_path, monkeypatch, argv, stdout):
     assert run(capsys, argv) == (0, stdout, "")
 
 
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
 def readme_examples():
     """Each ``$ anyonsim ...`` command of the README's sh blocks, with its
     continuation lines, and the output shown under it up to the next command
     or the end of the block."""
-    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     examples = []
     for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
         lines = iter(block.splitlines())
@@ -629,10 +632,11 @@ def readme_examples():
 
 
 @pytest.mark.parametrize("argv, shown", readme_examples())
-def test_readme_example(capsys, argv, shown):
-    # the README gives no path.json, so its winding example cannot be run
-    if argv == ["winding", "path.json"]:
-        pytest.skip("the README does not give path.json")
+def test_readme_example(capsys, tmp_path, monkeypatch, argv, shown):
+    # the README's one json block is the path.json that its winding example reads
+    (path_json,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    (tmp_path / "path.json").write_text(path_json, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     # wrapped lines are joined by one space; the text between "..." elisions

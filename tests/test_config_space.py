@@ -21,7 +21,6 @@ from anyonsim import (
     concat_paths,
     enumerate_walks,
     path_from_json_dict,
-    path_to_json_dict,
     reverse_path,
     swap,
     total_angle,
@@ -40,6 +39,7 @@ from helpers import (
     brute_force_walks,
     check_record,
     check_refusal,
+    json_path,
     lattice_path,
     random_valid_walk,
 )
@@ -205,25 +205,25 @@ class TestPathHelpers:
         assert joined.configs[-1] == q.configs[-1]
 
     def test_json_round_trip(self):
-        p = lattice_path([(0, 0, 2, 0), (0, 1, 2, 0)], dt=0.25)
-        assert path_from_json_dict(path_to_json_dict(p)) == p
+        sites = [(0, 0, 2, 0), (0, 1, 2, 0)]
+        assert path_from_json_dict(json_path(sites, dt=0.25)) == lattice_path(sites, dt=0.25)
 
     def test_malformed_json(self):
         with pytest.raises(ValidationError):
             path_from_json_dict({"dt": 1.0, "configs": [[[0, 0]]]})
 
     def test_configs_list_is_consumed(self):
-        p = lattice_path([(0, 0, 2, 0), (0, 1, 2, 0), (1, 1, 2, 0)], dt=0.25)
-        data = path_to_json_dict(p)
-        assert path_from_json_dict(data) == p
+        sites = [(0, 0, 2, 0), (0, 1, 2, 0), (1, 1, 2, 0)]
+        data = json_path(sites, dt=0.25)
+        assert path_from_json_dict(data) == lattice_path(sites, dt=0.25)
         assert data["configs"] == [None, None, None]
 
     def test_configs_tuple_is_read_unchanged(self):
-        p = lattice_path([(0, 0, 2, 0), (0, 1, 2, 0), (1, 1, 2, 0)], dt=0.25)
-        pairs = tuple(path_to_json_dict(p)["configs"])
+        sites = [(0, 0, 2, 0), (0, 1, 2, 0), (1, 1, 2, 0)]
+        pairs = tuple(json_path(sites)["configs"])
         before = copy.deepcopy(pairs)
         loaded = path_from_json_dict({"dt": 0.25, "configs": pairs})
-        assert loaded == p and type(loaded.start) is TwoParticleConfig
+        assert loaded == lattice_path(sites, dt=0.25) and type(loaded.start) is TwoParticleConfig
         assert pairs == before
 
     def test_loading_peaks_at_the_json_tree(self):
@@ -647,14 +647,14 @@ VALID = {
         (DiscretePath, {"configs": (A,)}, ValidationError, "a path needs at least two configurations"),
         # dt is checked before the length, after configs is made a tuple
         (DiscretePath, {"dt": -1.0, "configs": ()}, ValidationError, "dt must be finite and > 0, got -1.0"),
-        (DiscretePath, {"dt": -1.0, "configs": 5}, TypeError, "'int' object is not iterable"),
+        (DiscretePath, {"dt": -1.0, "configs": 5}, ValidationError, "configs must be an iterable of configurations, got 5"),
         (LatticeSpec, {"extent": 0}, ValidationError, "extent must be >= 1, got 0"),
         (LatticeSpec, {"spacing": 0.0}, ValidationError, "spacing must be finite and > 0, got 0.0"),
         (LatticeSpec, {"spacing": math.inf}, ValidationError, "spacing must be finite and > 0, got inf"),
         # extent, then spacing, then the moves are made tuples
         (LatticeSpec, {"extent": 0, "spacing": math.nan}, ValidationError, "extent must be >= 1, got 0"),
         (LatticeSpec, {"spacing": -1.0, "moves": (5,)}, ValidationError, "spacing must be finite and > 0, got -1.0"),
-        (LatticeSpec, {"moves": (5,)}, TypeError, "'int' object is not iterable"),
+        (LatticeSpec, {"moves": (5,)}, ValidationError, "a move must be a pair (dx, dy), got 5"),
         # a NaN extent would leave every bound test false, so the lattice unbounded
         (LatticeSpec, {"extent": math.nan}, ValidationError, "extent must be an integer, got nan"),
         (LatticeSpec, {"extent": 2.5}, ValidationError, "extent must be an integer, got 2.5"),
@@ -672,6 +672,7 @@ VALID = {
         (LatticeSpec, {"moves": ((1, 0, 0),)}, ValidationError, "a move must be a pair (dx, dy), got (1, 0, 0)"),
         (LatticeSpec, {"moves": ((0.5, 0), (0, 0))}, ValidationError, "move dx must be an integer, got 0.5"),
         (LatticeSpec, {"moves": ((0, 0), (1, math.nan))}, ValidationError, "move dy must be an integer, got nan"),
+        (LatticeSpec, {"moves": 5}, ValidationError, "moves must be an iterable of (dx, dy) pairs, got 5"),
     ],
 )
 def test_invalid_record_refused(cls, bad, error, message):

@@ -14,7 +14,6 @@ from anyonsim import (
     TwoParticleConfig,
     Vec2,
     action,
-    class_relative,
     classify,
     concat_paths,
     path_amplitude,
@@ -27,7 +26,6 @@ from anyonsim import (
 from anyonsim.errors import (
     CoincidenceAtStep,
     EndpointsNotClosedOrExchanged,
-    NotComparable,
     RoundingInconsistency,
     TurnTooLargeAtStep,
     ValidationError,
@@ -186,25 +184,6 @@ class TestClassify:
             classify(path)
 
 
-class TestClassRelative:
-    def test_homotopic_arcs(self):
-        a = relative_path([(2, 0), (2, 2), (0, 2)])
-        b = relative_path([(2, 0), (1, 1), (0, 2)])
-        assert class_relative(a, b) == 0
-
-    def test_opposite_exchanges_differ_by_full_turn(self):
-        ccw = relative_path([(2, 0), (0, 2), (-2, 0)])
-        cw = relative_path([(2, 0), (0, -2), (-2, 0)])
-        assert class_relative(ccw, cw) == 1
-        assert class_relative(cw, ccw) == -1
-
-    def test_different_endpoints(self):
-        a = relative_path([(2, 0), (0, 2)])
-        b = relative_path([(2, 0), (2, 2)])
-        with pytest.raises(NotComparable):
-            class_relative(a, b)
-
-
 class TestWindingParity:
     def test_closed_walks_have_integer_winding(self):
         rng = random.Random(29)
@@ -257,7 +236,8 @@ def test_exact_winding_matches_float_rule(pair):
     a, b = pair
     for path in pair:
         assert classify(path).winding == rounded_turns(turning(path) / TAU, 0.5)
-    assert class_relative(a, b) == rounded_turns((turning(a) - turning(b)) / TAU, 1)
+    relative = classify(a).winding - classify(b).winding
+    assert relative == rounded_turns((turning(a) - turning(b)) / TAU, 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
