@@ -27,6 +27,7 @@ from .config_space import (
     DiscretePath,
     EndpointPair,
     LatticeSpec,
+    _iterate,
     _snap_to_sites,
     check_count,
     check_finite_positive,
@@ -43,6 +44,11 @@ from .homotopy import HomotopyClass, Kind, endpoint_kind
 
 #: default cap on the joint-move sequence count (moves**2)**n_steps
 DEFAULT_BUDGET = 10_000_000
+
+
+def _as_dict(value, what: str) -> dict:
+    """dict(value); a value that is neither a mapping nor iterable is refused with ValidationError."""
+    return dict(value if hasattr(value, "keys") else _iterate(value, what))
 
 
 class PhysicsParams(namedtuple("PhysicsParams", "mass hbar")):
@@ -86,7 +92,7 @@ class ResolvedKernel(namedtuple("ResolvedKernel", "endpoints n_steps partials"))
     def __new__(
         cls, endpoints: EndpointPair, n_steps: int, partials: Mapping[HomotopyClass, complex]
     ) -> ResolvedKernel:
-        partials = dict(partials)
+        partials = _as_dict(partials, "partials must be a mapping of winding classes to amplitudes")
         partials = {c: partials[c] for c in sorted(partials, key=lambda c: c.winding)}
         self = tuple.__new__(cls, (endpoints, n_steps, partials))
         kind = self.kind
@@ -141,9 +147,13 @@ def action(path: DiscretePath, params: PhysicsParams = PhysicsParams()) -> float
 
 def phase_factor(phase: float) -> complex:
     """exp(i * phase) for an action phase S/hbar.  A phase that is not finite
-    (S/hbar overflowing although S is finite) is refused with ValidationError."""
+    (S/hbar overflowing although S is finite), or past 2^53 in magnitude,
+    where one ulp is >= 2 and exp(i * phase) has no significant digit, is
+    refused with ValidationError."""
     if not math.isfinite(phase):
         raise ValidationError(f"phase S/hbar must be finite, got {phase}")
+    if abs(phase) > 2.0**53:
+        raise ValidationError(f"phase S/hbar must be at most 2^53 in magnitude, got {phase}")
     return cmath.exp(1j * phase)
 
 
@@ -273,7 +283,8 @@ class PermutationAmplitudes(namedtuple("PermutationAmplitudes", "n alpha")):
     def __new__(cls, n: int, alpha: Mapping[tuple[int, ...], complex]) -> PermutationAmplitudes:
         if n < 1:
             raise ValidationError(f"n must be >= 1, got {n}")
-        return tuple.__new__(cls, (n, dict(alpha)))
+        alpha = _as_dict(alpha, "alpha must be a mapping of permutations to amplitudes")
+        return tuple.__new__(cls, (n, alpha))
 
 
 def permutation_sign(sigma: tuple[int, ...]) -> int:

@@ -13,11 +13,21 @@ import gc
 import itertools
 import json
 import math
+import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from . import amplitudes, config_space, exchange, homotopy
-from .errors import AnyonSimError, BadRange, BudgetExceeded, ParseError
+from .errors import AnyonSimError, BadRange, BudgetExceeded, ParseError, ValidationError
+
+#: the characters of a path file's "configs" array decoded as one block
+_JSON_BLOCK = 1 << 14
+#: the end of one configuration [[x1, y1], [x2, y2]] and the comma before the next
+_CONFIG_END = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*,")
+#: the "[" of a nonempty array and the whitespace before its first value
+_FIRST_VALUE = re.compile(r"\[[ \t\n\r]*(?=[^ \t\n\r\]])")
+#: json's scanner of the one value at an index of a text, and its skip of whitespace
+_SCAN, _WS = json.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
 
 #: sweep rows joined into one write, so memory stays bounded at any --points
 _SWEEP_BLOCK_ROWS = 4096
@@ -34,14 +44,82 @@ def _parse_grid(text: str) -> list[float]:
         raise ParseError(f"bad dt grid {text!r}: {exc}") from exc
 
 
+def _path_configs(text: str, data: dict, path_file: str) -> Iterator:
+    """The "configs" value of a path file's text, iterated, with the other
+    members of its top-level object read into data on the way, in file order.
+
+    A nonempty "configs" array is cut after a "]]," about every _JSON_BLOCK
+    characters, and each block decoded as one array; a cut inside a value
+    leaves a bracket or a string open, and such a block is read one value at
+    a time.  A repeated key is refused with ValidationError, and a syntax
+    defect is the ParseError of json's own message.
+    """
+    del data["configs"]  # this generator, read by now; the text's members go in its place
+    i, sep = 0, "{"
+    try:
+        while True:
+            i = _WS(text, i).end()
+            if text[i:i + 1] != sep:
+                break
+            sep = ","
+            key, i = _SCAN(text, _WS(text, i + 1).end())
+            i = _WS(text, i).end()
+            if type(key) is not str or text[i:i + 1] != ":":
+                raise ValueError
+            if key in data:
+                raise ValidationError(f"malformed path JSON: duplicate key {key!r}")
+            i = _WS(text, i + 1).end()
+            first = _FIRST_VALUE.match(text, i) if key == "configs" else None
+            if not first:
+                data[key], i = _SCAN(text, i)
+                continue
+            data[key] = ()  # its values are this generator's
+            i = stop = first.end()
+            while True:
+                if i >= stop:
+                    cut = _CONFIG_END.search(text, i + _JSON_BLOCK)
+                    stop = cut.end() if cut else len(text)
+                    try:  # with no cut, the rest is read one value at a time
+                        if cut:
+                            yield from json.loads("[" + text[i:stop - 1] + "]")
+                            i = _WS(text, stop).end()
+                            continue
+                    except (ValueError, RecursionError):  # the cut fell inside a value
+                        pass
+                value, i = _SCAN(text, i)
+                yield value
+                i = _WS(text, i).end()
+                if text[i:i + 1] != ",":
+                    break
+                i = _WS(text, i + 1).end()
+            if text[i:i + 1] != "]":
+                raise ValueError
+            i += 1
+        if text[i:i + 1] != "}" or _WS(text, i + 1).end() != len(text):
+            raise ValueError
+    except (ValueError, StopIteration, RecursionError):  # a syntax defect, or not an object
+        try:
+            whole = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
+            raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
+        config_space.path_from_json_dict(whole)
+        raise AssertionError(f"{path_file} is read whole but not a block at a time") from None
+    yield from data["configs"]  # a "configs" that is not a nonempty array, or none
+
+
 def _load_path(path_file: str) -> config_space.DiscretePath:
+    """The path of a path file, as ``path_from_json_dict(json.loads(text))``
+    gives it, but for the first defect in file order being the one reported,
+    and with the JSON tree of at most one block of "configs" alive at a time."""
     try:
         with open(path_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path_file}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
+    except ValueError as exc:  # not UTF-8
         raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
+    data = {}
+    data["configs"] = _path_configs(text, data, path_file)
     return config_space.path_from_json_dict(data)
 
 

@@ -344,17 +344,15 @@ def _configs_from_json(pairs) -> list[TwoParticleConfig]:
     """The configurations of JSON position pairs [[x1, y1], [x2, y2]], as TwoParticleConfig builds them.
 
     A position that is not a pair, or a coordinate that is not a JSON number
-    (a string, a boolean), is refused with TypeError or ValueError.  Each entry
-    of a list is set to None once converted, so the tree shrinks as the
-    configurations grow; any other iterable is left as it is.
+    (a string, a boolean), is refused with TypeError or ValueError.  The pairs
+    are read once, in order, so they may come from a generator.
     """
     new = tuple.__new__
     isfinite = math.isfinite
     number = _JSON_NUMBERS
-    owned = type(pairs) is list
     configs = []
     append = configs.append
-    for k, ((x1, y1), (x2, y2)) in enumerate(pairs):
+    for (x1, y1), (x2, y2) in pairs:
         if not (type(x1) in number and type(y1) in number
                 and type(x2) in number and type(y2) in number):
             raise TypeError(f"coordinates must be numbers, got {[[x1, y1], [x2, y2]]!r}")
@@ -364,8 +362,6 @@ def _configs_from_json(pairs) -> list[TwoParticleConfig]:
             append(new(TwoParticleConfig, (x1, y1, x2, y2)))
         else:
             append(TwoParticleConfig(x1, y1, x2, y2))
-        if owned:
-            pairs[k] = None
     return configs
 
 
@@ -375,16 +371,16 @@ def path_from_json_dict(data: dict) -> DiscretePath:
     Anything else, down to a coordinate or dt that is not a JSON number or a
     position that is not a pair, is refused with ValidationError.
 
-    A ``configs`` list is consumed: each of its entries is replaced by None
-    as soon as it is converted, so a loaded file is held once, as JSON or as
-    configurations, never as both.  A tuple or other iterable is left as is.
+    ``configs`` is converted before ``dt`` is read, so it may be a generator
+    that puts ``dt`` into data as it goes, and a bad pair is reported before
+    a bad ``dt``.
     """
     try:
+        configs = _configs_from_json(data["configs"])
         dt = data["dt"]
         if type(dt) not in _JSON_NUMBERS:
             raise TypeError(f"dt must be a number, got {dt!r}")
         dt = float(dt)
-        configs = _configs_from_json(data["configs"])
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:

@@ -129,6 +129,22 @@ class StepFactor(namedtuple("StepFactor", "alpha_dir alpha_op flipped action_dir
     __slots__ = ()
 
 
+def _step_actions(path: DiscretePath, params: PhysicsParams) -> Iterator[tuple[float, float]]:
+    """Each step's direct and opposite actions (s_dir, s_op), in path order."""
+    configs = path.configs
+    scale = params.mass / (2.0 * path.dt)
+    for k in range(path.n_steps):
+        ax1, ay1, ax2, ay2 = configs[k]
+        bx1, by1, bx2, by2 = configs[k + 1]
+        # squared displacements p1 -> p1, p2 -> p2 (direct) and p1 -> p2, p2 -> p1 (opposite)
+        d11x, d11y, d22x, d22y = bx1 - ax1, by1 - ay1, bx2 - ax2, by2 - ay2
+        d12x, d12y, d21x, d21y = bx2 - ax1, by2 - ay1, bx1 - ax2, by1 - ay2
+        yield (
+            scale * ((d11x * d11x + d11y * d11y) + (d22x * d22x + d22y * d22y)),
+            scale * ((d12x * d12x + d12y * d12y) + (d21x * d21x + d21y * d21y)),
+        )
+
+
 def step_factors(
     path: DiscretePath,
     params: PhysicsParams = PhysicsParams(),
@@ -140,27 +156,17 @@ def step_factors(
     in :func:`classify`.
     """
     flips = {k for k, _ in path.crossings}
-    configs = path.configs
-    out = []
-    scale = params.mass / (2.0 * path.dt)
-    for k in range(path.n_steps):
-        ax1, ay1, ax2, ay2 = configs[k]
-        bx1, by1, bx2, by2 = configs[k + 1]
-        # squared displacements p1 -> p1, p2 -> p2 (direct) and p1 -> p2, p2 -> p1 (opposite)
-        d11x, d11y, d22x, d22y = bx1 - ax1, by1 - ay1, bx2 - ax2, by2 - ay2
-        d12x, d12y, d21x, d21y = bx2 - ax1, by2 - ay1, bx1 - ax2, by1 - ay2
-        s_dir = scale * ((d11x * d11x + d11y * d11y) + (d22x * d22x + d22y * d22y))
-        s_op = scale * ((d12x * d12x + d12y * d12y) + (d21x * d21x + d21y * d21y))
-        out.append(
-            StepFactor(
-                alpha_dir=phase_factor(s_dir / params.hbar),
-                alpha_op=phase_factor(s_op / params.hbar),
-                flipped=k in flips,
-                action_dir=s_dir,
-                action_op=s_op,
-            )
+    hbar = params.hbar
+    return tuple(
+        StepFactor(
+            alpha_dir=phase_factor(s_dir / hbar),
+            alpha_op=phase_factor(s_op / hbar),
+            flipped=k in flips,
+            action_dir=s_dir,
+            action_op=s_op,
         )
-    return tuple(out)
+        for k, (s_dir, s_op) in enumerate(_step_actions(path, params))
+    )
 
 
 class DephasingSample(namedtuple("DephasingSample", "dt n_steps phase_op phase_dir")):
@@ -218,15 +224,14 @@ def dephasing_exponent(
                 f"dt {dt} leaves fewer than 2 steps of the exchange of duration {duration}"
             )
         first_step = DiscretePath(dt, _exchange_configs(ExchangeGeometry(radius, n, dt), 2))
-        (factor,) = step_factors(first_step, params)
-        samples.append(
-            DephasingSample(
-                dt=dt,
-                n_steps=n,
-                phase_op=factor.action_op / params.hbar,
-                phase_dir=factor.action_dir / params.hbar,
-            )
-        )
+        validate_path(first_step)
+        # the phases alone: no exp(i * phase), which phase_factor refuses past 2^53
+        ((action_dir, action_op),) = _step_actions(first_step, params)
+        phase_dir, phase_op = action_dir / params.hbar, action_op / params.hbar
+        for phase in (phase_dir, phase_op):
+            if not math.isfinite(phase):
+                raise ValidationError(f"phase S/hbar must be finite, got {phase}")
+        samples.append(DephasingSample(dt=dt, n_steps=n, phase_op=phase_op, phase_dir=phase_dir))
     xs = [1.0 / s.dt for s in samples]
     ys = [s.phase_op for s in samples]
     import statistics  # here, not at the top: it costs every CLI start-up ~5 ms

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ class TestPathAmplitude:
         path = lattice_path([(0, 0, 2, 0), (1, 0, 2, 0)])
         with pytest.raises(ValidationError, match=r"^phase S/hbar must be finite, got inf$"):
             path_amplitude(path, PhysicsParams(hbar=1e-310))
+
+    def test_phase_past_2_53_refused(self):
+        # one ulp of a phase past 2^53 is >= 2, so exp(i * phase) has no significant digit
+        assert amplitudes.phase_factor(-(2.0**53)) == amplitudes.phase_factor(2.0**53).conjugate()
+        for phase in (2.0**53 + 2, -(2.0**53) - 2, 1e300):
+            message = f"phase S/hbar must be at most 2^53 in magnitude, got {phase}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                amplitudes.phase_factor(phase)
+        path = lattice_path([(0, 0, 2, 0), (1, 0, 2, 0)])
+        message = r"^phase S/hbar must be at most 2\^53 in magnitude, got \S+e\+299$"
+        with pytest.raises(ValidationError, match=message):
+            path_amplitude(path, PhysicsParams(hbar=1e-300))
 
 
 def _direct_class_sums(lattice, ep, n_steps, params, dt):
@@ -561,11 +574,21 @@ SWAPPED_HALF = {HomotopyClass(Kind.EXCHANGE, 0.5): 1j}
             EndpointsNotClosedOrExchanged,
             "endpoints must be equal (Direct) or swapped (Exchange) to resolve winding classes",
         ),
-        (ResolvedKernel, {"partials": 5}, TypeError, "'int' object is not iterable"),
+        (
+            ResolvedKernel,
+            {"partials": 5},
+            ValidationError,
+            "partials must be a mapping of winding classes to amplitudes, got 5",
+        ),
         (PermutationAmplitudes, {"n": 0}, ValidationError, "n must be >= 1, got 0"),
         # n is checked before alpha is made a dict
         (PermutationAmplitudes, {"n": 0, "alpha": 5}, ValidationError, "n must be >= 1, got 0"),
-        (PermutationAmplitudes, {"alpha": 5}, TypeError, "'int' object is not iterable"),
+        (
+            PermutationAmplitudes,
+            {"alpha": 5},
+            ValidationError,
+            "alpha must be a mapping of permutations to amplitudes, got 5",
+        ),
     ],
 )
 def test_invalid_record_refused(cls, bad, error, message):

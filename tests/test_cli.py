@@ -772,6 +772,9 @@ class TestNonFiniteTimes:
             ["exchange", "--hbar", "1e-310"],
             ["sweep", "--theta-min", "0", "--theta-max", "1", "--points", "2",
              "--hbar", "1e-310"],
+            ["exchange", "--hbar", "1e-300"],
+            ["sweep", "--theta-min", "0", "--theta-max", "1", "--points", "2",
+             "--hbar", "1e-300"],
             ["kernel", "--extent", "2", "--steps", "3", "--start", "0", "0", "1", "0",
              "--end", "0", "0", "1", "0", "--mass", "1.7e308"],
             ["dephase", "--dt-grid", "1e-300,1e-301,1e-302", "--hbar", "1e-10"],
@@ -792,7 +795,7 @@ class TestNonFiniteTimes:
             "dephase-tiny-hbar", "dephase-infinite-step-count", "exchange-action-overflow",
             "sweep-action-overflow", "kernel-action-unit-overflow", "kernel-dt-hbar-underflow",
             "kernel-spacing-squared-overflow", "exchange-phase-overflow",
-            "sweep-phase-overflow", "kernel-phase-overflow", "dephase-phase-overflow",
+            "sweep-phase-overflow", "exchange-phase-past-2-53", "sweep-phase-past-2-53", "kernel-phase-overflow", "dephase-phase-overflow",
             "dephase-non-finite-fit", "dephase-residual-overflow", "kernel-anyonic-angle-overflow",
             "kernel-budget-bignum", "kernel-snap-quotient-overflow", "kernel-snap-tiny-spacing",
             "kernel-no-walk-nan-theta",

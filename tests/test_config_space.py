@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,11 +211,11 @@ class TestPathHelpers:
         with pytest.raises(ValidationError):
             path_from_json_dict({"dt": 1.0, "configs": [[[0, 0]]]})
 
-    def test_configs_list_is_consumed(self):
+    def test_configs_list_is_read_unchanged(self):
         sites = [(0, 0, 2, 0), (0, 1, 2, 0), (1, 1, 2, 0)]
         data = json_path(sites, dt=0.25)
         assert path_from_json_dict(data) == lattice_path(sites, dt=0.25)
-        assert data["configs"] == [None, None, None]
+        assert data == json_path(sites, dt=0.25)
 
     def test_configs_tuple_is_read_unchanged(self):
         sites = [(0, 0, 2, 0), (0, 1, 2, 0), (1, 1, 2, 0)]
@@ -226,30 +225,22 @@ class TestPathHelpers:
         assert loaded == lattice_path(sites, dt=0.25) and type(loaded.start) is TwoParticleConfig
         assert pairs == before
 
-    def test_loading_peaks_at_the_json_tree(self):
-        # particle 1 laps particle 2 on the 16-site ring of radius 2, as JSON ints;
-        # a tree kept whole until the path is built would peak at ~1.7 times the tree
-        ring = (
-            [(2, j) for j in range(-2, 2)] + [(i, 2) for i in range(2, -2, -1)]
-            + [(-2, j) for j in range(2, -2, -1)] + [(i, -2) for i in range(-2, 2)]
-        )
-        n_steps = 20000
-        text = json.dumps({"dt": 0.5, "configs": [[list(ring[k % 16]), [0, 0]] for k in range(n_steps + 1)]})
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            data = json.loads(text)
-            tree = tracemalloc.get_traced_memory()[0] - base
-            tracemalloc.reset_peak()
-            path = path_from_json_dict(data)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert path.n_steps == n_steps and classify(path).winding == n_steps / 16
-        assert peak <= 1.1 * tree, peak / tree
+    def test_configs_are_converted_before_dt_is_read(self):
+        # a generator of pairs may put dt into the dict as it goes, and a bad
+        # pair is reported before a bad or missing dt
+        sites = [(0, 0, 2, 0), (0, 1, 2, 0), (1, 1, 2, 0)]
+        data = {}
+
+        def pairs():
+            yield from json_path(sites)["configs"]
+            data["dt"] = 0.25
+
+        data["configs"] = pairs()
+        assert path_from_json_dict(data) == lattice_path(sites, dt=0.25)
+        with pytest.raises(ValidationError, match=r"^malformed path JSON: coordinates must be numbers"):
+            path_from_json_dict({"dt": "1", "configs": [[[0, "1"], [0, 0]]]})
+        with pytest.raises(ValidationError, match=r"^malformed path JSON: 'configs'$"):
+            path_from_json_dict({})
 
 
 class TestEnumerateWalks:

@@ -1,0 +1,266 @@
+"""winding's path file, read a block at a time.
+
+The CLI's loader is checked against ``path_from_json_dict(json.loads(text))``:
+every file gives the same path, or the error of its first defect in file
+order.  Also checked: the defects that order changes, repeated keys, the
+blocks themselves, and the memory a load peaks at.
+"""
+
+import json
+import math
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from anyonsim import cli, classify, path_from_json_dict, total_angle
+from anyonsim.errors import AnyonSimError
+
+#: particle 1's 16-site ring of radius 2 about particle 2 at the origin, counter-clockwise
+RING = (
+    [(2, j) for j in range(-2, 2)] + [(i, 2) for i in range(2, -2, -1)]
+    + [(-2, j) for j in range(2, -2, -1)] + [(i, -2) for i in range(-2, 2)]
+)
+
+
+def ring_walk(n_configs):
+    """n_configs configurations of particle 1 lapping particle 2, as JSON pairs."""
+    return [[list(RING[k % 16]), [0, 0]] for k in range(n_configs)]
+
+
+def outcome(load, arg):
+    """load(arg), or the (name, message) of the AnyonSimError it raises."""
+    try:
+        return load(arg)
+    except AnyonSimError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference(path_file):
+    """path_from_json_dict of the file's whole JSON tree, a JSON defect as the CLI's ParseError."""
+    try:
+        with open(path_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        return "ParseError", f"invalid JSON in {path_file}: {exc}"
+    return outcome(path_from_json_dict, data)
+
+
+def write(tmp_path, text):
+    target = tmp_path / "path.json"
+    target.write_text(text, encoding="utf-8")
+    return str(target)
+
+
+def winding(capsys, path_file):
+    code = cli.main(["winding", path_file])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+COORDS = (0, 1, -1, 2, -3, 0.5, -0.0, 1e-300, 2.5e3)
+EXTRAS = {"note": "x]], y", "meta": {"a": [[1, 2]], "b": None}, "n": 12, "list": [[[0]], []]}
+SPACE = ("", " ", "\n", "\r\n\t ")
+DEFECTS = ("string", "bool", "three coordinates", "NaN", "no ]", "no [", "trailing garbage")
+
+
+@st.composite
+def path_files(draw):
+    """The text of a path file, with dt before or after configs, extra keys,
+    assorted whitespace and 0 to 3000 configurations, and at most one
+    defect; and the outcome that the first defect in file order gives it,
+    as a function of the file's name."""
+    n = draw(st.one_of(st.integers(0, 4), st.integers(5, 3000), st.integers(1500, 3000)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    configs = [[[rng.choice(COORDS) for _ in "xy"] for _ in "12"] for _ in range(n)]
+    defect = draw(st.sampled_from((None, *DEFECTS) if n > 1 else (None, "trailing garbage")))
+    # a "]" is taken from a configuration but the last (the last one's, taken,
+    # would make the members after the array its values)
+    k = draw(st.integers(0, n - 2 if defect == "no ]" else n - 1)) if n else 0
+    if defect in ("string", "bool", "NaN"):
+        position = configs[k][draw(st.integers(0, 1))]
+        position[draw(st.integers(0, 1))] = {"string": "1", "bool": True, "NaN": math.nan}[defect]
+    elif defect == "three coordinates":
+        configs[k][1].append(0)
+
+    indent = draw(st.sampled_from((None, 0, 2, "\t")))
+    comma, colon = draw(st.sampled_from(((",", ":"), (", ", ": "), (" ,\n", " : "))))
+
+    def space():
+        return draw(st.sampled_from(SPACE))
+
+    pieces = [json.dumps(c, indent=indent, separators=(comma, colon)) for c in configs]
+    if defect == "no ]":
+        pieces[k] = pieces[k][:-1]
+    elif defect == "no [":
+        pieces[k] = pieces[k][1:]
+    members = {"configs": "[" + space() + (comma + space()).join(pieces) + space() + "]"}
+    if draw(st.integers(0, 9)):
+        members["dt"] = json.dumps(draw(st.sampled_from((0.5, 1, 2e-3))))
+    for name in draw(st.lists(st.sampled_from(sorted(EXTRAS)), unique=True, max_size=3)):
+        members[name] = json.dumps(EXTRAS[name])
+    text = space() + "{" + comma.join(
+        space() + json.dumps(name) + space() + colon + space() + members[name] + space()
+        for name in draw(st.permutations(sorted(members)))
+    ) + "}" + space()
+    if defect == "trailing garbage":
+        text += draw(st.sampled_from(("x", "]", ",", "{}", "0")))
+    if defect in ("no ]", "no ["):
+        # a malformed value is read before the syntax error: with no "]",
+        # config k holds the configurations after it, up to the array's own
+        # "]"; with no "[", config k's first position is a value of the array
+        read = configs[k] + configs[k + 1:] if defect == "no ]" else configs[k][0]
+        pairs = configs[:k] + [read]
+        return text, lambda path_file: outcome(path_from_json_dict, {"dt": 1.0, "configs": pairs})
+    return text, reference
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    # one file per example, rewritten by each
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=path_files())
+def test_loader_matches_json_loads_or_reports_the_first_defect(tmp_path, case):
+    text, expected = case
+    path_file = write(tmp_path, text)
+    assert outcome(cli._load_path, path_file) == expected(path_file)
+
+
+class TestBlocks:
+    def test_most_values_are_decoded_in_blocks(self, tmp_path, monkeypatch):
+        # one value at a time only for the tail after the last cut, under one block
+        scans = []
+        scan = cli._SCAN
+        monkeypatch.setattr(cli, "_SCAN", lambda text, i: scans.append(i) or scan(text, i))
+        text = json.dumps({"dt": 0.5, "configs": ring_walk(10**4 + 1)})
+        path_file = write(tmp_path, text)
+        assert cli._load_path(path_file) == path_from_json_dict(json.loads(text))
+        assert len(scans) < 10**4 / 5
+
+    @pytest.mark.parametrize(
+        "valid", [True, False], ids=["note-after-configs", "string-coordinate"]
+    )
+    def test_string_holding_a_cut_is_read_one_value_at_a_time(self, tmp_path, monkeypatch, valid):
+        # the first "]]," after a block's size lies inside a string, so that
+        # block does not decode and the values in it are read one at a time
+        configs = ring_walk(2001 if valid else 10)
+        if valid:
+            document = {"dt": 0.5, "configs": configs, "note": "]], " * 10}
+        else:
+            configs[5][0][0] = "a" * cli._JSON_BLOCK + "]],"
+            document = {"dt": 0.5, "configs": configs}
+        scans = []
+        scan = cli._SCAN
+        monkeypatch.setattr(cli, "_SCAN", lambda text, i: scans.append(i) or scan(text, i))
+        text = json.dumps(document)
+        path_file = write(tmp_path, text)
+        got = outcome(cli._load_path, path_file)
+        assert got == reference(path_file)
+        if valid:
+            assert got.n_steps == 2000 and len(scans) > 100
+        else:
+            assert got[0] == "ValidationError" and "]],'" in got[1]
+            assert len(scans) == 3 + 6  # dt's key and value, configs' key; configs 0 to 5
+
+
+class TestDeclaredBehaviour:
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            '{"dt": 0.25, "configs": CONFIGS}',
+            '{"configs": CONFIGS, "dt": 0.25}',
+            '\n{ "meta" : {"dt": 1}, "configs" :\n CONFIGS ,"dt":0.25,"note":"]],"}\n',
+        ],
+        ids=["dt-first", "dt-last", "extra-keys"],
+    )
+    @pytest.mark.parametrize("n_configs", [17, 3201])
+    def test_accepted_file_gives_the_stdout_of_the_whole_tree(
+        self, capsys, tmp_path, layout, n_configs
+    ):
+        text = layout.replace("CONFIGS", json.dumps(ring_walk(n_configs), indent=1))
+        path = path_from_json_dict(json.loads(text))
+        cls = classify(path)
+        expected = json.dumps(
+            {"kind": cls.kind.value, "winding": cls.winding, "total_angle": total_angle(path)}
+        )
+        assert winding(capsys, write(tmp_path, text)) == (0, expected + "\n", "")
+
+    def test_malformed_pair_before_a_syntax_error_is_reported(self, capsys, tmp_path):
+        # json.loads of the whole text would refuse the missing "]}" first
+        text = '{"dt": 1, "configs": [[[1, 0], [0, 0]], [[0, "1"], [0, 0]], [[1, 0], [0, 0]]'
+        assert winding(capsys, write(tmp_path, text)) == (
+            2,
+            "",
+            "anyonsim: ValidationError: malformed path JSON: "
+            "coordinates must be numbers, got [[0, '1'], [0, 0]]\n",
+        )
+
+    @pytest.mark.parametrize("dt_first", [True, False], ids=["dt-first", "dt-last"])
+    def test_bad_pair_is_reported_before_bad_dt(self, capsys, tmp_path, dt_first):
+        configs = '"configs": [[[1, 0], [0, 0]], [[0, 1], [0, true]]]'
+        text = f'{{"dt": "1", {configs}}}' if dt_first else f'{{{configs}, "dt": "1"}}'
+        assert winding(capsys, write(tmp_path, text)) == (
+            2,
+            "",
+            "anyonsim: ValidationError: malformed path JSON: "
+            "coordinates must be numbers, got [[0, 1], [0, True]]\n",
+        )
+
+    def test_syntax_error_after_good_pairs_has_json_message(self, capsys, tmp_path):
+        text = '{"dt": 1, "configs": [[[1, 0], [0, 0]], [[0, 1], [0, 0]],, [[1, 0], [0, 0]]]}'
+        path_file = write(tmp_path, text)
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        assert winding(capsys, path_file) == (
+            2, "", f"anyonsim: ParseError: invalid JSON in {path_file}: {exc.value}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"dt": 1, "configs": CONFIGS, "dt": 2}', "dt"),
+            ('{"dt": 1, "dt": 2, "configs": CONFIGS}', "dt"),
+            ('{"configs": CONFIGS, "dt": 1, "configs": []}', "configs"),
+            ('{"note": 1, "dt": 1, "configs": CONFIGS, "note": 2}', "note"),
+            ('{"dt": 1, "configs": [], "dt": 1}', "dt"),
+        ],
+        ids=["dt-after-configs", "dt-before-configs", "configs", "extra-key", "empty-configs"],
+    )
+    def test_repeated_key_is_one_error_line(self, capsys, tmp_path, text, key):
+        # json.loads would keep the last value; converted configurations cannot be replaced
+        text = text.replace("CONFIGS", json.dumps(ring_walk(17)))
+        assert winding(capsys, write(tmp_path, text)) == (
+            2, "", f"anyonsim: ValidationError: malformed path JSON: duplicate key {key!r}\n"
+        )
+
+
+def test_loading_peaks_below_the_json_tree(tmp_path):
+    # the tree of json.loads holds three lists per configuration; the loader
+    # holds the text, the configurations and the tree of one block
+    n_configs = 2 * 10**4 + 1
+    text = json.dumps({"dt": 0.5, "configs": ring_walk(n_configs)}, separators=(",", ":"))
+    path_file = write(tmp_path, text)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tree = json.loads(text)
+        tree_peak = tracemalloc.get_traced_memory()[1] - base
+        del tree
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        path = cli._load_path(path_file)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert path.n_steps == n_configs - 1 and classify(path).winding == (n_configs - 1) / 16
+    assert load_peak < tree_peak, (load_peak / 2**20, tree_peak / 2**20)
