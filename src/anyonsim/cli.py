@@ -24,10 +24,10 @@ from .errors import AnyonSimError, BadRange, BudgetExceeded, ParseError, Validat
 _JSON_BLOCK = 1 << 14
 #: the end of one configuration [[x1, y1], [x2, y2]] and the comma before the next
 _CONFIG_END = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*,")
-#: the "[" of a nonempty array and the whitespace before its first value
-_FIRST_VALUE = re.compile(r"\[[ \t\n\r]*(?=[^ \t\n\r\]])")
-#: json's scanner of the one value at an index of a text, and its skip of whitespace
-_SCAN, _WS = json.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
+#: json's reader of the one value at an index of a text (no value there is a
+#: ValueError, where scan_once's StopIteration is a RuntimeError in a
+#: generator), and its skip of whitespace
+_DECODE, _WS = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
 
 #: sweep rows joined into one write, so memory stays bounded at any --points
 _SWEEP_BLOCK_ROWS = 4096
@@ -44,73 +44,57 @@ def _parse_grid(text: str) -> list[float]:
         raise ParseError(f"bad dt grid {text!r}: {exc}") from exc
 
 
-def _path_configs(text: str, data: dict, path_file: str) -> Iterator:
-    """The "configs" value of a path file's text, iterated, with the other
-    members of its top-level object read into data on the way, in file order.
+def _unique(pairs: list) -> dict:
+    """The members of a JSON object as a dict, a repeated key refused."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ValueError(f"duplicate key {key!r}")
+        members[key] = value
+    return members
 
-    A nonempty "configs" array is cut after a "]]," about every _JSON_BLOCK
-    characters, and each block decoded as one array; a cut inside a value
-    leaves a bracket or a string open, and such a block is read one value at
-    a time.  A repeated key is refused with ValidationError, and a syntax
-    defect is the ParseError of json's own message.
+
+def _path_configs(text: str, data: dict) -> Iterator:
+    """The values of a path file's top-level "configs" array, decoded a block
+    at a time, and then the file's other members read into data.
+
+    Each block is cut after a "]]," at least _JSON_BLOCK characters on, and
+    the last one ends where json closes the array.  The cuts only choose
+    where to decode: one that falls inside a value leaves it open, so the
+    block does not decode.  json reads the rest of the text with the array
+    replaced by null, so every character is checked by json itself.
     """
-    del data["configs"]  # this generator, read by now; the text's members go in its place
-    i, sep = 0, "{"
-    try:
-        while True:
-            i = _WS(text, i).end()
-            if text[i:i + 1] != sep:
-                break
-            sep = ","
-            key, i = _SCAN(text, _WS(text, i + 1).end())
-            i = _WS(text, i).end()
-            if type(key) is not str or text[i:i + 1] != ":":
-                raise ValueError
-            if key in data:
-                raise ValidationError(f"malformed path JSON: duplicate key {key!r}")
-            i = _WS(text, i + 1).end()
-            first = _FIRST_VALUE.match(text, i) if key == "configs" else None
-            if not first:
-                data[key], i = _SCAN(text, i)
-                continue
-            data[key] = ()  # its values are this generator's
-            i = stop = first.end()
-            while True:
-                if i >= stop:
-                    cut = _CONFIG_END.search(text, i + _JSON_BLOCK)
-                    stop = cut.end() if cut else len(text)
-                    try:  # with no cut, the rest is read one value at a time
-                        if cut:
-                            yield from json.loads("[" + text[i:stop - 1] + "]")
-                            i = _WS(text, stop).end()
-                            continue
-                    except (ValueError, RecursionError):  # the cut fell inside a value
-                        pass
-                value, i = _SCAN(text, i)
-                yield value
-                i = _WS(text, i).end()
-                if text[i:i + 1] != ",":
-                    break
-                i = _WS(text, i + 1).end()
-            if text[i:i + 1] != "]":
-                raise ValueError
-            i += 1
-        if text[i:i + 1] != "}" or _WS(text, i + 1).end() != len(text):
-            raise ValueError
-    except (ValueError, StopIteration, RecursionError):  # a syntax defect, or not an object
-        try:
-            whole = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
-            raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
-        config_space.path_from_json_dict(whole)
-        raise AssertionError(f"{path_file} is read whole but not a block at a time") from None
-    yield from data["configs"]  # a "configs" that is not a nonempty array, or none
+    i, key = 0, None
+    while key != "configs":  # past each "{" or ",", key and ":"; json checks them below
+        key, i = _DECODE(text, _WS(text, _WS(text, i).end() + 1).end())
+        i = _WS(text, _WS(text, i).end() + 1).end()
+        if key != "configs":
+            i = _DECODE(text, i)[1]
+    start, opening = i, ""  # the first block opens with the array's own "["
+    while True:
+        cut = _CONFIG_END.search(text, i + _JSON_BLOCK)
+        block = opening + (text[i:cut.end() - 1] + "]" if cut else text[i:])
+        values, n = _DECODE(block)
+        if not values:  # "[]" is no path, and after a cut it is a trailing comma
+            raise ValueError("an empty block of configs")
+        yield from values
+        del values  # so that the tree of one block at a time is alive
+        if not cut or n < len(block):  # the array is closed in this block
+            break
+        i, opening = cut.end(), "["
+    stop = i + n - len(opening)
+    rest = json.loads(text[:start] + "null" + text[stop:], object_pairs_hook=_unique)
+    if type(rest) is not dict:
+        raise ValueError(f"expected an object, got {rest!r}")
+    data.update(rest)
 
 
 def _load_path(path_file: str) -> config_space.DiscretePath:
-    """The path of a path file, as ``path_from_json_dict(json.loads(text))``
-    gives it, but for the first defect in file order being the one reported,
-    and with the JSON tree of at most one block of "configs" alive at a time."""
+    """The path of a path file, as ``path_from_json_dict(json.loads(text,
+    object_pairs_hook=_unique))`` gives it.  A valid file's "configs" are
+    decoded a block at a time, so the JSON tree of the whole file is never
+    built; on any defect the file is read whole, and that read's path or
+    error is the result."""
     try:
         with open(path_file, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -119,7 +103,15 @@ def _load_path(path_file: str) -> config_space.DiscretePath:
     except ValueError as exc:  # not UTF-8
         raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
     data = {}
-    data["configs"] = _path_configs(text, data, path_file)
+    data["configs"] = _path_configs(text, data)
+    try:
+        return config_space.path_from_json_dict(data)
+    except (ValidationError, RecursionError):  # a defect: a block, a value or the rest
+        pass
+    try:
+        data = json.loads(text, object_pairs_hook=_unique)
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
+        raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
     return config_space.path_from_json_dict(data)
 
 
@@ -278,8 +270,16 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, its subcommands' parsers too, with a usage error
+    raised as ParseError, so that it is one line like every other refusal."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anyonsim",
         description="Two-particle exchange statistics in the punctured plane.",
     )
@@ -347,14 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     # no subcommand makes reference cycles in bulk, so the cyclic collector is
     # paused while one runs: its gen-0 passes over the 10^5 small objects of a
     # path file or an exchange path find nothing to free
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except AnyonSimError as exc:
         print(f"anyonsim: {type(exc).__name__}: {exc}", file=sys.stderr)

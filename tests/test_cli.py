@@ -93,6 +93,10 @@ class TestWinding:
             # nesting past the recursion limit used to crash with a RecursionError traceback
             (b"[" * 10**5, "ParseError"),
             (b'{"dt": 1, "configs": ' + b"[" * 10**5, "ParseError"),
+            (b"[]", "ValidationError"),
+            (b"5", "ValidationError"),
+            (b"null", "ValidationError"),
+            (b"{}", "ValidationError"),
         ],
         ids=[
             "not-utf8",
@@ -101,6 +105,10 @@ class TestWinding:
             "coordinate-past-float-range",
             "nested-past-recursion-limit",
             "configs-nested-past-recursion-limit",
+            "top-level-array",
+            "top-level-number",
+            "top-level-null",
+            "top-level-empty-object",
         ],
     )
     def test_unloadable_file_is_one_error_line(self, capsys, tmp_path, content, error):
@@ -210,11 +218,9 @@ class TestWinding:
         path_file = write_path_json(
             tmp_path, "loop2.json", 1.0, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
         )
-        with pytest.raises(SystemExit) as exc:
-            main(["--seed", "42", "winding", path_file])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "anyonsim: error:" in captured.err
+        code, out, err = run(capsys, ["--seed", "42", "winding", path_file])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"anyonsim: ParseError: [^\n]+\n", err)
 
 
 KERNEL_ARGS = [
@@ -314,11 +320,29 @@ class TestKernel:
         windings = [p["winding"] for p in json.loads(out)["partials"]]
         assert windings == [-0.5, 0.5]
 
-    def test_wrong_coordinate_count_is_usage_error(self, capsys):
-        argv = ["kernel", "--extent", "2", "--steps", "1", "--start", "0", "0", "--end", "0", "0", "2", "0"]
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (
+            ["kernel", "--extent", "2", "--steps", "1", "--start", "0", "0", "--end", "0", "0", "2", "0"],
+            "argument --start: expected 4 arguments",
+        ),
+        (KERNEL_ARGS + ["--steps", "2.5"], "argument --steps: invalid int value: '2.5'"),
+        (["exchange", "--theta", "abc"], "argument --theta: invalid float value: 'abc'"),
+        (["dephase", "--dt-grid", "abc"], "bad dt grid 'abc': could not convert string to float: 'abc'"),
+        (
+            ["winding", "no-such-dir/path.json"],
+            "cannot read no-such-dir/path.json: [Errno 2] No such file or directory: "
+            "'no-such-dir/path.json'",
+        ),
+    ],
+    ids=["wrong-coordinate-count", "kernel-float-steps", "exchange-word-theta",
+         "dephase-word-grid", "winding-missing-file"],
+)
+def test_usage_error_is_one_parse_error_line(capsys, argv, detail):
+    # argparse's own errors too: no usage block, and the exit code of every refusal
+    assert run(capsys, argv) == (2, "", f"anyonsim: ParseError: {detail}\n")
 
 
 def _expected_sweep(points, classes):

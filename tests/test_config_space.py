@@ -26,6 +26,7 @@ from anyonsim import (
     validate_path,
     walk_census,
 )
+from anyonsim.config_space import sheet_step
 from anyonsim.errors import (
     CoincidenceAtStep,
     EndpointOffLattice,
@@ -184,15 +185,40 @@ class TestValidatePath:
                 validate_path(path)
 
 
+@pytest.mark.parametrize(
+    "r, nr, step",
+    [
+        ((1.0, 0.0), (0.0, 1.0), 0),
+        ((1.0, 0.0), (0.0, -1.0), -1),
+        ((0.0, -1.0), (1.0, 0.0), 1),
+        # the cross and dot products underflow to 0, so the rescaled vectors give the sign
+        ((5e-324, 0.0), (-5e-324, -5e-324), -1),
+    ],
+    ids=["same-half", "clockwise", "counter-clockwise", "subnormal"],
+)
+def test_sheet_step(r, nr, step):
+    assert sheet_step(*r, *nr) == step
+
+
 class TestPathHelpers:
     def test_reverse(self):
         p = lattice_path([(0, 0, 2, 0), (0, 1, 2, 0), (1, 1, 2, 0)])
         assert reverse_path(p).configs == p.configs[::-1]
 
-    def test_concat_requires_junction(self):
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            (lattice_path([(1, 1, 2, 0), (1, 0, 2, 0)]), "paths do not share a junction configuration"),
+            (
+                lattice_path([(0, 1, 2, 0), (1, 1, 2, 0)], dt=0.5),
+                "cannot concatenate paths with different dt",
+            ),
+        ],
+        ids=["no-junction", "different-dt"],
+    )
+    def test_concat_refused(self, q, message):
         p = lattice_path([(0, 0, 2, 0), (0, 1, 2, 0)])
-        q = lattice_path([(1, 1, 2, 0), (1, 0, 2, 0)])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             concat_paths(p, q)
 
     def test_concat(self):
@@ -378,11 +404,18 @@ class TestLatticeSpec:
         with pytest.raises(ValidationError):
             next(enumerate_walks(lattice, ep, 0))
 
-    def test_rejects_coincident_endpoint(self):
+    @pytest.mark.parametrize(
+        "count",
+        [walk_census, lambda *a: next(enumerate_walks(*a))],
+        ids=["walk_census", "enumerate_walks"],
+    )
+    @pytest.mark.parametrize("which", ["start", "end"])
+    def test_rejects_coincident_endpoint(self, count, which):
         lattice = LatticeSpec(extent=1)
-        ep = EndpointPair(cfg(0, 0, 0, 0), lattice.config((0, 0), (1, 0)))
-        with pytest.raises(ValidationError):
-            next(enumerate_walks(lattice, ep, 1))
+        ends = [cfg(0, 0, 0, 0), lattice.config((0, 0), (1, 0))]
+        ep = EndpointPair(*(ends if which == "start" else ends[::-1]))
+        with pytest.raises(ValidationError, match=f"^{which} configuration is coincident$"):
+            count(lattice, ep, 1)
 
 
 class TestWalkCensus:

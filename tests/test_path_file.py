@@ -1,9 +1,9 @@
 """winding's path file, read a block at a time.
 
-The CLI's loader is checked against ``path_from_json_dict(json.loads(text))``:
-every file gives the same path, or the error of its first defect in file
-order.  Also checked: the defects that order changes, repeated keys, the
-blocks themselves, and the memory a load peaks at.
+The CLI's loader is checked against ``path_from_json_dict(json.loads(text,
+object_pairs_hook=cli._unique))``: every file gives the same path or the same
+error.  Also checked: the stdout and errors of the CLI, the blocks
+themselves, and the memory a load peaks at.
 """
 
 import json
@@ -12,7 +12,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from anyonsim import cli, classify, path_from_json_dict, total_angle
@@ -42,7 +42,7 @@ def reference(path_file):
     """path_from_json_dict of the file's whole JSON tree, a JSON defect as the CLI's ParseError."""
     try:
         with open(path_file, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=cli._unique)
     except (ValueError, RecursionError) as exc:
         return "ParseError", f"invalid JSON in {path_file}: {exc}"
     return outcome(path_from_json_dict, data)
@@ -63,22 +63,21 @@ def winding(capsys, path_file):
 COORDS = (0, 1, -1, 2, -3, 0.5, -0.0, 1e-300, 2.5e3)
 EXTRAS = {"note": "x]], y", "meta": {"a": [[1, 2]], "b": None}, "n": 12, "list": [[[0]], []]}
 SPACE = ("", " ", "\n", "\r\n\t ")
-DEFECTS = ("string", "bool", "three coordinates", "NaN", "no ]", "no [", "trailing garbage")
+DEFECTS = (
+    "string", "bool", "three coordinates", "NaN", "no ]", "no [", "trailing garbage",
+    "repeated key", "repeated nested key",
+)
 
 
 @st.composite
 def path_files(draw):
     """The text of a path file, with dt before or after configs, extra keys,
-    assorted whitespace and 0 to 3000 configurations, and at most one
-    defect; and the outcome that the first defect in file order gives it,
-    as a function of the file's name."""
+    assorted whitespace and 0 to 3000 configurations, and at most one defect."""
     n = draw(st.one_of(st.integers(0, 4), st.integers(5, 3000), st.integers(1500, 3000)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     configs = [[[rng.choice(COORDS) for _ in "xy"] for _ in "12"] for _ in range(n)]
-    defect = draw(st.sampled_from((None, *DEFECTS) if n > 1 else (None, "trailing garbage")))
-    # a "]" is taken from a configuration but the last (the last one's, taken,
-    # would make the members after the array its values)
-    k = draw(st.integers(0, n - 2 if defect == "no ]" else n - 1)) if n else 0
+    defect = draw(st.sampled_from((None, *DEFECTS) if n else (None, "trailing garbage")))
+    k = draw(st.integers(0, n - 1)) if n else 0
     if defect in ("string", "bool", "NaN"):
         position = configs[k][draw(st.integers(0, 1))]
         position[draw(st.integers(0, 1))] = {"string": "1", "bool": True, "NaN": math.nan}[defect]
@@ -101,20 +100,18 @@ def path_files(draw):
         members["dt"] = json.dumps(draw(st.sampled_from((0.5, 1, 2e-3))))
     for name in draw(st.lists(st.sampled_from(sorted(EXTRAS)), unique=True, max_size=3)):
         members[name] = json.dumps(EXTRAS[name])
+    if defect == "repeated nested key":
+        members["meta"] = '{"a": 1, "b": [], "a": 2}'
+    names = draw(st.permutations(sorted(members)))
+    if defect == "repeated key":
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
     text = space() + "{" + comma.join(
         space() + json.dumps(name) + space() + colon + space() + members[name] + space()
-        for name in draw(st.permutations(sorted(members)))
+        for name in names
     ) + "}" + space()
     if defect == "trailing garbage":
         text += draw(st.sampled_from(("x", "]", ",", "{}", "0")))
-    if defect in ("no ]", "no ["):
-        # a malformed value is read before the syntax error: with no "]",
-        # config k holds the configurations after it, up to the array's own
-        # "]"; with no "[", config k's first position is a value of the array
-        read = configs[k] + configs[k + 1:] if defect == "no ]" else configs[k][0]
-        pairs = configs[:k] + [read]
-        return text, lambda path_file: outcome(path_from_json_dict, {"dt": 1.0, "configs": pairs})
-    return text, reference
+    return text
 
 
 @settings(
@@ -125,48 +122,59 @@ def path_files(draw):
     # one file per example, rewritten by each
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(case=path_files())
-def test_loader_matches_json_loads_or_reports_the_first_defect(tmp_path, case):
-    text, expected = case
+@given(text=path_files())
+# the array is never closed, yet its text up to the "}", read as a "]", decodes
+@example(text='{"dt": 1, "configs": [[[2, 0], [0, 0]], [[0, 2], [0, 0]]}')
+# a block is cut at a trailing comma, and the block after it is empty
+@example(text='{"dt": 1, "configs": [[[2, 0], [0, 0]], [[0, 2.' + "0" * cli._JSON_BLOCK + '], [0, 0]],]}')
+def test_loader_reads_as_the_whole_tree(tmp_path, text):
     path_file = write(tmp_path, text)
-    assert outcome(cli._load_path, path_file) == expected(path_file)
+    assert outcome(cli._load_path, path_file) == reference(path_file)
+
+
+def decoded_sizes(monkeypatch, owner, name):
+    """The length of each text that owner.name decodes from now on."""
+    sizes = []
+    decode = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda s, *args, **kw: sizes.append(len(s)) or decode(s, *args, **kw))
+    return sizes
 
 
 class TestBlocks:
-    def test_most_values_are_decoded_in_blocks(self, tmp_path, monkeypatch):
-        # one value at a time only for the tail after the last cut, under one block
-        scans = []
-        scan = cli._SCAN
-        monkeypatch.setattr(cli, "_SCAN", lambda text, i: scans.append(i) or scan(text, i))
+    def test_valid_file_is_decoded_in_blocks(self, tmp_path, monkeypatch):
         text = json.dumps({"dt": 0.5, "configs": ring_walk(10**4 + 1)})
         path_file = write(tmp_path, text)
-        assert cli._load_path(path_file) == path_from_json_dict(json.loads(text))
-        assert len(scans) < 10**4 / 5
+        loads = decoded_sizes(monkeypatch, json, "loads")
+        blocks = decoded_sizes(monkeypatch, cli, "_DECODE")
+        path = cli._load_path(path_file)
+        # json.loads reads only the members but configs, never the whole text
+        assert max(loads) < 2 * cli._JSON_BLOCK
+        assert sum(size < 2 * cli._JSON_BLOCK for size in blocks) > len(text) / (2 * cli._JSON_BLOCK)
+        assert path == reference(path_file)
 
     @pytest.mark.parametrize(
         "valid", [True, False], ids=["note-after-configs", "string-coordinate"]
     )
-    def test_string_holding_a_cut_is_read_one_value_at_a_time(self, tmp_path, monkeypatch, valid):
-        # the first "]]," after a block's size lies inside a string, so that
-        # block does not decode and the values in it are read one at a time
+    def test_string_holding_a_cut_reads_as_the_whole_tree(self, tmp_path, monkeypatch, valid):
+        # the first "]]," after a block's size lies inside a string: after the
+        # array, the last block still ends at the array's "]]]"; inside it,
+        # the block does not decode and the file is read whole
         configs = ring_walk(2001 if valid else 10)
         if valid:
             document = {"dt": 0.5, "configs": configs, "note": "]], " * 10}
         else:
             configs[5][0][0] = "a" * cli._JSON_BLOCK + "]],"
             document = {"dt": 0.5, "configs": configs}
-        scans = []
-        scan = cli._SCAN
-        monkeypatch.setattr(cli, "_SCAN", lambda text, i: scans.append(i) or scan(text, i))
         text = json.dumps(document)
         path_file = write(tmp_path, text)
+        loads = decoded_sizes(monkeypatch, json, "loads")
         got = outcome(cli._load_path, path_file)
+        assert max(loads) < 2 * cli._JSON_BLOCK if valid else max(loads) == len(text)
         assert got == reference(path_file)
         if valid:
-            assert got.n_steps == 2000 and len(scans) > 100
+            assert got.n_steps == 2000
         else:
             assert got[0] == "ValidationError" and "]],'" in got[1]
-            assert len(scans) == 3 + 6  # dt's key and value, configs' key; configs 0 to 5
 
 
 class TestDeclaredBehaviour:
@@ -191,14 +199,14 @@ class TestDeclaredBehaviour:
         )
         assert winding(capsys, write(tmp_path, text)) == (0, expected + "\n", "")
 
-    def test_malformed_pair_before_a_syntax_error_is_reported(self, capsys, tmp_path):
-        # json.loads of the whole text would refuse the missing "]}" first
+    def test_malformed_pair_before_a_syntax_error_is_the_syntax_error(self, capsys, tmp_path):
+        # json.loads of the whole text refuses the missing "]}" before any pair is read
         text = '{"dt": 1, "configs": [[[1, 0], [0, 0]], [[0, "1"], [0, 0]], [[1, 0], [0, 0]]'
-        assert winding(capsys, write(tmp_path, text)) == (
-            2,
-            "",
-            "anyonsim: ValidationError: malformed path JSON: "
-            "coordinates must be numbers, got [[0, '1'], [0, 0]]\n",
+        path_file = write(tmp_path, text)
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        assert winding(capsys, path_file) == (
+            2, "", f"anyonsim: ParseError: invalid JSON in {path_file}: {exc.value}\n"
         )
 
     @pytest.mark.parametrize("dt_first", [True, False], ids=["dt-first", "dt-last"])
@@ -229,22 +237,39 @@ class TestDeclaredBehaviour:
             ('{"configs": CONFIGS, "dt": 1, "configs": []}', "configs"),
             ('{"note": 1, "dt": 1, "configs": CONFIGS, "note": 2}', "note"),
             ('{"dt": 1, "configs": [], "dt": 1}', "dt"),
+            ('{"dt": 1, "configs": CONFIGS, "meta": {"a": 1, "a": 2}}', "a"),
+            ('{"dt": 1, "meta": [{"a": 1, "a": 2}], "configs": CONFIGS}', "a"),
         ],
-        ids=["dt-after-configs", "dt-before-configs", "configs", "extra-key", "empty-configs"],
+        ids=[
+            "dt-after-configs", "dt-before-configs", "configs", "extra-key", "empty-configs",
+            "nested-after-configs", "nested-before-configs",
+        ],
     )
     def test_repeated_key_is_one_error_line(self, capsys, tmp_path, text, key):
-        # json.loads would keep the last value; converted configurations cannot be replaced
+        # json.loads would keep the last value; a repeated key in any object is refused
         text = text.replace("CONFIGS", json.dumps(ring_walk(17)))
-        assert winding(capsys, write(tmp_path, text)) == (
-            2, "", f"anyonsim: ValidationError: malformed path JSON: duplicate key {key!r}\n"
+        path_file = write(tmp_path, text)
+        assert winding(capsys, path_file) == (
+            2, "", f"anyonsim: ParseError: invalid JSON in {path_file}: duplicate key {key!r}\n"
         )
 
 
-def test_loading_peaks_below_the_json_tree(tmp_path):
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda configs: json.dumps({"dt": 0.5, "configs": configs}, separators=(",", ":")),
+        lambda configs: json.dumps({"configs": configs, "dt": 0.5}, indent=1),
+        lambda configs: json.dumps(
+            {"dt": 0.5, "configs": configs, "note": "]], " * 10}, separators=(",", ":")
+        ),
+    ],
+    ids=["compact-dt-first", "indented-dt-last", "cuts-in-a-note-after-configs"],
+)
+def test_loading_peaks_below_the_json_tree(tmp_path, layout):
     # the tree of json.loads holds three lists per configuration; the loader
     # holds the text, the configurations and the tree of one block
     n_configs = 2 * 10**4 + 1
-    text = json.dumps({"dt": 0.5, "configs": ring_walk(n_configs)}, separators=(",", ":"))
+    text = layout(ring_walk(n_configs))
     path_file = write(tmp_path, text)
     started = not tracemalloc.is_tracing()
     if started:
