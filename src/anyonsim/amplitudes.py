@@ -31,7 +31,6 @@ from .config_space import (
     _snap_to_sites,
     check_count,
     check_finite_positive,
-    validate_path,
     walk_census,
 )
 from .errors import (
@@ -129,7 +128,6 @@ def action(path: DiscretePath, params: PhysicsParams = PhysicsParams()) -> float
     """Free-particle kinetic action of the discretized two-particle path:
     sum over steps of m (|dp1|^2 + |dp2|^2) / (2 dt).  An action that
     overflows is refused with ValidationError."""
-    validate_path(path)
     dt = path.dt
     total = 0.0
     configs = path.configs

@@ -54,17 +54,19 @@ def _unique(pairs: list) -> dict:
     return members
 
 
-def _path_configs(text: str, data: dict) -> Iterator:
+def _path_configs(held: list, data: dict) -> Iterator:
     """The values of a path file's top-level "configs" array, decoded a block
     at a time, and then the file's other members read into data.
 
-    Each block is cut after a "]]," at least _JSON_BLOCK characters on, and
+    held is the list of the file's one text, emptied once every character
+    of it has been read, so that a caller that holds the text through it
+    holds it no longer than it may read the text again.  Each block is cut after a "]]," at least _JSON_BLOCK characters on, and
     the last one ends where json closes the array.  The cuts only choose
     where to decode: one that falls inside a value leaves it open, so the
     block does not decode.  json reads the rest of the text with the array
     replaced by null, so every character is checked by json itself.
     """
-    i, key = 0, None
+    text, i, key = held[0], 0, None
     while key != "configs":  # past each "{" or ",", key and ":"; json checks them below
         key, i = _DECODE(text, _WS(text, _WS(text, i).end() + 1).end())
         i = _WS(text, _WS(text, i).end() + 1).end()
@@ -87,29 +89,33 @@ def _path_configs(text: str, data: dict) -> Iterator:
     if type(rest) is not dict:
         raise ValueError(f"expected an object, got {rest!r}")
     data.update(rest)
+    held.clear()
 
 
 def _load_path(path_file: str) -> config_space.DiscretePath:
     """The path of a path file, as ``path_from_json_dict(json.loads(text,
-    object_pairs_hook=_unique))`` gives it.  A valid file's "configs" are
+    object_pairs_hook=_unique))`` gives it.  The file's "configs" are
     decoded a block at a time, so the JSON tree of the whole file is never
-    built; on any defect the file is read whole, and that read's path or
-    error is the result."""
+    built, and its text is dropped once it has been read to its end, before
+    the path is built.  Such a file is valid JSON, so the refusal of its path
+    is the result; on a defect met before, the text is decoded whole, and
+    that read's path or error is the result."""
     try:
         with open(path_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            held = [fh.read()]
     except OSError as exc:
         raise ParseError(f"cannot read {path_file}: {exc}") from exc
     except ValueError as exc:  # not UTF-8
         raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
     data = {}
-    data["configs"] = _path_configs(text, data)
+    data["configs"] = _path_configs(held, data)
     try:
         return config_space.path_from_json_dict(data)
-    except (ValidationError, RecursionError):  # a defect: a block, a value or the rest
-        pass
+    except (ValidationError, RecursionError):  # a defect: a block, a value, the rest or the path
+        if not held:  # the text was read to its end
+            raise
     try:
-        data = json.loads(text, object_pairs_hook=_unique)
+        data = json.loads(held[0], object_pairs_hook=_unique)
     except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
     return config_space.path_from_json_dict(data)
@@ -272,10 +278,18 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, its subcommands' parsers too, with a usage error
-    raised as ParseError, so that it is one line like every other refusal."""
+    raised as ParseError, so that it is one line like every other refusal,
+    and a token that float() reads taken as a value: argparse's own test for
+    a negative number takes "-1e-3" and "-inf" for options."""
 
     def error(self, message: str):
         raise ParseError(message)
+
+    def _parse_optional(self, arg_string: str):
+        try:
+            float(arg_string)  # a number is a value, which argparse marks by returning None
+        except ValueError:
+            return super()._parse_optional(arg_string)
 
 
 def _build_parser() -> argparse.ArgumentParser:

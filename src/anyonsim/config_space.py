@@ -18,12 +18,12 @@ configuration is built through a check that its coordinates are finite.
 A path is valid when no configuration is coincident and the relative vector
 turns by strictly less than pi radians per step.  Steps that flip r exactly
 antiparallel are rejected rather than assigned a sign: the winding of such a
-step would be ambiguous.
+step would be ambiguous.  Every path is built through that check, so every
+path object is valid and can be classified.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import namedtuple
@@ -87,8 +87,9 @@ class TwoParticleConfig(namedtuple("TwoParticleConfig", "x1 y1 x2 y2")):
     Unpacks, indexes, orders and compares equal like the plain 4-tuple of its
     coordinates; ``p1`` and ``p2`` are read back as Vec2.  Built, also by
     ``_replace``, through the check that its coordinates are finite, p1's
-    pair first, with the message Vec2 gives.  Coincidence is left to
-    :func:`validate_path`, so that loaded data can be diagnosed.
+    pair first, with the message Vec2 gives.  Coincidence is refused by
+    the path that holds the configuration, with the index of the
+    configuration in it (:func:`validate_path`).
     """
 
     __slots__ = ()
@@ -121,9 +122,14 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     """A uniformly time-stepped sequence of two-particle configurations.
 
     Unpacks, orders, compares and hashes as the tuple (dt, configs); built,
-    also by ``_replace``, through the checks below.  The instance dict holds
-    only what the one validating pass over the path records: its crossings
-    and turning.
+    also by ``_replace``, copy and pickle, through the checks below and then
+    :func:`validate_path`, so every path is valid.  The instance dict holds
+    only what that pass records: ``crossings``, the steps whose relative
+    vector changes :func:`upper_half_plane` half, as (k, sign) for step k
+    (config k -> k+1) in path order, sign that step's :func:`sheet_step`
+    (+1 counter-clockwise, -1 clockwise, so the signs sum to twice the
+    winding); and the turning that :func:`~anyonsim.homotopy.total_angle`
+    reads.
     """
 
     _make = classmethod(lambda cls, it: cls(*it))
@@ -133,7 +139,13 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
         check_finite_positive("dt", dt)
         if len(configs) < 2:
             raise ValidationError("a path needs at least two configurations")
-        return tuple.__new__(cls, (dt, configs))
+        path = tuple.__new__(cls, (dt, configs))
+        validate_path(path)
+        return path
+
+    def __reduce__(self):
+        # a copy or a pickle is built anew, through the validating pass
+        return type(self), tuple(self)
 
     @property
     def n_steps(self) -> int:
@@ -146,75 +158,6 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     @property
     def end(self) -> TwoParticleConfig:
         return self.configs[-1]
-
-    def _turns(self, flips: list[tuple[int, int]]) -> Iterator[float]:
-        """The one validating pass over the path, as a generator.
-
-        Checks, in path order for each configuration: four real coordinates
-        (ValidationError with the config index, from the unpacking or the
-        arithmetic that fails on anything else), no coincidence
-        (CoincidenceAtStep with the config index), a finite relative vector
-        r = p1 - p2 (ValidationError), and a turn of strictly less than pi
-        from the previous r (TurnTooLargeAtStep with the step index, config
-        k -> k+1).  Yields each step's signed turn, and appends each step
-        that changes :func:`upper_half_plane` half to flips as (k, sign).  The
-        cross product and its rescaling are :func:`sheet_step`'s, inlined; a
-        sign-less one is left to sheet_step, which raises for it.
-        """
-        isfinite = math.isfinite
-        atan2 = math.atan2
-        tiny = _TINY
-        rx = ry = 0.0
-        upper = False
-        configs = self.configs
-        try:
-            for k, (x1, y1, x2, y2) in enumerate(configs):
-                if x1 == x2 and y1 == y2:
-                    raise CoincidenceAtStep(k)
-                nrx = x1 - x2
-                nry = y1 - y2
-                # a finite pair has a finite sum unless the sum overflows
-                if not isfinite(nrx + nry) and not (isfinite(nrx) and isfinite(nry)):
-                    raise ValidationError(f"non-finite vector component ({nrx}, {nry})")
-                nupper = nry > 0 or (nry == 0 and nrx > 0)
-                if k:
-                    cross = rx * nry - ry * nrx
-                    dot = rx * nrx + ry * nry
-                    if dot < tiny and -tiny < dot and -tiny < cross < tiny:
-                        cross, dot = _rescaled_cross_dot(rx, ry, nrx, nry)
-                    if cross == 0.0 and dot < 0.0:
-                        raise TurnTooLargeAtStep(k - 1)
-                    if nupper != upper:
-                        sign = 1 if cross > 0 else -1 if cross < 0 else sheet_step(rx, ry, nrx, nry)
-                        flips.append((k - 1, sign))
-                    yield atan2(cross, dot)
-                rx = nrx
-                ry = nry
-                upper = nupper
-        except (TypeError, ValueError):
-            raise ValidationError(f"configuration {k} is not four coordinates: {configs[k]!r}") from None
-
-    @functools.cached_property
-    def _pass(self) -> tuple[tuple[tuple[int, int], ...], float]:
-        """(crossings as recorded, total turning) of the validating pass, the
-        turning the correctly rounded sum of the per-step turns.
-
-        A path that fails raises on every access; a valid one is walked
-        once, since the path is frozen.
-        """
-        flips: list[tuple[int, int]] = []
-        turning = math.fsum(self._turns(flips))
-        return tuple(flips), turning
-
-    @property
-    def crossings(self) -> tuple[tuple[int, int], ...]:
-        """The steps whose relative vector changes :func:`upper_half_plane`
-        half, as (k, sign) for step k (config k -> k+1) in path order.
-
-        sign is that step's :func:`sheet_step`, +1 counter-clockwise and -1
-        clockwise, so the signs sum to twice the winding.
-        """
-        return self._pass[0]
 
 
 class EndpointPair(namedtuple("EndpointPair", "start end")):
@@ -305,19 +248,63 @@ def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
     )
 
 
-def validate_path(path: DiscretePath) -> None:
-    """Raise on the first invariant violation along the path.
-
-    Checks, in path order: configurations of four coordinates, no coincident
-    configuration, a finite relative vector, a turn of strictly less than pi
-    per step, and a :func:`sheet_step` sign for each crossing, so a valid path
-    can always be classified.
-    CoincidenceAtStep carries the config index, TurnTooLargeAtStep the step
-    index (config k -> k+1).  The checks are the one pass over the path that
-    also records its crossings and turning, so a valid path object is
-    validated once however often this is called.
+def _turns(configs: tuple, flips: list[tuple[int, int]]) -> Iterator[float]:
+    """The checks of :func:`validate_path`, as a generator: yields each
+    step's signed turn atan2(cross, dot), and appends each step that changes
+    :func:`upper_half_plane` half to flips as (k, sign).  The cross product
+    and its rescaling are :func:`sheet_step`'s, inlined; a sign-less one is
+    left to sheet_step, which raises for it.
     """
-    path._pass
+    isfinite = math.isfinite
+    atan2 = math.atan2
+    tiny = _TINY
+    rx = ry = 0.0
+    upper = False
+    try:
+        for k, (x1, y1, x2, y2) in enumerate(configs):
+            if x1 == x2 and y1 == y2:
+                raise CoincidenceAtStep(k)
+            nrx = x1 - x2
+            nry = y1 - y2
+            # a finite pair has a finite sum unless the sum overflows
+            if not isfinite(nrx + nry) and not (isfinite(nrx) and isfinite(nry)):
+                raise ValidationError(f"non-finite vector component ({nrx}, {nry})")
+            nupper = nry > 0 or (nry == 0 and nrx > 0)
+            if k:
+                cross = rx * nry - ry * nrx
+                dot = rx * nrx + ry * nry
+                if dot < tiny and -tiny < dot and -tiny < cross < tiny:
+                    cross, dot = _rescaled_cross_dot(rx, ry, nrx, nry)
+                if cross == 0.0 and dot < 0.0:
+                    raise TurnTooLargeAtStep(k - 1)
+                if nupper != upper:
+                    sign = 1 if cross > 0 else -1 if cross < 0 else sheet_step(rx, ry, nrx, nry)
+                    flips.append((k - 1, sign))
+                yield atan2(cross, dot)
+            rx = nrx
+            ry = nry
+            upper = nupper
+    except (TypeError, ValueError):
+        raise ValidationError(f"configuration {k} is not four coordinates: {configs[k]!r}") from None
+
+
+def validate_path(path: DiscretePath) -> None:
+    """The one validating pass over a path, which :class:`DiscretePath` runs
+    on every path it builds; raises on the first invariant violation.
+
+    Checks, in path order for each configuration: four real coordinates
+    (ValidationError with the config index, from the unpacking or the
+    arithmetic that fails on anything else), no coincidence
+    (CoincidenceAtStep with the config index), a finite relative vector
+    r = p1 - p2 (ValidationError), a turn of strictly less than pi from the
+    previous r (TurnTooLargeAtStep with the step index, config k -> k+1),
+    and a :func:`sheet_step` sign for each crossing, so a valid path can
+    always be classified.  Stores on the path its ``crossings`` and its
+    turning, the correctly rounded sum of the per-step turns.
+    """
+    flips: list[tuple[int, int]] = []
+    path._turning = math.fsum(_turns(path.configs, flips))
+    path.crossings = tuple(flips)
 
 
 def reverse_path(path: DiscretePath) -> DiscretePath:

@@ -44,7 +44,6 @@ from .config_space import (
     check_count,
     check_finite_positive,
     swap,
-    validate_path,
 )
 from .errors import BudgetExceeded, DegenerateGrid, NotExchangeKernel, ValidationError
 from .homotopy import HomotopyClass, Kind, classify
@@ -107,14 +106,13 @@ def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
     """Discretized exchange: antipodal arcs ending exactly in the swapped
     configuration (the last configuration is snapped so the endpoints compare
     equal under exact coordinate equality).  More than MAX_SIZE steps are
-    refused with BudgetExceeded before any configuration is built."""
+    refused with BudgetExceeded before any configuration is built; the path
+    is validated as it is built, as every DiscretePath is."""
     if geom.n_steps > MAX_SIZE:
         raise BudgetExceeded(f"{geom.n_steps} exchange steps exceed the cap {MAX_SIZE}")
     configs = _exchange_configs(geom, geom.n_steps)
     first = next(configs)
-    path = DiscretePath(geom.dt, itertools.chain((first,), configs, (swap(first),)))
-    validate_path(path)
-    return path
+    return DiscretePath(geom.dt, itertools.chain((first,), configs, (swap(first),)))
 
 
 class StepFactor(namedtuple("StepFactor", "alpha_dir alpha_op flipped action_dir action_op")):
@@ -151,9 +149,7 @@ def step_factors(
 ) -> tuple[StepFactor, ...]:
     """Per-step direct and opposite one-step amplitudes along a path.
 
-    A step is flipped when it is one of :attr:`DiscretePath.crossings`, so a
-    crossing with no representable sign raises RoundingInconsistency here as
-    in :func:`classify`.
+    A step is flipped when it is one of :attr:`DiscretePath.crossings`.
     """
     flips = {k for k, _ in path.crossings}
     hbar = params.hbar
@@ -224,7 +220,6 @@ def dephasing_exponent(
                 f"dt {dt} leaves fewer than 2 steps of the exchange of duration {duration}"
             )
         first_step = DiscretePath(dt, _exchange_configs(ExchangeGeometry(radius, n, dt), 2))
-        validate_path(first_step)
         # the phases alone: no exp(i * phase), which phase_factor refuses past 2^53
         ((action_dir, action_op),) = _step_actions(first_step, params)
         phase_dir, phase_op = action_dir / params.hbar, action_op / params.hbar

@@ -74,18 +74,17 @@ def total_angle(path: DiscretePath) -> float:
     Additive under concatenation and negated by reversal.  Depends only on
     the relative coordinate, so translating both particles together changes
     nothing.  Each step turns by atan2(cross, dot) of its two relative
-    vectors, and the turns are summed by the path's one validating pass
-    (:func:`~anyonsim.config_space.validate_path`).
+    vectors, and the turns are summed by the validating pass that built the
+    path (:func:`~anyonsim.config_space.validate_path`).
     """
-    return path._pass[1]
+    return path._turning
 
 
 def classify(path: DiscretePath) -> HomotopyClass:
     """Homotopy class of a closed (Direct) or swapped-endpoint (Exchange) path.
 
     The winding is half the signed count of half-plane crossings of the
-    relative vector, so it is exact.  RoundingInconsistency is raised only
-    when a crossing step has no representable turning sign.
+    relative vector, so it is exact.
     """
     w2 = sum(sign for _, sign in path.crossings)
     return HomotopyClass(endpoint_kind(path.start, path.end), w2 / 2.0)

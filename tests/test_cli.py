@@ -345,6 +345,46 @@ def test_usage_error_is_one_parse_error_line(capsys, argv, detail):
     assert run(capsys, argv) == (2, "", f"anyonsim: ParseError: {detail}\n")
 
 
+def _kernel_exchange(start_x):
+    return [
+        "kernel", "--extent", "2", "--steps", "4", "--resolve",
+        "--start", start_x, "0", "1", "0", "--end", "1", "0", start_x, "0",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["exchange", "--steps", "3", "--theta", "-1e-3"], ["exchange", "--steps", "3", "--theta=-1e-3"]),
+        (["exchange", "--theta", "-2.5E+1"], ["exchange", "--theta=-25"]),
+        (
+            ["sweep", "--theta-min", "-1e-3", "--theta-max", "1", "--points", "3"],
+            ["sweep", "--theta-min=-0.001", "--theta-max", "1", "--points", "3"],
+        ),
+        (_kernel_exchange("-1e0"), _kernel_exchange("-1")),
+        (
+            ["kernel", "--extent", "2", "--steps", "2", "--start", "-1e-5", "0", "1", "0",
+             "--end", "1", "0", "-1e-5", "0"],
+            "EndpointOffLattice: coordinate -1e-05 is not a lattice site (spacing 1.0, extent 2)",
+        ),
+        (["exchange", "--theta", "-inf"], "ValidationError: theta must be finite, got -inf"),
+        (["exchange", "--theta", "-nan"], "ValidationError: theta must be finite, got nan"),
+        # a token that float() does not read is still an option
+        (["exchange", "--theta", "-e3"], "ParseError: argument --theta: expected one argument"),
+    ],
+    ids=["exchange-exponent", "exchange-capital-exponent", "sweep-exponent", "kernel-exponent",
+         "kernel-off-lattice", "minus-inf", "minus-nan", "not-a-number"],
+)
+def test_negative_number_in_any_float_notation_is_a_value(capsys, argv, expected):
+    # argparse's own pattern takes "-1e-3" and "-inf" for options
+    if isinstance(expected, list):
+        expected = run(capsys, expected)
+        assert expected[0] == 0
+    else:
+        expected = (2, "", f"anyonsim: {expected}\n")
+    assert run(capsys, argv) == expected
+
+
 def _expected_sweep(points, classes):
     """The CSV of theta_sweep's rows for --theta-min=-2.5 --theta-max 9.75, formatted field by field."""
     thetas = [-2.5 + i * 12.25 / (points - 1) for i in range(points)]

@@ -13,9 +13,11 @@ from anyonsim import (
     DEFAULT_MOVES,
     DiscretePath,
     EndpointPair,
+    ExchangeGeometry,
     LatticeSpec,
     TwoParticleConfig,
     Vec2,
+    build_exchange_path,
     classify,
     concat_paths,
     enumerate_walks,
@@ -26,7 +28,8 @@ from anyonsim import (
     validate_path,
     walk_census,
 )
-from anyonsim.config_space import sheet_step
+from anyonsim import config_space
+from anyonsim.config_space import _configs_from_json, sheet_step
 from anyonsim.errors import (
     CoincidenceAtStep,
     EndpointOffLattice,
@@ -106,9 +109,11 @@ class TestTwoParticleConfig:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(finite_coords, finite_coords, finite_coords, finite_coords)
     def test_coordinate_and_vec2_construction_agree(self, x1, y1, x2, y2):
-        # the JSON loader's unchecked fast path builds what the constructor builds
+        # the JSON loader's unchecked fast path builds what the constructor
+        # builds, a configuration that no path admits (coincident, or with an
+        # overflowing relative vector) included
         built = TwoParticleConfig(x1, y1, x2, y2)
-        loaded = path_from_json_dict({"dt": 1.0, "configs": [[[x1, y1], [x2, y2]]] * 2}).start
+        (loaded,) = _configs_from_json([[[x1, y1], [x2, y2]]])
         assert type(loaded) is type(built) is TwoParticleConfig
         assert loaded == built and hash(loaded) == hash(built)
         assert loaded.p1 == built.p1 == Vec2(x1, y1)
@@ -127,39 +132,43 @@ class TestDiscretePath:
             DiscretePath(dt=0.0, configs=(cfg(0, 0, 1, 0), cfg(0, 0, 1, 0)))
 
 
+#: the ways to build a path from its configurations: each runs the validating pass
+BUILDS = {
+    "constructor": lambda configs: DiscretePath(1.0, configs),
+    "_make": lambda configs: DiscretePath._make((1.0, configs)),
+    "_replace": lambda configs: DiscretePath(1.0, (cfg(0, 0, 1, 0),) * 2)._replace(configs=configs),
+}
+
+
 class TestValidatePath:
+    # a path is validated when it is built, so each refusal comes from building it
+
     def test_quarter_turn_ok(self):
         path = DiscretePath(dt=1.0, configs=(cfg(0, 0, 1, 0), cfg(0, 0, 0, 1)))
         validate_path(path)
 
     def test_coincidence_reported_with_index(self):
-        path = DiscretePath(
-            dt=1.0, configs=(cfg(0, 0, 1, 0), cfg(1, 1, 1, 1), cfg(0, 0, 1, 0))
-        )
         with pytest.raises(CoincidenceAtStep) as err:
-            validate_path(path)
+            DiscretePath(dt=1.0, configs=(cfg(0, 0, 1, 0), cfg(1, 1, 1, 1), cfg(0, 0, 1, 0)))
         assert err.value.step == 1
 
     def test_exact_pi_turn_rejected(self):
         # relative vector flips (1,0) -> (-1,0) in one step
-        path = lattice_path([(1, 0, 0, 0), (-1, 0, 0, 0)])
         with pytest.raises(TurnTooLargeAtStep) as err:
-            validate_path(path)
+            lattice_path([(1, 0, 0, 0), (-1, 0, 0, 0)])
         assert err.value.step == 0
 
     def test_antiparallel_with_different_lengths_rejected(self):
-        path = lattice_path([(2, 0, 0, 0), (-1, 0, 0, 0)])
         with pytest.raises(TurnTooLargeAtStep):
-            validate_path(path)
+            lattice_path([(2, 0, 0, 0), (-1, 0, 0, 0)])
 
-    @pytest.mark.parametrize("check", [validate_path, classify, total_angle])
-    def test_overflowing_relative_vector_refused(self, check):
+    @pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
+    def test_overflowing_relative_vector_refused(self, build):
         # both positions are finite, but r = p1 - p2 overflows to (inf, 0)
-        path = DiscretePath(dt=1.0, configs=(cfg(1e308, 0.0, -1e308, 0.0),) * 2)
         with pytest.raises(ValidationError, match=r"^non-finite vector component \(inf, 0\.0\)$"):
-            check(path)
+            build((cfg(1e308, 0.0, -1e308, 0.0),) * 2)
 
-    @pytest.mark.parametrize("check", [validate_path, classify, total_angle])
+    @pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
     @pytest.mark.parametrize(
         "configs, message",
         [
@@ -170,19 +179,63 @@ class TestValidatePath:
         ],
         ids=["three", "five", "not-iterable", "string"],
     )
-    def test_configuration_that_is_not_four_coordinates_refused(self, check, configs, message):
+    def test_configuration_that_is_not_four_coordinates_refused(self, build, configs, message):
         # refused by the one validating pass, which names the configuration
-        path = DiscretePath(dt=1.0, configs=configs)
-        for _ in range(2):
-            with pytest.raises(ValidationError) as err:
-                check(path)
-            assert type(err.value) is ValidationError and str(err.value) == message
+        with pytest.raises(ValidationError) as err:
+            build(configs)
+        assert type(err.value) is ValidationError and str(err.value) == message
 
-    def test_invalid_path_raises_on_every_call(self):
-        path = DiscretePath(dt=1.0, configs=(cfg(0, 0, 1, 0), cfg(1, 1, 1, 1)))
-        for _ in range(2):
-            with pytest.raises(CoincidenceAtStep):
-                validate_path(path)
+    @pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
+    def test_invalid_path_is_refused_by_every_build(self, build):
+        with pytest.raises(CoincidenceAtStep, match="^particles coincide at config 1$"):
+            build((cfg(0, 0, 1, 0), cfg(1, 1, 1, 1)))
+
+
+def _exchange_path():
+    return build_exchange_path(ExchangeGeometry(radius=1.0, n_steps=4, dt=0.1))
+
+
+def _lattice_walks():
+    lattice = LatticeSpec(extent=1)
+    start = lattice.config((-1, 0), (1, 0))
+    return list(enumerate_walks(lattice, EndpointPair(start, swap(start)), 4))
+
+
+#: every way to make a path: (what it needs made first, the build from that)
+PATH_MAKERS = {
+    "constructor": (lambda: [A, B], BUILDS["constructor"]),
+    "_make": (lambda: [A, B], BUILDS["_make"]),
+    "_replace": (lambda: DiscretePath(0.1, [A, B]), lambda path: path._replace(configs=[B, A])),
+    **{name: (lambda: DiscretePath(0.1, [A, B]), clone) for name, clone in CLONES.items()},
+    "reverse_path": (lambda: DiscretePath(0.1, [A, B]), reverse_path),
+    "concat_paths": (
+        lambda: (DiscretePath(0.1, [A, B]), DiscretePath(0.1, [B, A])),
+        lambda pair: concat_paths(*pair),
+    ),
+    "path_from_json_dict": (lambda: json_path([(1, 0, 0, 0), (0, 1, 0, 0)]), path_from_json_dict),
+    "build_exchange_path": (lambda: None, lambda _: _exchange_path()),
+    "enumerate_walks": (lambda: None, lambda _: _lattice_walks()),
+}
+
+
+@pytest.mark.parametrize("maker", list(PATH_MAKERS.values()), ids=list(PATH_MAKERS))
+def test_every_built_path_is_validated_once(monkeypatch, maker):
+    # the benchmark wraps config_space.validate_path by name, so its span sees
+    # each path that any of them makes, once
+    prepare, build = maker
+    given_value = prepare()
+    seen = []
+    validate = config_space.validate_path
+
+    def counting(path):
+        seen.append(path)
+        validate(path)
+
+    monkeypatch.setattr(config_space, "validate_path", counting)
+    built = build(given_value)
+    paths = built if isinstance(built, list) else [built]
+    assert paths and all(type(p) is DiscretePath for p in paths)
+    assert [id(p) for p in seen] == [id(p) for p in paths]
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,11 @@ from anyonsim import (
     action,
     classify,
     concat_paths,
-    path_amplitude,
+    path_from_json_dict,
     reverse_path,
     step_factors,
     swap,
     total_angle,
-    validate_path,
 )
 from anyonsim.errors import (
     CoincidenceAtStep,
@@ -138,7 +137,7 @@ class TestClassify:
         assert total_angle(path) == TAU
         # an exactly antiparallel step of such tiny vectors is a half-turn, not an underflow
         with pytest.raises(TurnTooLargeAtStep, match="during step 0$"):
-            validate_path(relative_path([(tiny, 0.0), (-tiny, 0.0)]))
+            relative_path([(tiny, 0.0), (-tiny, 0.0)])
 
     def test_overflowing_turn_sign_is_refused(self):
         # a closed loop of turns below pi whose first step crosses the
@@ -146,36 +145,33 @@ class TestClassify:
         # has no sign
         huge = 1e200
         corners = [(-huge, huge), (huge, -huge / 2), (huge, huge), (-huge, huge)]
-        path = relative_path(corners)
-        with pytest.raises(RoundingInconsistency, match="has no sign$"):
-            classify(path)
-        # nothing is cached: every reader of the crossings refuses the path
-        for _ in range(2):
-            with pytest.raises(RoundingInconsistency):
-                path.crossings
-        with pytest.raises(RoundingInconsistency):
-            step_factors(path)
-        # the crossing is checked by the validating pass itself, so the path
-        # no longer validates, nor gives a NaN turning or an amplitude
+        # the crossing is checked by the validating pass itself, so no such
+        # path is built, to give a NaN turning, a step factor or an amplitude
         message = (
             "turn from (-1e+200, 1e+200) to (1e+200, -5e+199) changes half-plane but has no sign"
         )
-        for read in (validate_path, total_angle, path_amplitude) * 2:
+        valid = relative_path([(1.0, 0.0), (0.0, 1.0)])
+        configs = [TwoParticleConfig(rx, ry, 0.0, 0.0) for rx, ry in corners]
+        builds = {
+            "constructor": lambda: relative_path(corners),
+            "_replace": lambda: valid._replace(configs=configs),
+            "path_from_json_dict": lambda: path_from_json_dict(
+                {"dt": 1.0, "configs": [[[rx, ry], [0.0, 0.0]] for rx, ry in corners]}
+            ),
+        }
+        for name, build in builds.items():
             with pytest.raises(RoundingInconsistency) as caught:
-                read(path)
-            assert str(caught.value) == message, read.__name__
+                build()
+            assert str(caught.value) == message, name
 
     def test_first_defect_in_path_order_is_reported(self):
         huge = 1e200
         # the sign-less crossing of step 0 comes before the coincident config 3
-        path = relative_path([(-huge, huge), (huge, -huge / 2), (huge, huge), (0.0, 0.0)])
-        for read in (validate_path, classify, total_angle):
-            with pytest.raises(RoundingInconsistency, match="has no sign$"):
-                read(path)
+        with pytest.raises(RoundingInconsistency, match="has no sign$"):
+            relative_path([(-huge, huge), (huge, -huge / 2), (huge, huge), (0.0, 0.0)])
         # and a coincident config 0 comes before that crossing
-        path = relative_path([(0.0, 0.0), (-huge, huge), (huge, -huge / 2), (huge, huge)])
         with pytest.raises(CoincidenceAtStep, match="^particles coincide at config 0$"):
-            classify(path)
+            relative_path([(0.0, 0.0), (-huge, huge), (huge, -huge / 2), (huge, huge)])
 
     def test_swapped_endpoints_need_both_particles_swapped(self):
         # end is p1's swap only if both coordinates exchange
@@ -263,8 +259,8 @@ def test_crossings_are_the_one_crossing_rule(pair):
 
 
 @st.composite
-def float_paths(draw):
-    """A float path of 2-12 configurations, valid, or broken at one of them.
+def float_path_configs(draw):
+    """The 2-12 configurations of a float path, valid, or broken at one of them.
 
     The relative vectors have magnitudes within a factor 2 of a scale in
     [1e-100, 1e100], so their products stay in the normal range, and turn by
@@ -294,16 +290,15 @@ def float_paths(draw):
         configs[k] = TwoParticleConfig(-rx, -ry, rx, ry)
     elif defect == "overflow":
         configs[k] = TwoParticleConfig(1e308, cy, -1e308, cy)
-    return DiscretePath(1.0, configs)
+    return configs
 
 
-def _per_step_rules(path):
-    """The first failure as (error type, message), or (crossings, total
-    angle), from the separate per-step rules: coincidence, the finiteness of
-    the relative vector, :func:`signed_angle`, and the exact
-    :func:`half_plane_crossings`."""
+def _per_step_rules(configs):
+    """The first failure as (error type, message), or the total angle, from
+    the separate per-step rules: coincidence, the finiteness of the relative
+    vector and :func:`signed_angle`."""
     rs = []
-    for k, (x1, y1, x2, y2) in enumerate(path.configs):
+    for k, (x1, y1, x2, y2) in enumerate(configs):
         if x1 == x2 and y1 == y2:
             return CoincidenceAtStep, str(CoincidenceAtStep(k))
         try:
@@ -316,22 +311,22 @@ def _per_step_rules(path):
             except ValueError:
                 return TurnTooLargeAtStep, str(TurnTooLargeAtStep(k - 1))
         rs.append(r)
-    turns = math.fsum(signed_angle(*a, *b) for a, b in zip(rs, rs[1:]))
-    return tuple(half_plane_crossings(path)), turns
+    return math.fsum(signed_angle(*a, *b) for a, b in zip(rs, rs[1:]))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(float_paths())
-def test_one_pass_equals_the_per_step_rules(path):
-    expected = _per_step_rules(path)
+@given(float_path_configs())
+def test_one_pass_equals_the_per_step_rules(configs):
+    # the pass that builds the path refuses what the per-step rules refuse,
+    # and records the exact half_plane_crossings and the rules' total angle
+    expected = _per_step_rules(configs)
     try:
-        validate_path(path)
+        path = DiscretePath(1.0, configs)
     except ValidationError as exc:
         assert (type(exc), str(exc)) == expected
         return
-    crossings, turns = expected
-    assert path.crossings == crossings
-    assert total_angle(path).hex() == turns.hex()
+    assert path.crossings == tuple(half_plane_crossings(path))
+    assert total_angle(path).hex() == expected.hex()
 
 
 # --- the record type: a named tuple built through its checks -----------------

@@ -66,7 +66,24 @@ SPACE = ("", " ", "\n", "\r\n\t ")
 DEFECTS = (
     "string", "bool", "three coordinates", "NaN", "no ]", "no [", "trailing garbage",
     "repeated key", "repeated nested key",
+    # valid JSON whose path is refused
+    "coincident", "pi turn", "dt <= 0", "one configuration",
 )
+
+
+def random_configs(rng, n):
+    """n configurations of coordinates from COORDS as JSON pairs, none
+    coincident and none turning exactly antiparallel from the one before, so
+    that most of them make a valid path."""
+    configs, r = [], None
+    while len(configs) < n:
+        (x1, y1), (x2, y2) = pair = [[rng.choice(COORDS) for _ in "xy"] for _ in "12"]
+        nr = (x1 - x2, y1 - y2)
+        if nr == (0, 0) or r and r[0] * nr[1] == r[1] * nr[0] and r[0] * nr[0] + r[1] * nr[1] < 0:
+            continue
+        configs.append(pair)
+        r = nr
+    return configs
 
 
 @st.composite
@@ -74,15 +91,22 @@ def path_files(draw):
     """The text of a path file, with dt before or after configs, extra keys,
     assorted whitespace and 0 to 3000 configurations, and at most one defect."""
     n = draw(st.one_of(st.integers(0, 4), st.integers(5, 3000), st.integers(1500, 3000)))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    configs = [[[rng.choice(COORDS) for _ in "xy"] for _ in "12"] for _ in range(n)]
-    defect = draw(st.sampled_from((None, *DEFECTS) if n else (None, "trailing garbage")))
-    k = draw(st.integers(0, n - 1)) if n else 0
+    configs = random_configs(random.Random(draw(st.integers(0, 2**32 - 1))), n)
+    defects = DEFECTS if n else ("trailing garbage", "dt <= 0")
+    defects = defects if n > 1 else [d for d in defects if d != "pi turn"]
+    defect = draw(st.one_of(st.none(), st.sampled_from(defects)))
+    k = draw(st.integers(1 if defect == "pi turn" else 0, n - 1)) if n else 0
     if defect in ("string", "bool", "NaN"):
         position = configs[k][draw(st.integers(0, 1))]
         position[draw(st.integers(0, 1))] = {"string": "1", "bool": True, "NaN": math.nan}[defect]
     elif defect == "three coordinates":
         configs[k][1].append(0)
+    elif defect == "coincident":
+        configs[k][1] = list(configs[k][0])
+    elif defect == "pi turn":  # the swap of the configuration before: r turns by exactly pi
+        configs[k] = configs[k - 1][::-1]
+    elif defect == "one configuration":
+        del configs[1:]
 
     indent = draw(st.sampled_from((None, 0, 2, "\t")))
     comma, colon = draw(st.sampled_from(((",", ":"), (", ", ": "), (" ,\n", " : "))))
@@ -96,7 +120,9 @@ def path_files(draw):
     elif defect == "no [":
         pieces[k] = pieces[k][1:]
     members = {"configs": "[" + space() + (comma + space()).join(pieces) + space() + "]"}
-    if draw(st.integers(0, 9)):
+    if defect == "dt <= 0":
+        members["dt"] = json.dumps(draw(st.sampled_from((0, -0.0, -0.5))))
+    elif draw(st.integers(0, 9)):
         members["dt"] = json.dumps(draw(st.sampled_from((0.5, 1, 2e-3))))
     for name in draw(st.lists(st.sampled_from(sorted(EXTRAS)), unique=True, max_size=3)):
         members[name] = json.dumps(EXTRAS[name])
@@ -151,6 +177,33 @@ class TestBlocks:
         assert max(loads) < 2 * cli._JSON_BLOCK
         assert sum(size < 2 * cli._JSON_BLOCK for size in blocks) > len(text) / (2 * cli._JSON_BLOCK)
         assert path == reference(path_file)
+
+    @pytest.mark.parametrize(
+        "refusal",
+        [
+            ("dt", -0.5, "ValidationError", "dt must be finite and > 0, got -0.5"),
+            ("dt", "1", "ValidationError", "malformed path JSON: dt must be a number, got '1'"),
+            ("coincident", 9000, "CoincidenceAtStep", "particles coincide at config 9000"),
+            ("pi turn", 9000, "TurnTooLargeAtStep", "relative vector turns by >= pi during step 8999"),
+        ],
+        ids=["negative-dt", "string-dt", "coincident", "pi-turn"],
+    )
+    def test_refused_path_is_decoded_only_in_blocks(self, tmp_path, monkeypatch, refusal):
+        # the JSON is valid and read to its end, so the refusal of its path is
+        # the result: the file is not read again whole
+        what, value, name, message = refusal
+        document = {"dt": 0.5, "configs": ring_walk(10**4 + 1)}
+        if what == "dt":
+            document["dt"] = value
+        elif what == "coincident":
+            document["configs"][value][1] = document["configs"][value][0]
+        else:
+            document["configs"][value] = [[0, 0], RING[(value - 1) % 16]]
+        path_file = write(tmp_path, json.dumps(document))
+        assert reference(path_file) == (name, message)
+        loads = decoded_sizes(monkeypatch, json, "loads")
+        assert outcome(cli._load_path, path_file) == (name, message)
+        assert max(loads) < 2 * cli._JSON_BLOCK
 
     @pytest.mark.parametrize(
         "valid", [True, False], ids=["note-after-configs", "string-coordinate"]
