@@ -18,8 +18,11 @@ configuration is built through a check that its coordinates are finite.
 A path is valid when no configuration is coincident and the relative vector
 turns by strictly less than pi radians per step.  Steps that flip r exactly
 antiparallel are rejected rather than assigned a sign: the winding of such a
-step would be ambiguous.  Every path is built through that check, so every
-path object is valid and can be classified.
+step would be ambiguous.  Every other step has the exact sign of its cross
+product, taken in integers (:func:`_exact_cross_dot`) wherever the float
+product may have lost it to overflow or underflow, so a path's class does not
+depend on its scale.  Every path is built through that check, so every path
+object is valid and can be classified.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from collections.abc import Iterator, Sequence
 from .errors import (
     CoincidenceAtStep,
     EndpointOffLattice,
-    RoundingInconsistency,
     TurnTooLargeAtStep,
     ValidationError,
 )
@@ -42,8 +44,8 @@ DEFAULT_MOVES: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (-1, 0), (0, 1), (
 
 _SNAP_TOL = 1e-9
 
-#: the smallest normal float; cross and dot products both below it are taken
-#: from rescaled vectors (:func:`_rescaled_cross_dot`)
+#: the smallest normal float: below it a float product may have lost its
+#: ratio to the other, or its sign, so the turning rule takes the exact one
 _TINY = 2.0**-1022
 
 
@@ -127,9 +129,9 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     only what that pass records: ``crossings``, the steps whose relative
     vector changes :func:`upper_half_plane` half, as (k, sign) for step k
     (config k -> k+1) in path order, sign that step's :func:`sheet_step`
-    (+1 counter-clockwise, -1 clockwise, so the signs sum to twice the
-    winding); and the turning that :func:`~anyonsim.homotopy.total_angle`
-    reads.
+    (+1 counter-clockwise, -1 clockwise, the exact sign of the step's cross
+    product, so the signs sum to twice the winding); and the turning that
+    :func:`~anyonsim.homotopy.total_angle` reads.
     """
 
     _make = classmethod(lambda cls, it: cls(*it))
@@ -207,20 +209,27 @@ def upper_half_plane(rx: float, ry: float) -> bool:
     return ry > 0 or (ry == 0 and rx > 0)
 
 
-def _rescaled_cross_dot(rx: float, ry: float, nrx: float, nry: float) -> tuple[float, float]:
-    """Cross and dot product of two nonzero vectors r and nr, each first scaled
-    exactly by the power of two that brings its larger component into [0.5, 1).
+def _exact_cross_dot(rx: float, ry: float, nrx: float, nry: float) -> tuple[int, float, float]:
+    """The exact sign of the cross product of r = (rx, ry) and nr = (nrx, nry)
+    (0 only for parallel vectors), and the cross and dot products divided by
+    the larger of their exact magnitudes, each correctly rounded; a cross
+    product that underflows is a zero of its own sign.
 
-    The turning rule takes its products from here when both are below the
-    normal range, where underflow would lose their sign or their ratio: the
-    scaling multiplies cross and dot by one positive factor, so the sign of
-    each and the angle atan2(cross, dot) are kept.
+    The products are built in integers from the exact ratios of the four
+    components (an integer type without ``as_integer_ratio``, such as
+    numpy's, is read through operator.index), so nothing rounds, overflows
+    or underflows before the two divisions, and atan2 of the two quotients
+    is the angle of the turn.
     """
-    frexp, ldexp = math.frexp, math.ldexp
-    e = -frexp(max(abs(rx), abs(ry)))[1]
-    ne = -frexp(max(abs(nrx), abs(nry)))[1]
-    rx, ry, nrx, nry = ldexp(rx, e), ldexp(ry, e), ldexp(nrx, ne), ldexp(nry, ne)
-    return rx * nry - ry * nrx, rx * nrx + ry * nry
+    (a, b), (c, d), (e, f), (g, h) = (
+        v.as_integer_ratio() if hasattr(v, "as_integer_ratio") else (operator.index(v), 1)
+        for v in (rx, ry, nrx, nry)
+    )
+    # both products times the positive b * d * f * h
+    cross = a * g * d * f - c * e * b * h
+    dot = a * e * d * h + c * g * b * f
+    scale = max(abs(cross), abs(dot)) or 1
+    return (cross > 0) - (cross < 0), cross / scale, dot / scale
 
 
 def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
@@ -228,32 +237,36 @@ def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
 
     Sheet h holds the lifted polar angles in [h*pi, (h+1)*pi).  A step turns
     r by less than pi, so h changes only when r leaves its
-    :func:`upper_half_plane` half, and then by the sign of the cross product,
-    rescaled by :func:`_rescaled_cross_dot` when it and the dot product are
-    both subnormal; summed along a path this is twice the winding.  A cross
-    product with no sign (0 from rounding, or NaN from overflow) raises
-    RoundingInconsistency.
+    :func:`upper_half_plane` half, and then by the exact sign of the cross
+    product; summed along a path this is twice the winding.  Rounding is
+    monotone, so a float cross product that is neither 0 nor NaN has that
+    sign; any other is signed by :func:`_exact_cross_dot`.  Only an exactly
+    antiparallel pair (or a zero vector) has no sign, and raises
+    ValidationError.
     """
     if upper_half_plane(nrx, nry) == upper_half_plane(rx, ry):
         return 0
     cross = rx * nry - ry * nrx
-    if -_TINY < cross < _TINY and -_TINY < rx * nrx + ry * nry < _TINY:
-        cross, _ = _rescaled_cross_dot(rx, ry, nrx, nry)
-    if cross > 0:
-        return 1
-    if cross < 0:
-        return -1
-    raise RoundingInconsistency(
-        f"turn from ({rx}, {ry}) to ({nrx}, {nry}) changes half-plane but has no sign"
-    )
+    if not cross or cross != cross:
+        cross = _exact_cross_dot(rx, ry, nrx, nry)[0]
+        if not cross:
+            raise ValidationError(f"turn from ({rx}, {ry}) to ({nrx}, {nry}) has no sign")
+    return 1 if cross > 0 else -1
 
 
 def _turns(configs: tuple, flips: list[tuple[int, int]]) -> Iterator[float]:
     """The checks of :func:`validate_path`, as a generator: yields each
     step's signed turn atan2(cross, dot), and appends each step that changes
-    :func:`upper_half_plane` half to flips as (k, sign).  The cross product
-    and its rescaling are :func:`sheet_step`'s, inlined; a sign-less one is
-    left to sheet_step, which raises for it.
+    :func:`upper_half_plane` half to flips as (k, sign).
+
+    The float products serve every step but three kinds, which take the
+    exact ones of :func:`_exact_cross_dot`: a product that is not finite;
+    both products below the normal range, where their ratio is lost; and a
+    cross product below it where its sign decides, at a crossing or a turn
+    past pi/2.  Any other float cross product has the exact sign, as in
+    :func:`sheet_step`.  So an exact cross product is 0 at a crossing or
+    with a negative dot product only for an exactly antiparallel step,
+    which is refused, and every crossing of a valid path has a sign.
     """
     isfinite = math.isfinite
     atan2 = math.atan2
@@ -273,13 +286,15 @@ def _turns(configs: tuple, flips: list[tuple[int, int]]) -> Iterator[float]:
             if k:
                 cross = rx * nry - ry * nrx
                 dot = rx * nrx + ry * nry
-                if dot < tiny and -tiny < dot and -tiny < cross < tiny:
-                    cross, dot = _rescaled_cross_dot(rx, ry, nrx, nry)
-                if cross == 0.0 and dot < 0.0:
-                    raise TurnTooLargeAtStep(k - 1)
+                if -tiny < cross < tiny and (dot < tiny or nupper != upper) or not isfinite(cross + dot):
+                    sign, cross, dot = _exact_cross_dot(rx, ry, nrx, nry)
+                    if not sign and dot < 0.0:
+                        raise TurnTooLargeAtStep(k - 1)
+                else:
+                    # this float cross product has the exact sign
+                    sign = cross
                 if nupper != upper:
-                    sign = 1 if cross > 0 else -1 if cross < 0 else sheet_step(rx, ry, nrx, nry)
-                    flips.append((k - 1, sign))
+                    flips.append((k - 1, 1 if sign > 0 else -1))
                 yield atan2(cross, dot)
             rx = nrx
             ry = nry
@@ -297,10 +312,12 @@ def validate_path(path: DiscretePath) -> None:
     arithmetic that fails on anything else), no coincidence
     (CoincidenceAtStep with the config index), a finite relative vector
     r = p1 - p2 (ValidationError), a turn of strictly less than pi from the
-    previous r (TurnTooLargeAtStep with the step index, config k -> k+1),
-    and a :func:`sheet_step` sign for each crossing, so a valid path can
-    always be classified.  Stores on the path its ``crossings`` and its
-    turning, the correctly rounded sum of the per-step turns.
+    previous r (TurnTooLargeAtStep with the step index, config k -> k+1;
+    only an exactly antiparallel step, by the exact cross product).  Every
+    crossing of a path that passes has the exact sign of :func:`sheet_step`,
+    so a valid path can always be classified, at any scale.  Stores on the
+    path its ``crossings`` and its turning, the correctly rounded sum of the
+    per-step turns.
     """
     flips: list[tuple[int, int]] = []
     path._turning = math.fsum(_turns(path.configs, flips))

@@ -33,10 +33,6 @@ class EndpointsNotClosedOrExchanged(AnyonSimError):
     """Endpoints are neither equal nor swapped, so no absolute winding exists."""
 
 
-class RoundingInconsistency(AnyonSimError):
-    """A half-plane crossing of the relative vector has no representable turn sign."""
-
-
 class EndpointOffLattice(AnyonSimError):
     """An endpoint configuration does not sit on a lattice site."""
 

@@ -59,6 +59,25 @@ class TestWinding:
         assert report["winding"] == 1.0
         assert report["total_angle"] == pytest.approx(TAU)
 
+    @pytest.mark.parametrize(
+        "rel_points, winding, total_angle",
+        [
+            # every float cross and dot product overflows to inf or NaN
+            ([(1e200, 1e200), (-1e200, 1e200), (1e200, 1e200)], 0.0, 0.0),
+            ([(1e200, 0), (1e200, 1e199), (1e199, 1e200), (-1e200, 0), (0, -1e200), (1e200, 0)], 1.0, TAU),
+            # a crossing whose float cross product alone underflows, to -0.0 or 0.0
+            ([(1e-300, 0), (3, -1e-300), (0, -3), (-3, 0), (0, 3), (1e-300, 0)], -1.0, -TAU),
+            ([(1e-300, 0), (0, 3), (-3, 0), (0, -3), (3, -1e-300), (1e-300, 0)], 1.0, TAU),
+        ],
+        ids=["overflow-there-and-back", "overflow-ccw-loop", "cross-underflow-cw-loop",
+             "cross-underflow-ccw-loop"],
+    )
+    def test_turns_past_the_float_range_are_exact(self, capsys, tmp_path, rel_points, winding, total_angle):
+        path_file = write_path_json(tmp_path, "loop.json", 1.0, rel_points)
+        code, out, err = run(capsys, ["winding", path_file])
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"kind": "Direct", "winding": winding, "total_angle": total_angle}
+
     def test_half_turn_exchange(self, capsys, tmp_path):
         path_file = write_path_json(
             tmp_path, "half.json", 1.0, [(2, 0), (0, 2), (-2, 0)], antipodal=True
@@ -784,7 +803,7 @@ class TestExchange:
     @pytest.mark.parametrize("radius", ["1e-200", "1e-160"])
     def test_tiny_radius_keeps_the_half_turn(self, capsys, radius):
         # the cross and dot products of these relative vectors are subnormal
-        # (1e-160) or underflow to 0 (1e-200); rescaled, they keep sign and angle
+        # (1e-160) or underflow to 0 (1e-200); taken exactly, they keep sign and angle
         code, out, err = run(capsys, ["exchange", f"--radius={radius}"])
         assert code == 0 and err == ""
         report = json.loads(out)
@@ -798,6 +817,17 @@ SNAP_OVERFLOW_ARGVS = [
      "--start", "1e308", "0", "0", "0", "--end", "1e308", "0", "0", "0"],
     ["kernel", "--extent", "2", "--steps", "2", "--spacing", "5e-324",
      "--start", "1", "0", "0", "0", "--end", "1", "0", "0", "0"],
+]
+
+
+# winding files, particle 2 at the origin, whose turns have cross and dot
+# products that overflow in floats: valid paths, with a finite total_angle
+OVERFLOWING_TURN_ARGVS = [
+    ["winding", b'{"dt": 1.0, "configs": [[[1e200, 1e200], [0, 0]], [[-1e200, 1e200], [0, 0]], '
+                b'[[1e200, 1e200], [0, 0]]]}'],
+    ["winding", b'{"dt": 1.0, "configs": [[[1e200, 0], [0, 0]], [[1e200, 1e199], [0, 0]], '
+                b'[[1e199, 1e200], [0, 0]], [[-1e200, 0], [0, 0]], [[0, -1e200], [0, 0]], '
+                b'[[1e200, 0], [0, 0]]]}'],
 ]
 
 
@@ -981,6 +1011,8 @@ def _refuse_constant(name):
 @given(argv=cli_argvs())
 @example(argv=SNAP_OVERFLOW_ARGVS[0])
 @example(argv=SNAP_OVERFLOW_ARGVS[1])
+@example(argv=OVERFLOWING_TURN_ARGVS[0])
+@example(argv=OVERFLOWING_TURN_ARGVS[1])
 def test_every_argv_succeeds_cleanly_or_fails_with_one_line(tmp_path, argv):
     if argv[0] == "winding":
         target = tmp_path / "path.json"

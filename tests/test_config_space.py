@@ -244,13 +244,30 @@ def test_every_built_path_is_validated_once(monkeypatch, maker):
         ((1.0, 0.0), (0.0, 1.0), 0),
         ((1.0, 0.0), (0.0, -1.0), -1),
         ((0.0, -1.0), (1.0, 0.0), 1),
-        # the cross and dot products underflow to 0, so the rescaled vectors give the sign
+        # the cross and dot products underflow to 0, so the exact products give the sign
         ((5e-324, 0.0), (-5e-324, -5e-324), -1),
+        # the dot product is normal and the cross product alone underflows to -0.0
+        ((1e-300, 0.0), (3.0, -1e-300), -1),
+        # the float cross product is inf - inf = NaN
+        ((-1e200, 1e200), (1e200, -5e199), -1),
+        # the cross product is subnormal; halving it would underflow to 0
+        ((1.0, 5e-324), (1.0, -5e-324), -1),
     ],
-    ids=["same-half", "clockwise", "counter-clockwise", "subnormal"],
+    ids=["same-half", "clockwise", "counter-clockwise", "subnormal", "cross-underflow",
+         "cross-overflow", "least-subnormal-cross"],
 )
 def test_sheet_step(r, nr, step):
     assert sheet_step(*r, *nr) == step
+
+
+@pytest.mark.parametrize("number", [int, float, np.int64], ids=["int", "float", "numpy-int64"])
+def test_sheet_step_refuses_a_half_turn(number):
+    one, zero = number(1), number(0)
+    with pytest.raises(ValidationError, match=r"^turn from \(1.*\) to \(-1.*\) has no sign$"):
+        sheet_step(one, zero, -one, zero)
+    # the same step in a path is refused as the half-turn it is
+    with pytest.raises(TurnTooLargeAtStep, match="during step 0$"):
+        DiscretePath(1.0, [TwoParticleConfig(one, zero, zero, zero), TwoParticleConfig(-one, zero, zero, zero)])
 
 
 class TestPathHelpers:

@@ -25,7 +25,6 @@ from anyonsim import (
 from anyonsim.errors import (
     CoincidenceAtStep,
     EndpointsNotClosedOrExchanged,
-    RoundingInconsistency,
     TurnTooLargeAtStep,
     ValidationError,
 )
@@ -126,9 +125,9 @@ class TestClassify:
             classify(path)
 
     def test_underflowing_turn_sign_is_rescaled(self):
-        # a CCW square loop whose cross and dot products all underflow to 0;
-        # they are taken from the rescaled vectors, so the crossings keep their
-        # signs and the turns their angles
+        # a CCW square loop whose float cross and dot products all underflow
+        # to 0; the exact products are taken instead, so the crossings keep
+        # their signs and the turns their angles
         tiny = 1e-200
         corners = [(tiny, tiny), (-tiny, tiny), (-tiny, -tiny), (tiny, -tiny), (tiny, tiny)]
         path = relative_path(corners)
@@ -139,17 +138,12 @@ class TestClassify:
         with pytest.raises(TurnTooLargeAtStep, match="during step 0$"):
             relative_path([(tiny, 0.0), (-tiny, 0.0)])
 
-    def test_overflowing_turn_sign_is_refused(self):
+    def test_overflowing_turn_keeps_its_sign(self):
         # a closed loop of turns below pi whose first step crosses the
-        # half-planes with a cross product inf - inf = NaN, so that crossing
-        # has no sign
+        # half-planes with a float cross product inf - inf = NaN; the exact
+        # products sign that crossing and give every turn its angle
         huge = 1e200
         corners = [(-huge, huge), (huge, -huge / 2), (huge, huge), (-huge, huge)]
-        # the crossing is checked by the validating pass itself, so no such
-        # path is built, to give a NaN turning, a step factor or an amplitude
-        message = (
-            "turn from (-1e+200, 1e+200) to (1e+200, -5e+199) changes half-plane but has no sign"
-        )
         valid = relative_path([(1.0, 0.0), (0.0, 1.0)])
         configs = [TwoParticleConfig(rx, ry, 0.0, 0.0) for rx, ry in corners]
         builds = {
@@ -160,18 +154,27 @@ class TestClassify:
             ),
         }
         for name, build in builds.items():
-            with pytest.raises(RoundingInconsistency) as caught:
-                build()
-            assert str(caught.value) == message, name
+            path = build()
+            assert classify(path) == HomotopyClass(Kind.DIRECT, 0.0), name
+            assert path.crossings == ((0, -1), (1, 1)), name
+            assert abs(total_angle(path)) <= 1e-15, name
 
     def test_first_defect_in_path_order_is_reported(self):
         huge = 1e200
-        # the sign-less crossing of step 0 comes before the coincident config 3
-        with pytest.raises(RoundingInconsistency, match="has no sign$"):
-            relative_path([(-huge, huge), (huge, -huge / 2), (huge, huge), (0.0, 0.0)])
-        # and a coincident config 0 comes before that crossing
+        # the half-turn of step 1 comes before the coincident config 3, and
+        # the overflowing products of step 0 are no defect
+        with pytest.raises(TurnTooLargeAtStep, match="during step 1$"):
+            relative_path([(-huge, huge), (huge, -huge / 2), (-huge, huge / 2), (0.0, 0.0)])
+        # and a coincident config 0 comes before that half-turn
         with pytest.raises(CoincidenceAtStep, match="^particles coincide at config 0$"):
-            relative_path([(0.0, 0.0), (-huge, huge), (huge, -huge / 2), (huge, huge)])
+            relative_path([(0.0, 0.0), (-huge, huge), (huge, -huge / 2), (-huge, huge / 2)])
+
+    def test_turn_just_short_of_pi_is_not_a_half_turn(self):
+        # this step turns by pi - 2e-310: its float cross product underflows
+        # to 0 next to a negative dot product, but the exact one is positive
+        path = relative_path([(1e-10, 1e-320), (-1e-10, 1e-320)])
+        assert total_angle(path) == math.pi
+        assert path.crossings == ()
 
     def test_swapped_endpoints_need_both_particles_swapped(self):
         # end is p1's swap only if both coordinates exchange
@@ -256,6 +259,33 @@ def test_crossings_are_the_one_crossing_rule(pair):
         assert 2 * classify(path).winding == sum(sign for _, sign in crossings)
         flipped = [k for k, factor in enumerate(step_factors(path)) if factor.flipped]
         assert flipped == [k for k, _ in crossings]
+
+
+@st.composite
+def integer_loops(draw):
+    """A valid path, closed or swapped, of 1-8 relative vectors with
+    components in [-3, 3], the particles at +/- r/2."""
+    rel = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda r: r != (0, 0))
+    rs = draw(st.lists(rel, min_size=1, max_size=8))
+    configs = [TwoParticleConfig(rx / 2, ry / 2, -rx / 2, -ry / 2) for rx, ry in rs]
+    configs.append(swap(configs[0]) if draw(st.booleans()) else configs[0])
+    try:
+        return DiscretePath(1.0, configs)
+    except ValidationError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(integer_loops(), st.integers(-1070, 1019))
+def test_exact_under_scaling_by_powers_of_two(path, k):
+    # scaling every coordinate by 2**k is exact, and it scales both products
+    # of every step by 4**k, so the signs and angles of the turns stay; the
+    # products leave the float range at both ends of k
+    for e in (k, -1070, 1019):
+        scaled = DiscretePath(1.0, [TwoParticleConfig(*(math.ldexp(v, e) for v in c)) for c in path.configs])
+        assert scaled.crossings == path.crossings
+        assert classify(scaled) == classify(path)
+        assert abs(total_angle(scaled) - total_angle(path)) <= 1e-12
 
 
 @st.composite
