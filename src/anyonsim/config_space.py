@@ -7,7 +7,11 @@ This module holds the value types (vectors, configurations, paths, lattices),
 path validation, the half-turn sheet step that every winding count uses, and
 the two lattice walk counts that the propagator machinery is built on: the
 walk-by-walk enumeration kept as an oracle, and the transfer-matrix census
-bucketed by winding.
+bucketed by winding.  Both step by one rule, :func:`_successors`: each
+particle's moves are filtered on their own, by the lattice bounds and the
+reach to that particle's end site, once per state, and only the pairs of
+moves that both keep are tested together, for coincidence and an exact
+antiparallel flip.
 
 A configuration is the tuple of its four coordinates (x1, y1, x2, y2), with
 Vec2 views of the two positions built on demand: a path is up to 10^5
@@ -410,68 +414,67 @@ def _snap_to_sites(lattice: LatticeSpec, config: TwoParticleConfig) -> tuple[int
     return tuple(sites)
 
 
-def _joint_moves(moves: Sequence[tuple[int, int]]) -> tuple[tuple[int, int, int, int, int], ...]:
-    # lexicographic in (move index of particle 1, move index of particle 2);
-    # last entry is the squared displacement of the joint move
-    return tuple(
-        (dx1, dy1, dx2, dy2, dx1 * dx1 + dy1 * dy1 + dx2 * dx2 + dy2 * dy2)
-        for dx1, dy1 in moves
-        for dx2, dy2 in moves
-    )
-
-
-def _check_endpoints(start4: tuple[int, ...], end4: tuple[int, ...], n_steps: int) -> None:
+def _walk_setup(lattice: LatticeSpec, endpoints: EndpointPair, n_steps: int):
+    """The setup of both lattice walk counts: the start and end snapped to
+    sites (EndpointOffLattice, start first), then n_steps an integer >= 1 and
+    neither end coincident (ValidationError, in that order); returns the
+    start sites, the end sites and the step rule :func:`_successors` to them.
+    """
+    start4 = _snap_to_sites(lattice, endpoints.start)
+    end4 = _snap_to_sites(lattice, endpoints.end)
     if check_count("n_steps", n_steps) < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     if start4[0] == start4[2] and start4[1] == start4[3]:
         raise ValidationError("start configuration is coincident")
     if end4[0] == end4[2] and end4[1] == end4[3]:
         raise ValidationError("end configuration is coincident")
+    return start4, end4, _successors(lattice, end4)
 
 
 def _successors(lattice: LatticeSpec, end4: tuple[int, int, int, int]):
     """The step rule of every lattice walk, as a generator function.
 
     The returned ``step(sites, left)`` yields ``(next_sites, ssq, dh)`` for
-    each joint move, in joint-move order, that keeps both particles on the
-    lattice, avoids coincidence, does not flip the relative vector exactly
-    antiparallel, and leaves the end sites reachable in the remaining
-    ``left - 1`` steps.  ``ssq`` is the squared site displacement of the
-    move.  ``dh`` is the change of the half-turn sheet index,
-    :func:`sheet_step`.
+    each joint move, in (move of particle 1, move of particle 2) order, that
+    keeps both particles on the lattice, leaves each within reach of its end
+    site in the remaining ``left - 1`` steps, avoids coincidence and does not
+    flip the relative vector exactly antiparallel.  The first two tests are
+    each particle's own: its moves are filtered by them once per state, and
+    only the pairs of moves that both keep are tested together.  ``ssq`` is
+    the squared site displacement of the joint move.  ``dh`` is the change of
+    the half-turn sheet index, :func:`sheet_step`.
     """
-    joint = _joint_moves(lattice.moves)
     extent = lattice.extent
+    moves = tuple((dx, dy, dx * dx + dy * dy) for dx, dy in lattice.moves)
     # one move shortens a particle's Manhattan distance to its end site by at most reach
-    reach = max((abs(dx) + abs(dy) for dx, dy in lattice.moves), default=0)
+    reach = max((abs(dx) + abs(dy) for dx, dy, _ in moves), default=0)
     e1x, e1y, e2x, e2y = end4
+
+    def kept(x, y, ex, ey, slack):
+        # the sites, with their squared displacements, that one particle's moves may reach
+        out = []
+        for dx, dy, cost in moves:
+            nx = x + dx
+            ny = y + dy
+            if -extent <= nx <= extent and -extent <= ny <= extent and abs(nx - ex) + abs(ny - ey) <= slack:
+                out.append((nx, ny, cost))
+        return out
 
     def step(sites, left):
         x1, y1, x2, y2 = sites
         rx = x1 - x2
         ry = y1 - y2
         slack = (left - 1) * reach
-        for dx1, dy1, dx2, dy2, cost in joint:
-            nx1 = x1 + dx1
-            ny1 = y1 + dy1
-            if nx1 > extent or nx1 < -extent or ny1 > extent or ny1 < -extent:
-                continue
-            nx2 = x2 + dx2
-            ny2 = y2 + dy2
-            if nx2 > extent or nx2 < -extent or ny2 > extent or ny2 < -extent:
-                continue
-            nrx = nx1 - nx2
-            nry = ny1 - ny2
-            if nrx == 0 and nry == 0:
-                continue
-            cross = rx * nry - ry * nrx
-            if cross == 0 and rx * nrx + ry * nry < 0:
-                continue
-            if abs(nx1 - e1x) + abs(ny1 - e1y) > slack:
-                continue
-            if abs(nx2 - e2x) + abs(ny2 - e2y) > slack:
-                continue
-            yield (nx1, ny1, nx2, ny2), cost, sheet_step(rx, ry, nrx, nry)
+        second = kept(x2, y2, e2x, e2y, slack)
+        for nx1, ny1, cost1 in kept(x1, y1, e1x, e1y, slack):
+            for nx2, ny2, cost2 in second:
+                nrx = nx1 - nx2
+                nry = ny1 - ny2
+                if nrx == 0 and nry == 0:
+                    continue
+                if rx * nry - ry * nrx == 0 and rx * nrx + ry * nry < 0:
+                    continue
+                yield (nx1, ny1, nx2, ny2), cost1 + cost2, sheet_step(rx, ry, nrx, nry)
 
     return step
 
@@ -490,10 +493,7 @@ def enumerate_walks(
     indices, so the stream is deterministic.  This walk-by-walk enumeration
     is the reference that :func:`walk_census` is tested against.
     """
-    start4 = _snap_to_sites(lattice, endpoints.start)
-    end4 = _snap_to_sites(lattice, endpoints.end)
-    _check_endpoints(start4, end4, n_steps)
-    step = _successors(lattice, end4)
+    start4, _, step = _walk_setup(lattice, endpoints, n_steps)
     sp = lattice.spacing
 
     def rec(sites, left, trail):
@@ -528,10 +528,7 @@ def walk_census(
     lattice sites (EndpointOffLattice when one is not a site); whether they
     are closed or swapped is for the caller to decide.
     """
-    start4 = _snap_to_sites(lattice, endpoints.start)
-    end4 = _snap_to_sites(lattice, endpoints.end)
-    _check_endpoints(start4, end4, n_steps)
-    step = _successors(lattice, end4)
+    start4, end4, step = _walk_setup(lattice, endpoints, n_steps)
 
     frontier = {start4: {(0, 0): 1}}
     for left in range(n_steps, 0, -1):

@@ -135,6 +135,43 @@ def brute_force_walks(extent, start, end, n_steps, moves=MOVES):
     return walks
 
 
+def direct_successors(extent, moves, end, sites, left):
+    """(next_sites, ssq, dh) for each joint move, in (move of particle 1,
+    move of particle 2) order, that the lattice step rule keeps, by one
+    direct filter over all |moves|^2 joint moves.
+
+    A joint move is kept when both particles stay within extent, each is
+    within (left - 1) * reach Manhattan distance of its end site (reach the
+    longest Manhattan length of a move), the particles do not coincide, and
+    the relative vector does not turn by exactly pi.  ssq is the squared
+    displacement of both particles; dh is 0 unless the relative vector
+    changes half plane (polar angle in [0, pi) or not), and then the sign of
+    the turn, read from the complex product r' * conj(r).
+    """
+    reach = max(abs(dx) + abs(dy) for dx, dy in moves)
+    slack = (left - 1) * reach
+    x1, y1, x2, y2 = sites
+    r = complex(x1 - x2, y1 - y2)
+
+    def upper(z):
+        return z.imag > 0 or (z.imag == 0 and z.real > 0)
+
+    kept = []
+    for (dx1, dy1), (dx2, dy2) in itertools.product(moves, moves):
+        nxt = (x1 + dx1, y1 + dy1, x2 + dx2, y2 + dy2)
+        if any(abs(v) > extent for v in nxt):
+            continue
+        if any(abs(nxt[i] - end[i]) + abs(nxt[i + 1] - end[i + 1]) > slack for i in (0, 2)):
+            continue
+        nr = complex(nxt[0] - nxt[2], nxt[1] - nxt[3])
+        turn = nr * r.conjugate()
+        if nr == 0 or (turn.imag == 0 and turn.real < 0):
+            continue
+        dh = 0 if upper(nr) == upper(r) else (1 if turn.imag > 0 else -1)
+        kept.append((nxt, dx1 * dx1 + dy1 * dy1 + dx2 * dx2 + dy2 * dy2, dh))
+    return kept
+
+
 def random_valid_walk(rng: random.Random, extent=3, n_steps=8, dt=1.0):
     """Uniformly random-ish valid lattice walk: random start, then a random
     valid joint move per step (stay-stay is always valid, so never stuck)."""
