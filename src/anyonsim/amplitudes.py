@@ -126,18 +126,11 @@ class ResolvedKernel(namedtuple("ResolvedKernel", "endpoints n_steps partials"))
 
 def action(path: DiscretePath, params: PhysicsParams = PhysicsParams()) -> float:
     """Free-particle kinetic action of the discretized two-particle path:
-    sum over steps of m (|dp1|^2 + |dp2|^2) / (2 dt).  An action that
+    sum over steps of m (|dp1|^2 + |dp2|^2) / (2 dt), the mass times the
+    kinetic sum that the path's validating pass added up in path order
+    (:func:`~anyonsim.config_space.validate_path`).  An action that
     overflows is refused with ValidationError."""
-    dt = path.dt
-    total = 0.0
-    configs = path.configs
-    for (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) in zip(configs, configs[1:]):
-        d1x = bx1 - ax1
-        d1y = by1 - ay1
-        d2x = bx2 - ax2
-        d2y = by2 - ay2
-        total += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / (2.0 * dt)
-    s = params.mass * total
+    s = params.mass * path._kinetic
     if not math.isfinite(s):
         raise ValidationError(f"action must be finite, got {s}")
     return s

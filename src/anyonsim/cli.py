@@ -92,14 +92,16 @@ def _path_configs(held: list, data: dict) -> Iterator:
     held.clear()
 
 
-def _load_path(path_file: str) -> config_space.DiscretePath:
-    """The path of a path file, as ``path_from_json_dict(json.loads(text,
-    object_pairs_hook=_unique))`` gives it.  The file's "configs" are
-    decoded a block at a time, so the JSON tree of the whole file is never
-    built, and its text is dropped once it has been read to its end, before
-    the path is built.  Such a file is valid JSON, so the refusal of its path
+def _load_path(path_file: str) -> config_space._Walk:
+    """The validating pass over the path of a path file, with the outcome of
+    ``path_from_json_dict(json.loads(text, object_pairs_hook=_unique))``: the
+    same record of the same path, or the same error.  The file's "configs"
+    are decoded a block at a time and each configuration is read by the pass
+    as it is decoded, so neither the JSON tree of the whole file nor the
+    path's configurations are held, and the text is dropped once it has been
+    read to its end.  Such a file is valid JSON, so the refusal of its path
     is the result; on a defect met before, the text is decoded whole, and
-    that read's path or error is the result."""
+    that read's record or error is the result."""
     try:
         with open(path_file, "r", encoding="utf-8") as fh:
             held = [fh.read()]
@@ -110,7 +112,7 @@ def _load_path(path_file: str) -> config_space.DiscretePath:
     data = {}
     data["configs"] = _path_configs(held, data)
     try:
-        return config_space.path_from_json_dict(data)
+        return config_space._walk_from_json(data)
     except (ValidationError, RecursionError):  # a defect: a block, a value, the rest or the path
         if not held:  # the text was read to its end
             raise
@@ -118,16 +120,16 @@ def _load_path(path_file: str) -> config_space.DiscretePath:
         data = json.loads(held[0], object_pairs_hook=_unique)
     except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
-    return config_space.path_from_json_dict(data)
+    return config_space._walk_from_json(data)
 
 
 def _cmd_winding(args: argparse.Namespace) -> int:
-    path = _load_path(args.path_file)
-    cls = homotopy.classify(path)
+    walked = _load_path(args.path_file)
+    cls = homotopy.classify(walked)
     report = {
         "kind": cls.kind.value,
         "winding": cls.winding,
-        "total_angle": homotopy.total_angle(path),
+        "total_angle": homotopy.total_angle(walked),
     }
     print(json.dumps(report))
     return 0
@@ -248,25 +250,17 @@ def _cmd_dephase(args: argparse.Namespace) -> int:
 
 
 def _cmd_exchange(args: argparse.Namespace) -> int:
-    geom = exchange.ExchangeGeometry(
-        radius=args.radius,
-        n_steps=args.steps,
-        dt=args.dt,
-        direction=exchange.Direction(args.direction),
-    )
+    direction = exchange.Direction(args.direction)
+    geom = exchange.ExchangeGeometry(args.radius, args.steps, args.dt, direction)
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
-    path = exchange.build_exchange_path(geom)
-    cls = homotopy.classify(path)
-    amp = amplitudes.path_amplitude(path, params)
-    stats = amplitudes.StatisticsSpec(
-        theta=args.theta, op_class=amplitudes.OpClass(args.op_class)
-    )
+    walked, cls, amp = exchange._designated_exchange(geom, params)
+    stats = amplitudes.StatisticsSpec(args.theta, amplitudes.OpClass(args.op_class))
     result = exchange.exchange_phase(cls, amp, stats)
     report = {
         "kind": cls.kind.value,
         "winding": cls.winding,
-        "total_angle": homotopy.total_angle(path),
-        "n_flipped": len(path.crossings),
+        "total_angle": homotopy.total_angle(walked),
+        "n_flipped": len(walked.crossings),
         "theta": stats.theta,
         "op_class": stats.op_class.value,
         "phi": result.phi,

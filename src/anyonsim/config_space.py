@@ -27,6 +27,13 @@ product, taken in integers (:func:`_exact_cross_dot`) wherever the float
 product may have lost it to overflow or underflow, so a path's class does not
 depend on its scale.  Every path is built through that check, so every path
 object is valid and can be classified.
+
+The check is one pass, :func:`_walk`, over any iterable of configurations,
+read once: it also records the crossings, the turning, the endpoints and,
+given dt, the kinetic sum of the action.  :class:`DiscretePath` runs it on
+its tuple; the CLI's ``exchange`` and ``winding`` run it on configurations
+as they are made or decoded, and hold none of them
+(:func:`_walk_from_json`).
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 
 from .errors import (
     CoincidenceAtStep,
@@ -124,6 +132,13 @@ def swap(config: TwoParticleConfig) -> TwoParticleConfig:
     return TwoParticleConfig(x2, y2, x1, y1)
 
 
+def _check_dt_and_length(dt: float, n_configs: int) -> None:
+    """The checks of a path before its validating pass: dt, then its length."""
+    check_finite_positive("dt", dt)
+    if n_configs < 2:
+        raise ValidationError("a path needs at least two configurations")
+
+
 class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     """A uniformly time-stepped sequence of two-particle configurations.
 
@@ -134,17 +149,16 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     vector changes :func:`upper_half_plane` half, as (k, sign) for step k
     (config k -> k+1) in path order, sign that step's :func:`sheet_step`
     (+1 counter-clockwise, -1 clockwise, the exact sign of the step's cross
-    product, so the signs sum to twice the winding); and the turning that
-    :func:`~anyonsim.homotopy.total_angle` reads.
+    product, so the signs sum to twice the winding); the turning that
+    :func:`~anyonsim.homotopy.total_angle` reads; and the kinetic sum that
+    :func:`~anyonsim.amplitudes.action` reads.
     """
 
     _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, dt: float, configs: Sequence[TwoParticleConfig]) -> DiscretePath:
         configs = tuple(_iterate(configs, "configs must be an iterable of configurations"))
-        check_finite_positive("dt", dt)
-        if len(configs) < 2:
-            raise ValidationError("a path needs at least two configurations")
+        _check_dt_and_length(dt, len(configs))
         path = tuple.__new__(cls, (dt, configs))
         validate_path(path)
         return path
@@ -258,10 +272,26 @@ def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
     return 1 if cross > 0 else -1
 
 
-def _turns(configs: tuple, flips: list[tuple[int, int]]) -> Iterator[float]:
-    """The checks of :func:`validate_path`, as a generator: yields each
-    step's signed turn atan2(cross, dot), and appends each step that changes
-    :func:`upper_half_plane` half to flips as (k, sign).
+class _Walk:
+    """What the one validating pass, :func:`_walk`, records of a path.
+
+    ``crossings`` and the turning, as :class:`DiscretePath` keeps them; the
+    kinetic sum, when the pass was given dt; ``start`` and ``end``, the first
+    and last configuration; and ``n_steps``, the index of the last
+    configuration read.  :func:`~anyonsim.homotopy.classify`,
+    :func:`~anyonsim.homotopy.total_angle` and
+    :func:`~anyonsim.amplitudes.action` read it as they read a path.
+    """
+
+    __slots__ = ("crossings", "_turning", "_kinetic", "start", "end", "n_steps")
+
+
+def _turns(configs: Iterable, dt: float | None, walked: _Walk) -> Iterator[float]:
+    """The checks of :func:`validate_path`, as a generator over configs, read
+    once: yields each step's signed turn atan2(cross, dot), and records the
+    rest of :class:`_Walk` on walked, ``n_steps`` also when it raises, with
+    ``crossings`` the steps that change :func:`upper_half_plane` half, as
+    (k, sign).  An error raised by configs itself is not caught.
 
     The float products serve every step but three kinds, which take the
     exact ones of :func:`_exact_cross_dot`: a product that is not finite;
@@ -271,40 +301,63 @@ def _turns(configs: tuple, flips: list[tuple[int, int]]) -> Iterator[float]:
     :func:`sheet_step`.  So an exact cross product is 0 at a crossing or
     with a negative dot product only for an exactly antiparallel step,
     which is refused, and every crossing of a valid path has a sign.
+
+    Given dt, each step's m = 1 kinetic term (|dp1|^2 + |dp2|^2) / (2 dt) is
+    added up with ``+=`` in path order.
     """
-    isfinite = math.isfinite
-    atan2 = math.atan2
-    tiny = _TINY
-    rx = ry = 0.0
-    upper = False
+    isfinite, atan2, tiny = math.isfinite, math.atan2, _TINY
+    two_dt, kinetic = (None, None) if dt is None else (2.0 * dt, 0.0)
+    k, item, flips = -1, None, []
     try:
-        for k, (x1, y1, x2, y2) in enumerate(configs):
-            if x1 == x2 and y1 == y2:
-                raise CoincidenceAtStep(k)
-            nrx = x1 - x2
-            nry = y1 - y2
-            # a finite pair has a finite sum unless the sum overflows
-            if not isfinite(nrx + nry) and not (isfinite(nrx) and isfinite(nry)):
-                raise ValidationError(f"non-finite vector component ({nrx}, {nry})")
-            nupper = nry > 0 or (nry == 0 and nrx > 0)
-            if k:
-                cross = rx * nry - ry * nrx
-                dot = rx * nrx + ry * nry
-                if -tiny < cross < tiny and (dot < tiny or nupper != upper) or not isfinite(cross + dot):
-                    sign, cross, dot = _exact_cross_dot(rx, ry, nrx, nry)
-                    if not sign and dot < 0.0:
-                        raise TurnTooLargeAtStep(k - 1)
+        for k, item in enumerate(configs):
+            try:
+                x1, y1, x2, y2 = item
+                if x1 == x2 and y1 == y2:
+                    raise CoincidenceAtStep(k)
+                nrx, nry = x1 - x2, y1 - y2
+                # a finite pair has a finite sum unless the sum overflows
+                if not isfinite(nrx + nry) and not (isfinite(nrx) and isfinite(nry)):
+                    raise ValidationError(f"non-finite vector component ({nrx}, {nry})")
+                nupper = nry > 0 or (nry == 0 and nrx > 0)
+                if k:  # rx, ry, upper and ax1 .. ay2 are configuration k - 1's, set below
+                    cross, dot = rx * nry - ry * nrx, rx * nrx + ry * nry
+                    if -tiny < cross < tiny and (dot < tiny or nupper != upper) or not isfinite(cross + dot):
+                        sign, cross, dot = _exact_cross_dot(rx, ry, nrx, nry)
+                        if not sign and dot < 0.0:
+                            raise TurnTooLargeAtStep(k - 1)
+                    else:
+                        # this float cross product has the exact sign
+                        sign = cross
+                    if nupper != upper:
+                        flips.append((k - 1, 1 if sign > 0 else -1))
+                    if two_dt is not None:
+                        d1x, d1y = x1 - ax1, y1 - ay1
+                        d2x, d2y = x2 - ax2, y2 - ay2
+                        kinetic += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / two_dt
+                    yield atan2(cross, dot)
                 else:
-                    # this float cross product has the exact sign
-                    sign = cross
-                if nupper != upper:
-                    flips.append((k - 1, 1 if sign > 0 else -1))
-                yield atan2(cross, dot)
-            rx = nrx
-            ry = nry
-            upper = nupper
-    except (TypeError, ValueError):
-        raise ValidationError(f"configuration {k} is not four coordinates: {configs[k]!r}") from None
+                    walked.start = item
+            except (TypeError, ValueError):
+                raise ValidationError(f"configuration {k} is not four coordinates: {item!r}") from None
+            rx, ry, upper = nrx, nry, nupper
+            ax1, ay1 = x1, y1
+            ax2, ay2 = x2, y2
+    finally:
+        walked.n_steps = k
+    walked.end, walked._kinetic, walked.crossings = item, kinetic, tuple(flips)
+
+
+def _walk(configs: Iterable, dt: float | None, walked: _Walk) -> _Walk:
+    """The one validating pass over configs, any iterable of configurations,
+    read once and never held: the checks of :func:`validate_path`, in its
+    order, with its errors.  Records on walked, and returns it, what
+    :class:`_Walk` holds: the crossings, the turning, the correctly rounded
+    sum of the per-step turns, and, given dt (else None), the kinetic sum that
+    :func:`~anyonsim.amplitudes.action` reads.  A path of fewer than two
+    configurations, or a dt, is not refused here.
+    """
+    walked._turning = math.fsum(_turns(configs, dt, walked))
+    return walked
 
 
 def validate_path(path: DiscretePath) -> None:
@@ -312,20 +365,19 @@ def validate_path(path: DiscretePath) -> None:
     on every path it builds; raises on the first invariant violation.
 
     Checks, in path order for each configuration: four real coordinates
-    (ValidationError with the config index, from the unpacking or the
-    arithmetic that fails on anything else), no coincidence
+    (ValidationError with the config index and the item, from the unpacking
+    or the arithmetic that fails on anything else), no coincidence
     (CoincidenceAtStep with the config index), a finite relative vector
     r = p1 - p2 (ValidationError), a turn of strictly less than pi from the
     previous r (TurnTooLargeAtStep with the step index, config k -> k+1;
     only an exactly antiparallel step, by the exact cross product).  Every
     crossing of a path that passes has the exact sign of :func:`sheet_step`,
     so a valid path can always be classified, at any scale.  Stores on the
-    path its ``crossings`` and its turning, the correctly rounded sum of the
-    per-step turns.
+    path what :func:`_walk` records: its ``crossings``, its turning and its
+    kinetic sum.
     """
-    flips: list[tuple[int, int]] = []
-    path._turning = math.fsum(_turns(path.configs, flips))
-    path.crossings = tuple(flips)
+    walked = _walk(path.configs, path.dt, _Walk())
+    path.crossings, path._turning, path._kinetic = walked.crossings, walked._turning, walked._kinetic
 
 
 def reverse_path(path: DiscretePath) -> DiscretePath:
@@ -348,18 +400,19 @@ def concat_paths(first: DiscretePath, second: DiscretePath) -> DiscretePath:
 _JSON_NUMBERS = frozenset((int, float))
 
 
-def _configs_from_json(pairs) -> list[TwoParticleConfig]:
-    """The configurations of JSON position pairs [[x1, y1], [x2, y2]], as TwoParticleConfig builds them.
+def _configs_from_json(pairs) -> Iterator[tuple[float, float, float, float]]:
+    """The coordinates (x1, y1, x2, y2) of JSON position pairs [[x1, y1], [x2, y2]],
+    as floats that TwoParticleConfig admits, in plain tuples (a
+    TwoParticleConfig where their sum overflows).
 
-    A position that is not a pair, or a coordinate that is not a JSON number
-    (a string, a boolean), is refused with TypeError or ValueError.  The pairs
-    are read once, in order, so they may come from a generator.
+    A generator: the pairs are read once, in order, as the configurations are
+    asked for, so they may come from a generator too.  A position that is not
+    a pair, or a coordinate that is not a JSON number (a string, a boolean),
+    is refused with TypeError or ValueError, and one that is not finite with
+    TwoParticleConfig's ValidationError.
     """
-    new = tuple.__new__
     isfinite = math.isfinite
     number = _JSON_NUMBERS
-    configs = []
-    append = configs.append
     for (x1, y1), (x2, y2) in pairs:
         if not (type(x1) in number and type(y1) in number
                 and type(x2) in number and type(y2) in number):
@@ -367,10 +420,26 @@ def _configs_from_json(pairs) -> list[TwoParticleConfig]:
         x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
         # finite coordinates have a finite sum unless it overflows; then the constructor checks them
         if isfinite(x1 + y1 + x2 + y2):
-            append(new(TwoParticleConfig, (x1, y1, x2, y2)))
+            yield x1, y1, x2, y2
         else:
-            append(TwoParticleConfig(x1, y1, x2, y2))
-    return configs
+            yield TwoParticleConfig(x1, y1, x2, y2)
+
+
+def _as_configs(coords: Iterable[tuple]) -> Iterator[TwoParticleConfig]:
+    """TwoParticleConfig views of tuples of four finite coordinates, made
+    without the finiteness check that they have passed."""
+    return map(tuple.__new__, repeat(TwoParticleConfig), coords)
+
+
+def _dt_from_json(data: dict) -> float:
+    dt = data["dt"]
+    if type(dt) not in _JSON_NUMBERS:
+        raise TypeError(f"dt must be a number, got {dt!r}")
+    return float(dt)
+
+
+#: what reading the JSON form raises where the form is malformed
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
 
 
 def path_from_json_dict(data: dict) -> DiscretePath:
@@ -384,16 +453,41 @@ def path_from_json_dict(data: dict) -> DiscretePath:
     a bad ``dt``.
     """
     try:
-        configs = _configs_from_json(data["configs"])
-        dt = data["dt"]
-        if type(dt) not in _JSON_NUMBERS:
-            raise TypeError(f"dt must be a number, got {dt!r}")
-        dt = float(dt)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        configs = tuple(_as_configs(_configs_from_json(data["configs"])))
+        dt = _dt_from_json(data)
+    except _MALFORMED as exc:
         raise ValidationError(f"malformed path JSON: {exc}") from exc
     return DiscretePath(dt=dt, configs=configs)
+
+
+def _walk_from_json(data: dict) -> _Walk:
+    """The :func:`_walk` of the path of the JSON form, with no configuration
+    held, and with :func:`path_from_json_dict`'s outcome: the same record of
+    the same path, or the same error.
+
+    So its refusals come in that function's order: a malformed form or pair
+    anywhere in ``configs``; then a missing or bad ``dt``; then fewer than
+    two configurations; and only then the first defect of the path.  A defect
+    that the pass meets therefore waits while the rest of ``configs`` is
+    converted and ``dt`` is read.
+    """
+    defect, walked = None, _Walk()
+    try:
+        configs = _configs_from_json(data["configs"])
+        try:
+            _walk(configs, None, walked)
+        except ValidationError as exc:
+            if configs.gi_frame is None:  # raised by a pair, which comes first
+                raise
+            defect = exc
+            walked.n_steps += sum(1 for _ in configs)
+        dt = _dt_from_json(data)
+    except _MALFORMED as exc:
+        raise ValidationError(f"malformed path JSON: {exc}") from exc
+    _check_dt_and_length(dt, walked.n_steps + 1)
+    if defect is not None:
+        raise defect
+    return walked
 
 
 # --- lattice walks -----------------------------------------------------------

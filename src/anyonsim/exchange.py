@@ -19,6 +19,10 @@ measured here:
   theta/2 for the counter-clockwise exchange (w = +1/2), -theta/2 for the
   clockwise one (w = -1/2).  :func:`exchange_phase` is that rule; it reads
   only the class w and the path's amplitude.
+
+The CLI's ``exchange`` and :func:`theta_sweep` take the class and amplitude
+from one validating pass over the configurations as they are made
+(:func:`_designated_exchange`), so no path of up to MAX_SIZE steps is held.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import itertools
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
+from operator import mul, neg, truediv
 
 from .amplitudes import (
     OpClass,
@@ -40,7 +45,9 @@ from .amplitudes import (
 )
 from .config_space import (
     DiscretePath,
-    TwoParticleConfig,
+    _as_configs,
+    _walk,
+    _Walk,
     check_count,
     check_finite_positive,
     swap,
@@ -84,22 +91,31 @@ class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt directi
         return tuple.__new__(cls, (radius, n_steps, dt, direction))
 
 
-def _exchange_configs(geom: ExchangeGeometry, count: int) -> Iterator[TwoParticleConfig]:
-    """The first count configurations of the exchange, configuration k the
-    pair rotated by pi * k / n_steps about the origin.  A finite radius
-    gives finite coordinates, so no configuration needs a finiteness check."""
+def _exchange_configs(geom: ExchangeGeometry, count: int) -> Iterator[tuple[float, float, float, float]]:
+    """The coordinates (x1, y1, x2, y2), in plain tuples, of the first count
+    configurations of the exchange, configuration k the pair rotated by
+    pi * k / n_steps about the origin.  A finite radius gives finite
+    coordinates.  Each is made as it is asked for, by C-level iterators."""
     # an integer sign: the angle pi * (sign * k) / n is that of the float sign,
     # save that the first is 0.0 in both directions, never -0.0
     sign = 1 if geom.direction is Direction.CCW else -1
-    pi, cos, sin = math.pi, math.cos, math.sin
-    new = tuple.__new__
-    n = geom.n_steps
-    radius = geom.radius
-    for k in range(count):
-        phi = pi * (sign * k) / n
-        dx = radius * cos(phi)
-        dy = radius * sin(phi)
-        yield new(TwoParticleConfig, (dx, dy, -dx, -dy))
+    angles = map(mul, itertools.repeat(math.pi), range(0, sign * count, sign))
+    phis, phis_too = itertools.tee(map(truediv, angles, itertools.repeat(geom.n_steps)))
+    radius = itertools.repeat(geom.radius)
+    xs, xs_too = itertools.tee(map(mul, radius, map(math.cos, phis)))
+    ys, ys_too = itertools.tee(map(mul, radius, map(math.sin, phis_too)))
+    return zip(xs, ys, map(neg, xs_too), map(neg, ys_too))
+
+
+def _exchange_path_configs(geom: ExchangeGeometry) -> Iterator[tuple[float, float, float, float]]:
+    """The coordinates of the exchange path of geom, the last configuration
+    snapped to the swap of the first; more than MAX_SIZE steps are refused
+    with BudgetExceeded before any is made."""
+    if geom.n_steps > MAX_SIZE:
+        raise BudgetExceeded(f"{geom.n_steps} exchange steps exceed the cap {MAX_SIZE}")
+    configs = _exchange_configs(geom, geom.n_steps)
+    first = next(configs)
+    return itertools.chain((first,), configs, (swap(first),))
 
 
 def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
@@ -108,11 +124,15 @@ def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
     equal under exact coordinate equality).  More than MAX_SIZE steps are
     refused with BudgetExceeded before any configuration is built; the path
     is validated as it is built, as every DiscretePath is."""
-    if geom.n_steps > MAX_SIZE:
-        raise BudgetExceeded(f"{geom.n_steps} exchange steps exceed the cap {MAX_SIZE}")
-    configs = _exchange_configs(geom, geom.n_steps)
-    first = next(configs)
-    return DiscretePath(geom.dt, itertools.chain((first,), configs, (swap(first),)))
+    return DiscretePath(geom.dt, _as_configs(_exchange_path_configs(geom)))
+
+
+def _designated_exchange(geom: ExchangeGeometry, params: PhysicsParams) -> tuple[_Walk, HomotopyClass, complex]:
+    """The validating pass over the exchange path of geom, its class and its
+    amplitude, as :func:`build_exchange_path`'s path gives them; the pass
+    reads each configuration as it is made, and no path is built or held."""
+    walked = _walk(_exchange_path_configs(geom), geom.dt, _Walk())
+    return walked, classify(walked), path_amplitude(walked, params)
 
 
 class StepFactor(namedtuple("StepFactor", "alpha_dir alpha_op flipped action_dir action_op")):
@@ -129,11 +149,8 @@ class StepFactor(namedtuple("StepFactor", "alpha_dir alpha_op flipped action_dir
 
 def _step_actions(path: DiscretePath, params: PhysicsParams) -> Iterator[tuple[float, float]]:
     """Each step's direct and opposite actions (s_dir, s_op), in path order."""
-    configs = path.configs
     scale = params.mass / (2.0 * path.dt)
-    for k in range(path.n_steps):
-        ax1, ay1, ax2, ay2 = configs[k]
-        bx1, by1, bx2, by2 = configs[k + 1]
+    for (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) in itertools.pairwise(path.configs):
         # squared displacements p1 -> p1, p2 -> p2 (direct) and p1 -> p2, p2 -> p1 (opposite)
         d11x, d11y, d22x, d22y = bx1 - ax1, by1 - ay1, bx2 - ax2, by2 - ay2
         d12x, d12y, d21x, d21y = bx2 - ax1, by2 - ay1, bx1 - ax2, by1 - ay2
@@ -219,7 +236,7 @@ def dephasing_exponent(
             raise DegenerateGrid(
                 f"dt {dt} leaves fewer than 2 steps of the exchange of duration {duration}"
             )
-        first_step = DiscretePath(dt, _exchange_configs(ExchangeGeometry(radius, n, dt), 2))
+        first_step = DiscretePath(dt, _as_configs(_exchange_configs(ExchangeGeometry(radius, n, dt), 2)))
         # the phases alone: no exp(i * phase), which phase_factor refuses past 2^53
         ((action_dir, action_op),) = _step_actions(first_step, params)
         phase_dir, phase_op = action_dir / params.hbar, action_op / params.hbar
@@ -308,16 +325,15 @@ def theta_sweep(
     yielded as it is computed.
 
     The path is the designated exchange built from geom (the experiment is
-    about that path, not a path sum).  It is built, classified and its
-    amplitude taken once, when the first row is asked for, and not at all for
-    no thetas; each row is what :func:`exchange_phase` gives for its theta
+    about that path, not a path sum).  One validating pass over its
+    configurations, held by no path, classifies it and sums its action once,
+    when the first row is asked for, and not at all for no thetas; each row is what :func:`exchange_phase` gives for its theta
     and class, bit for bit.  A theta that is not finite is refused with
     ValidationError when its rows are asked for.  phi is affine in theta
     with slope w = +-1/2, the sign set by the direction of geom.
     """
     thetas = iter(thetas)
     for theta in thetas:  # the first theta only: the rule built for it takes the rest
-        path = build_exchange_path(geom)
-        rows = _phase_rule(classify(path), path_amplitude(path, params), op_classes)
+        rows = _phase_rule(*_designated_exchange(geom, params)[1:], op_classes)
         yield from rows(theta)
         yield from itertools.chain.from_iterable(map(rows, thetas))

@@ -254,16 +254,26 @@ def rounded_turns(turns, unit):
     return n * unit
 
 
+def kinetic_sum(configs, dt):
+    """The m = 1 kinetic action of the configurations, step by step in path
+    order: the loop that ``amplitudes.action`` ran over a path's
+    configurations before the validating pass took the sum over, kept as the
+    oracle of that pass's sum."""
+    total = 0.0
+    for (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) in zip(configs, configs[1:]):
+        d1x = bx1 - ax1
+        d1y = by1 - ay1
+        d2x = bx2 - ax2
+        d2y = by2 - ay2
+        total += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / (2.0 * dt)
+    return total
+
+
 def vec2_action(path, mass=1.0):
     """Kinetic action summed step by step from the displacement vectors of
     the two particles, the formula that the float arithmetic of
     ``amplitudes.action`` replaces."""
-    total = 0.0
-    for (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) in zip(path.configs, path.configs[1:]):
-        d1x, d1y = bx1 - ax1, by1 - ay1
-        d2x, d2y = bx2 - ax2, by2 - ay2
-        total += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / (2.0 * path.dt)
-    return mass * total
+    return mass * kinetic_sum(path.configs, path.dt)
 
 
 def laplace_permanent(matrix):

@@ -29,7 +29,7 @@ from anyonsim import (
     walk_census,
 )
 from anyonsim import config_space
-from anyonsim.config_space import _configs_from_json, sheet_step
+from anyonsim.config_space import _as_configs, _configs_from_json, sheet_step
 from anyonsim.errors import (
     CoincidenceAtStep,
     EndpointOffLattice,
@@ -43,7 +43,9 @@ from helpers import (
     check_record,
     check_refusal,
     direct_successors,
+    half_plane_crossings,
     json_path,
+    kinetic_sum,
     lattice_path,
     random_valid_walk,
 )
@@ -112,11 +114,14 @@ class TestTwoParticleConfig:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(finite_coords, finite_coords, finite_coords, finite_coords)
     def test_coordinate_and_vec2_construction_agree(self, x1, y1, x2, y2):
-        # the JSON loader's unchecked fast path builds what the constructor
-        # builds, a configuration that no path admits (coincident, or with an
-        # overflowing relative vector) included
+        # the JSON loader's unchecked fast path, its coordinates made
+        # configurations by _as_configs as path_from_json_dict makes them,
+        # builds what the constructor builds, a configuration that no path
+        # admits (coincident, or with an overflowing relative vector) included
         built = TwoParticleConfig(x1, y1, x2, y2)
-        (loaded,) = _configs_from_json([[[x1, y1], [x2, y2]]])
+        (coords,) = _configs_from_json([[[x1, y1], [x2, y2]]])
+        assert list(map(float.hex, coords)) == list(map(float.hex, built))
+        (loaded,) = _as_configs([coords])
         assert type(loaded) is type(built) is TwoParticleConfig
         assert loaded == built and hash(loaded) == hash(built)
         assert loaded.p1 == built.p1 == Vec2(x1, y1)
@@ -192,6 +197,81 @@ class TestValidatePath:
     def test_invalid_path_is_refused_by_every_build(self, build):
         with pytest.raises(CoincidenceAtStep, match="^particles coincide at config 1$"):
             build((cfg(0, 0, 1, 0), cfg(1, 1, 1, 1)))
+
+
+#: coordinates at the edges of the float range: their cross and dot products
+#: overflow to inf or NaN, or the cross product alone underflows
+EDGE_COORDS = (1e200, -1e200, 1e199, -5e199, 1e-300, -1e-300, 5e-324, -5e-324, 1e308, -1e308)
+#: items of a path that are not four coordinates
+NOT_CONFIGS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0), 5, "abcd")
+
+
+@st.composite
+def pass_paths(draw):
+    """Configurations of a path, at least two, most of them valid, with
+    coordinates of lattice, assorted and edge scales; and sometimes a
+    coincidence, an exact pi turn, an item that is not four coordinates or a
+    relative vector that overflows."""
+    coord = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e3, 1e3, allow_subnormal=False),
+        st.sampled_from(EDGE_COORDS),
+    )
+    configs = [draw(st.tuples(coord, coord, coord, coord)) for _ in range(draw(st.integers(2, 12)))]
+    defects = st.sampled_from(("coincident", "pi turn", "not four", "overflow"))
+    # the items that are not four coordinates go in last, so that no other defect reads one
+    for defect in sorted(draw(st.lists(defects, max_size=2)), key=lambda d: d == "not four"):
+        k = draw(st.integers(0, len(configs) - 1))
+        if defect == "coincident":
+            configs[k] = configs[k][:2] * 2
+        elif defect == "pi turn" and k:  # the swap of the configuration before: r turns by exactly pi
+            configs[k] = configs[k - 1][2:] + configs[k - 1][:2]
+        elif defect == "not four":
+            configs[k] = draw(st.sampled_from(NOT_CONFIGS))
+        elif defect == "overflow":
+            configs[k] = (1e308, 0.0, -1e308, 0.0)
+    return configs
+
+
+def _first_defect(build):
+    """build(), or the type and message of the ValidationError it raises."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _rel(x, y):
+    return [x, y, 0.0, 0.0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pass_paths(), st.sampled_from((1.0, 0.05, 3e-7, 2.5e5)))
+# the turns past the float range of winding's CLI tests, relative vectors with particle 2 at the origin
+@example([_rel(1e200, 1e200), _rel(-1e200, 1e200), _rel(1e200, 1e200)], 1.0)
+@example([_rel(1e200, 0), _rel(1e200, 1e199), _rel(1e199, 1e200), _rel(-1e200, 0), _rel(0, -1e200), _rel(1e200, 0)], 1.0)
+@example([_rel(1e-300, 0), _rel(3, -1e-300), _rel(0, -3), _rel(-3, 0), _rel(0, 3), _rel(1e-300, 0)], 1.0)
+@example([_rel(1e-300, 0), _rel(0, 3), _rel(-3, 0), _rel(0, -3), _rel(3, -1e-300), _rel(1e-300, 0)], 1.0)
+# sheet_step's rows: both products underflow, the cross product is inf - inf, the least subnormal cross product
+@example([_rel(5e-324, 0.0), _rel(-5e-324, -5e-324)], 1.0)
+@example([_rel(-1e200, 1e200), _rel(1e200, -5e199)], 1.0)
+@example([_rel(1.0, 5e-324), _rel(1.0, -5e-324)], 1.0)
+# a path whose kinetic sum rounds differently if its four squares are added in another order
+@example([(2.736, 2.687, -2.661, -2.491), (2.013, 1.416, 1.018, -1.151), (0.636, 0.641, 0.487, -2.05),
+          (-0.416, -0.639, 1.338, 2.969)], 0.05)
+def test_pass_over_an_iterator_is_the_paths_pass(configs, dt):
+    # the one validating pass over a one-shot iterator gives what DiscretePath
+    # gives, and its kinetic sum is the step-by-step loop's, bit for bit
+    want = _first_defect(lambda: DiscretePath(dt, configs))
+    got = _first_defect(lambda: config_space._walk(iter(configs), dt, config_space._Walk()))
+    if type(want) is tuple:
+        assert got == want
+        return
+    assert got.crossings == want.crossings == tuple(half_plane_crossings(want))
+    assert total_angle(got).hex() == total_angle(want).hex()
+    assert got._kinetic.hex() == want._kinetic.hex() == kinetic_sum(configs, dt).hex()
+    assert (got.start, got.end, got.n_steps) == (want.start, want.end, want.n_steps)
+    assert got.start is configs[0] and got.end is configs[-1]
 
 
 def _exchange_path():
@@ -531,23 +611,57 @@ class TestWalkCensus:
         assert str(caught.value) == f"n_steps must be an integer, got {n_steps!r}"
 
 
+#: one move of each pair {m, -m} that a census move set may hold: unit, diagonal and long moves
+HALF_MOVES = ((1, 0), (0, 1), (1, 1), (1, -1), *LONG_MOVES)
+
+
 @st.composite
-def census_instances(
-    draw,
-    max_extent=2,
-    move_sets=st.lists(st.sampled_from(KING_MOVES + LONG_MOVES), min_size=1, max_size=5, unique=True),
-    max_steps=4,
-):
-    extent = draw(st.integers(1, max_extent))
-    spacing = draw(st.sampled_from([1.0, 0.5, 2.5]))
-    moves = tuple(draw(move_sets))
-    site = st.tuples(st.integers(-extent, extent), st.integers(-extent, extent))
-    p1 = draw(site)
-    p2 = draw(site.filter(lambda s: s != p1))
+def census_instances(draw, max_extent=2, move_sets=None, max_steps=4):
+    """A lattice of extent 1 to max_extent, a start whose two sites are one
+    move apart where a move allows, the start or its swap as the end, and 1
+    to max_steps steps.
+
+    The moves are drawn from move_sets, or else they are the stay move and
+    two moves of HALF_MOVES with their negations, in a drawn order: closed
+    under negation, so that closed and swapped walks exist.  The choices are
+    made by a random.Random seeded from hypothesis: its derandomized draws
+    of each choice gave mostly one-step closed instances, and few walks
+    (:func:`test_census_instances_have_walks` pins that they have).
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    extent = rng.randint(1, max_extent)
+    spacing = rng.choice([1.0, 0.5, 2.5])
+    if move_sets is None:
+        halves = rng.sample(HALF_MOVES, 2)
+        moves = [(0, 0), *halves, *((-dx, -dy) for dx, dy in halves)]
+        rng.shuffle(moves)
+    else:
+        moves = draw(move_sets)
+    sites = [(i, j) for i in range(-extent, extent + 1) for j in range(-extent, extent + 1)]
+    p1 = rng.choice(sites)
+    # one move away: with moves a and b, r = a -> a + b -> b - a -> -a swaps the pair in three steps
+    near = [s for s in sites if s != p1 and (p1[0] - s[0], p1[1] - s[1]) in moves]
+    p2 = rng.choice(near or [s for s in sites if s != p1])
     lattice = LatticeSpec(extent=extent, spacing=spacing, moves=moves)
     start = lattice.config(p1, p2)
-    end = swap(start) if draw(st.booleans()) else start
-    return lattice, EndpointPair(start, end), draw(st.integers(1, max_steps))
+    end = swap(start) if rng.random() < 0.5 else start
+    return lattice, EndpointPair(start, end), rng.randint(1, max_steps)
+
+
+def test_census_instances_have_walks():
+    # the oracle tests below compare tables worth comparing: of 60 instances
+    # drawn as test_census_equals_enumeration_oracle draws its own, at least
+    # half have a walk, closed and swapped ones among them
+    totals = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(census_instances())
+    def tally(instance):
+        totals.append((instance[1].start != instance[1].end, sum(walk_census(*instance).values())))
+
+    tally()
+    assert len(totals) == 60 and sum(n > 0 for _, n in totals) >= 30
+    assert {swapped for swapped, n in totals if n} == {False, True}
 
 
 def _census_by_enumeration(lattice, endpoints, n_steps):
