@@ -24,6 +24,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
 from .config_space import (
+    DEFAULT_BUDGET,
     DiscretePath,
     EndpointPair,
     LatticeSpec,
@@ -40,9 +41,6 @@ from .errors import (
     ValidationError,
 )
 from .homotopy import HomotopyClass, Kind, endpoint_kind
-
-#: default cap on the joint-move sequence count (moves**2)**n_steps
-DEFAULT_BUDGET = 10_000_000
 
 
 def _as_dict(value, what: str) -> dict:

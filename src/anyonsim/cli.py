@@ -17,7 +17,9 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 
-from . import amplitudes, config_space, exchange, homotopy
+# amplitudes and exchange are imported by the subcommands that run them, so
+# that winding, the subcommand of a path file, loads neither
+from . import config_space, homotopy
 from .errors import AnyonSimError, BadRange, BudgetExceeded, ParseError, ValidationError
 
 #: the characters of a path file's "configs" array decoded as one block
@@ -136,6 +138,8 @@ def _cmd_winding(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
+    from . import amplitudes
+
     if args.budget <= 0:
         raise ParseError(f"budget must be positive, got {args.budget}")
     if args.workers < 1:
@@ -176,6 +180,8 @@ def _sweep_grid(
     """The thetas of the sweep rows, lazily and in rising order, and the
     classes that each theta gets a row for.  Every refusal is raised here,
     before the first theta is made."""
+    from . import amplitudes, exchange
+
     points, theta_min, theta_max = args.points, args.theta_min, args.theta_max
     if points < 1:
         raise BadRange(f"points must be >= 1, got {points}")
@@ -213,26 +219,29 @@ def _sweep_grid(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import amplitudes, exchange
+
     geom = exchange.ExchangeGeometry(radius=args.radius, n_steps=args.steps, dt=args.dt)
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
-    rows = exchange.theta_sweep(geom, params, *_sweep_grid(args))
-    first = next(rows)  # builds the kernel, so a refusal leaves stdout empty
-    boson, fermion = amplitudes.OpClass.BOSON, amplitudes.OpClass.FERMION
-    boson_name, fermion_name = boson.value, fermion.value
-    lines = (
-        "%.12g,%s,%.12g,%.12g,%.12g\n"
-        % (theta, boson_name if op_class is boson else fermion_name, phi, amp.real, amp.imag)
-        for phi, amp, theta, op_class in itertools.chain((first,), rows)
-    )
+    thetas, classes = _sweep_grid(args)
+    # the validating pass, so a refusal leaves stdout empty
+    values = exchange._phase_rule(*exchange._designated_exchange(geom, params)[1:], classes)
+    # the rows of one theta, all its classes, are formatted by one %
+    line = "".join(f"%.12g,{c.value},%.12g,%.12g,%.12g\n" for c in classes)
+    lines = map(line.__mod__, map(values, thetas))
     write = sys.stdout.write
     write("theta,op_class,phi,re_amp,im_amp\n")
-    # one write per block of rows: an unbuffered stdout makes each write a system call
-    while block := "".join(itertools.islice(lines, _SWEEP_BLOCK_ROWS)):
+    # one write per block of at most _SWEEP_BLOCK_ROWS rows: an unbuffered
+    # stdout makes each write a system call
+    per_block = _SWEEP_BLOCK_ROWS // len(classes)
+    while block := "".join(itertools.islice(lines, per_block)):
         write(block)
     return 0
 
 
 def _cmd_dephase(args: argparse.Namespace) -> int:
+    from . import amplitudes, exchange
+
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
     fit = exchange.dephasing_exponent(
         args.radius, args.duration, params, _parse_grid(args.dt_grid)
@@ -250,6 +259,8 @@ def _cmd_dephase(args: argparse.Namespace) -> int:
 
 
 def _cmd_exchange(args: argparse.Namespace) -> int:
+    from . import amplitudes, exchange
+
     direction = exchange.Direction(args.direction)
     geom = exchange.ExchangeGeometry(args.radius, args.steps, args.dt, direction)
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
@@ -310,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--resolve", action="store_true", help="emit per-class partials")
-    p.add_argument("--budget", type=int, default=amplitudes.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=config_space.DEFAULT_BUDGET,
                    help="cap on the 25^steps joint-move sequence bound (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored; kept for compatibility")

@@ -29,11 +29,13 @@ depend on its scale.  Every path is built through that check, so every path
 object is valid and can be classified.
 
 The check is one pass, :func:`_walk`, over any iterable of configurations,
-read once: it also records the crossings, the turning, the endpoints and,
-given dt, the kinetic sum of the action.  :class:`DiscretePath` runs it on
-its tuple; the CLI's ``exchange`` and ``winding`` run it on configurations
-as they are made or decoded, and hold none of them
-(:func:`_walk_from_json`).
+read once: it also records the crossings, the endpoints and, given dt, the
+kinetic sum of the action.  It takes no angle: the total turning of a path is
+fixed by its crossings and the directions of its first and last relative
+vectors (:func:`~anyonsim.homotopy.total_angle`), so it is exact for closed
+and exchange paths.  :class:`DiscretePath` runs the pass on its tuple; the
+CLI's ``exchange`` and ``winding`` run it on configurations as they are made
+or decoded, and hold none of them (:func:`_walk_from_json`).
 """
 
 from __future__ import annotations
@@ -54,16 +56,21 @@ from .errors import (
 #: stay + 4-neighborhood; 25 joint moves for the pair
 DEFAULT_MOVES: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
-_SNAP_TOL = 1e-9
+#: default cap on the joint-move sequence count (moves**2)**n_steps of a
+#: lattice propagator (:func:`~anyonsim.amplitudes.resolved_kernel`)
+DEFAULT_BUDGET = 10_000_000
 
-#: the smallest normal float: below it a float product may have lost its
-#: ratio to the other, or its sign, so the turning rule takes the exact one
-_TINY = 2.0**-1022
+_SNAP_TOL = 1e-9
 
 
 def check_finite_positive(name: str, value) -> None:
-    """Raise ValidationError unless value is a finite number > 0."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    """Raise ValidationError unless value is a finite number > 0 (an int
+    past the float range is refused as an infinite float)."""
+    try:
+        valid = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    except OverflowError:
+        valid = False
+    if not valid:
         raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
@@ -75,6 +82,17 @@ def _iterate(value, what: str) -> Iterator:
         raise ValidationError(f"{what}, got {value!r}") from None
 
 
+def _check_pair(x, y) -> None:
+    """Raise ValidationError unless x and y are finite numbers that a float
+    can hold (an int past the float range is refused as an infinite float)."""
+    try:
+        if math.isfinite(x) and math.isfinite(y):
+            return
+    except OverflowError:
+        pass
+    raise ValidationError(f"non-finite vector component ({x}, {y})")
+
+
 def check_count(name: str, value) -> int:
     """value as an int; anything that operator.index refuses is refused with ValidationError."""
     try:
@@ -84,14 +102,14 @@ def check_count(name: str, value) -> int:
 
 
 class Vec2(namedtuple("Vec2", "x y")):
-    """A point or displacement in the plane. Components must be finite."""
+    """A point or displacement in the plane. Components must be finite floats,
+    or numbers that a finite float holds."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, x: float, y: float) -> Vec2:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValidationError(f"non-finite vector component ({x}, {y})")
+        _check_pair(x, y)
         return tuple.__new__(cls, (x, y))
 
 
@@ -110,11 +128,8 @@ class TwoParticleConfig(namedtuple("TwoParticleConfig", "x1 y1 x2 y2")):
     _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> TwoParticleConfig:
-        isfinite = math.isfinite
-        if not (isfinite(x1) and isfinite(y1)):
-            raise ValidationError(f"non-finite vector component ({x1}, {y1})")
-        if not (isfinite(x2) and isfinite(y2)):
-            raise ValidationError(f"non-finite vector component ({x2}, {y2})")
+        _check_pair(x1, y1)
+        _check_pair(x2, y2)
         return tuple.__new__(cls, (x1, y1, x2, y2))
 
     @property
@@ -149,8 +164,9 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     vector changes :func:`upper_half_plane` half, as (k, sign) for step k
     (config k -> k+1) in path order, sign that step's :func:`sheet_step`
     (+1 counter-clockwise, -1 clockwise, the exact sign of the step's cross
-    product, so the signs sum to twice the winding); the turning that
-    :func:`~anyonsim.homotopy.total_angle` reads; and the kinetic sum that
+    product, so the signs sum to twice the winding), which
+    :func:`~anyonsim.homotopy.classify` and
+    :func:`~anyonsim.homotopy.total_angle` read; and the kinetic sum that
     :func:`~anyonsim.amplitudes.action` reads.
     """
 
@@ -227,17 +243,14 @@ def upper_half_plane(rx: float, ry: float) -> bool:
     return ry > 0 or (ry == 0 and rx > 0)
 
 
-def _exact_cross_dot(rx: float, ry: float, nrx: float, nry: float) -> tuple[int, float, float]:
-    """The exact sign of the cross product of r = (rx, ry) and nr = (nrx, nry)
-    (0 only for parallel vectors), and the cross and dot products divided by
-    the larger of their exact magnitudes, each correctly rounded; a cross
-    product that underflows is a zero of its own sign.
+def _exact_cross_dot(rx: float, ry: float, nrx: float, nry: float) -> tuple[int, int]:
+    """The exact signs (+1, 0 or -1) of the cross and dot products of
+    r = (rx, ry) and nr = (nrx, nry).
 
     The products are built in integers from the exact ratios of the four
     components (an integer type without ``as_integer_ratio``, such as
     numpy's, is read through operator.index), so nothing rounds, overflows
-    or underflows before the two divisions, and atan2 of the two quotients
-    is the angle of the turn.
+    or underflows.
     """
     (a, b), (c, d), (e, f), (g, h) = (
         v.as_integer_ratio() if hasattr(v, "as_integer_ratio") else (operator.index(v), 1)
@@ -246,8 +259,7 @@ def _exact_cross_dot(rx: float, ry: float, nrx: float, nry: float) -> tuple[int,
     # both products times the positive b * d * f * h
     cross = a * g * d * f - c * e * b * h
     dot = a * e * d * h + c * g * b * f
-    scale = max(abs(cross), abs(dot)) or 1
-    return (cross > 0) - (cross < 0), cross / scale, dot / scale
+    return (cross > 0) - (cross < 0), (dot > 0) - (dot < 0)
 
 
 def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
@@ -275,37 +287,41 @@ def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
 class _Walk:
     """What the one validating pass, :func:`_walk`, records of a path.
 
-    ``crossings`` and the turning, as :class:`DiscretePath` keeps them; the
-    kinetic sum, when the pass was given dt; ``start`` and ``end``, the first
-    and last configuration; and ``n_steps``, the index of the last
+    ``crossings`` and the kinetic sum, as :class:`DiscretePath` keeps them
+    (the kinetic sum when the pass was given dt); ``start`` and ``end``, the
+    first and last configuration; and ``n_steps``, the index of the last
     configuration read.  :func:`~anyonsim.homotopy.classify`,
     :func:`~anyonsim.homotopy.total_angle` and
     :func:`~anyonsim.amplitudes.action` read it as they read a path.
     """
 
-    __slots__ = ("crossings", "_turning", "_kinetic", "start", "end", "n_steps")
+    __slots__ = ("crossings", "_kinetic", "start", "end", "n_steps")
 
 
-def _turns(configs: Iterable, dt: float | None, walked: _Walk) -> Iterator[float]:
-    """The checks of :func:`validate_path`, as a generator over configs, read
-    once: yields each step's signed turn atan2(cross, dot), and records the
-    rest of :class:`_Walk` on walked, ``n_steps`` also when it raises, with
-    ``crossings`` the steps that change :func:`upper_half_plane` half, as
-    (k, sign).  An error raised by configs itself is not caught.
+def _walk(configs: Iterable, dt: float | None, walked: _Walk) -> _Walk:
+    """The one validating pass over configs, any iterable of configurations,
+    read once and never held: the checks of :func:`validate_path`, in its
+    order, with its errors.  Records on walked, and returns it, what
+    :class:`_Walk` holds, ``n_steps`` also when it raises: ``crossings``,
+    the steps that change :func:`upper_half_plane` half, as (k, sign), and,
+    given dt (else None), the kinetic sum that
+    :func:`~anyonsim.amplitudes.action` reads.  An error raised by configs
+    itself is not caught.  A path of fewer than two configurations, or a dt,
+    is not refused here.
 
-    The float products serve every step but three kinds, which take the
-    exact ones of :func:`_exact_cross_dot`: a product that is not finite;
-    both products below the normal range, where their ratio is lost; and a
-    cross product below it where its sign decides, at a crossing or a turn
-    past pi/2.  Any other float cross product has the exact sign, as in
-    :func:`sheet_step`.  So an exact cross product is 0 at a crossing or
-    with a negative dot product only for an exactly antiparallel step,
-    which is refused, and every crossing of a valid path has a sign.
+    The float cross product of a step has its exact sign unless it is 0 or
+    NaN, as in :func:`sheet_step`; only then, and only where the sign
+    decides (at a crossing, or with a dot product that is not positive, as
+    an exactly antiparallel step has), are the exact signs of
+    :func:`_exact_cross_dot` taken.  So every crossing of a valid path has
+    its exact sign, and only an exactly antiparallel step is refused.  Int
+    coordinates give int products, which are exact already.
 
     Given dt, each step's m = 1 kinetic term (|dp1|^2 + |dp2|^2) / (2 dt) is
-    added up with ``+=`` in path order.
+    added up with ``+=`` in path order; a term whose int sum of squares no
+    float holds is inf, as the float sum of those squares would be.
     """
-    isfinite, atan2, tiny = math.isfinite, math.atan2, _TINY
+    isfinite = math.isfinite
     two_dt, kinetic = (None, None) if dt is None else (2.0 * dt, 0.0)
     k, item, flips = -1, None, []
     try:
@@ -315,26 +331,28 @@ def _turns(configs: Iterable, dt: float | None, walked: _Walk) -> Iterator[float
                 if x1 == x2 and y1 == y2:
                     raise CoincidenceAtStep(k)
                 nrx, nry = x1 - x2, y1 - y2
-                # a finite pair has a finite sum unless the sum overflows
-                if not isfinite(nrx + nry) and not (isfinite(nrx) and isfinite(nry)):
-                    raise ValidationError(f"non-finite vector component ({nrx}, {nry})")
+                try:
+                    finite = isfinite(nrx) and isfinite(nry)
+                except OverflowError:  # an int past the float range
+                    finite = False
+                if not finite:
+                    _check_pair(nrx, nry)  # raises its ValidationError
                 nupper = nry > 0 or (nry == 0 and nrx > 0)
                 if k:  # rx, ry, upper and ax1 .. ay2 are configuration k - 1's, set below
-                    cross, dot = rx * nry - ry * nrx, rx * nrx + ry * nry
-                    if -tiny < cross < tiny and (dot < tiny or nupper != upper) or not isfinite(cross + dot):
-                        sign, cross, dot = _exact_cross_dot(rx, ry, nrx, nry)
-                        if not sign and dot < 0.0:
+                    cross = rx * nry - ry * nrx
+                    if (not cross or cross != cross) and (nupper != upper or not rx * nrx + ry * nry > 0):
+                        cross, dot = _exact_cross_dot(rx, ry, nrx, nry)
+                        if not cross and dot < 0:
                             raise TurnTooLargeAtStep(k - 1)
-                    else:
-                        # this float cross product has the exact sign
-                        sign = cross
                     if nupper != upper:
-                        flips.append((k - 1, 1 if sign > 0 else -1))
+                        flips.append((k - 1, 1 if cross > 0 else -1))
                     if two_dt is not None:
                         d1x, d1y = x1 - ax1, y1 - ay1
                         d2x, d2y = x2 - ax2, y2 - ay2
-                        kinetic += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / two_dt
-                    yield atan2(cross, dot)
+                        try:
+                            kinetic += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / two_dt
+                        except OverflowError:  # an int sum of squares that no float holds
+                            kinetic = math.inf
                 else:
                     walked.start = item
             except (TypeError, ValueError):
@@ -345,18 +363,6 @@ def _turns(configs: Iterable, dt: float | None, walked: _Walk) -> Iterator[float
     finally:
         walked.n_steps = k
     walked.end, walked._kinetic, walked.crossings = item, kinetic, tuple(flips)
-
-
-def _walk(configs: Iterable, dt: float | None, walked: _Walk) -> _Walk:
-    """The one validating pass over configs, any iterable of configurations,
-    read once and never held: the checks of :func:`validate_path`, in its
-    order, with its errors.  Records on walked, and returns it, what
-    :class:`_Walk` holds: the crossings, the turning, the correctly rounded
-    sum of the per-step turns, and, given dt (else None), the kinetic sum that
-    :func:`~anyonsim.amplitudes.action` reads.  A path of fewer than two
-    configurations, or a dt, is not refused here.
-    """
-    walked._turning = math.fsum(_turns(configs, dt, walked))
     return walked
 
 
@@ -373,11 +379,10 @@ def validate_path(path: DiscretePath) -> None:
     only an exactly antiparallel step, by the exact cross product).  Every
     crossing of a path that passes has the exact sign of :func:`sheet_step`,
     so a valid path can always be classified, at any scale.  Stores on the
-    path what :func:`_walk` records: its ``crossings``, its turning and its
-    kinetic sum.
+    path what :func:`_walk` records: its ``crossings`` and its kinetic sum.
     """
     walked = _walk(path.configs, path.dt, _Walk())
-    path.crossings, path._turning, path._kinetic = walked.crossings, walked._turning, walked._kinetic
+    path.crossings, path._kinetic = walked.crossings, walked._kinetic
 
 
 def reverse_path(path: DiscretePath) -> DiscretePath:

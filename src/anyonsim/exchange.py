@@ -23,6 +23,11 @@ measured here:
 The CLI's ``exchange`` and :func:`theta_sweep` take the class and amplitude
 from one validating pass over the configurations as they are made
 (:func:`_designated_exchange`), so no path of up to MAX_SIZE steps is held.
+That pass takes no per-step angle: the exchange's total turning is pi * 2w
+exactly, from its one crossing (:func:`~anyonsim.homotopy.total_angle`).
+The phase rule computes all the classes of one theta at once, as flat
+values (:func:`_phase_rule`), which the CLI's sweep formats with one ``%``
+per theta.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import itertools
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from operator import mul, neg, truediv
 
 from .amplitudes import (
     OpClass,
@@ -94,17 +98,16 @@ class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt directi
 def _exchange_configs(geom: ExchangeGeometry, count: int) -> Iterator[tuple[float, float, float, float]]:
     """The coordinates (x1, y1, x2, y2), in plain tuples, of the first count
     configurations of the exchange, configuration k the pair rotated by
-    pi * k / n_steps about the origin.  A finite radius gives finite
-    coordinates.  Each is made as it is asked for, by C-level iterators."""
+    pi * k / n_steps about the origin, each made as it is asked for.  A
+    finite radius gives finite coordinates."""
+    radius, n, pi, cos, sin = geom.radius, geom.n_steps, math.pi, math.cos, math.sin
     # an integer sign: the angle pi * (sign * k) / n is that of the float sign,
     # save that the first is 0.0 in both directions, never -0.0
     sign = 1 if geom.direction is Direction.CCW else -1
-    angles = map(mul, itertools.repeat(math.pi), range(0, sign * count, sign))
-    phis, phis_too = itertools.tee(map(truediv, angles, itertools.repeat(geom.n_steps)))
-    radius = itertools.repeat(geom.radius)
-    xs, xs_too = itertools.tee(map(mul, radius, map(math.cos, phis)))
-    ys, ys_too = itertools.tee(map(mul, radius, map(math.sin, phis_too)))
-    return zip(xs, ys, map(neg, xs_too), map(neg, ys_too))
+    for k in range(0, sign * count, sign):
+        phi = pi * k / n
+        x, y = radius * cos(phi), radius * sin(phi)
+        yield x, y, -x, -y
 
 
 def _exchange_path_configs(geom: ExchangeGeometry) -> Iterator[tuple[float, float, float, float]]:
@@ -277,28 +280,39 @@ class ExchangePhase(namedtuple("ExchangePhase", "phi amplitude theta op_class"))
 
 def _phase_rule(
     cls: HomotopyClass, amp: complex, op_classes: Iterable[OpClass]
-) -> Callable[[float], list[ExchangePhase]]:
-    """rows(theta): the :func:`exchange_phase` rows of class cls (kind
+) -> Callable[[float], tuple[float, ...]]:
+    """values(theta): the :func:`exchange_phase` rows of class cls (kind
     Exchange, winding w) and amplitude amp at theta, one per class of
-    op_classes in turn.  The kind and the signs are checked once, here; each
-    call takes exp(i theta w) and its product with amp once, for all classes.
+    op_classes in turn, as one flat tuple (theta, phi, re, im, theta, phi,
+    ...), re and im the parts of the row's amplitude.  The kind and the signs
+    are checked once, here; each call takes exp(i theta w) and its product
+    with amp once, for all classes.
     """
     if cls.kind is not Kind.EXCHANGE:
         raise NotExchangeKernel("exchange phase requires swapped endpoints")
-    signed = [(1.0 if c is OpClass.BOSON else -1.0, c) for c in op_classes]
-    phase, new, row, tau = cmath.phase, tuple.__new__, ExchangePhase, TAU
+    signs = [1.0 if c is OpClass.BOSON else -1.0 for c in op_classes]
+    phase, tau = cmath.phase, TAU
 
-    def rows(theta: float) -> list[ExchangePhase]:
+    def values(theta: float) -> tuple[float, ...]:
         weight = anyonic_weight(cls, theta)
         scaled = 0j + weight * amp  # 0j + turns -0.0 parts to 0.0, as a class sum does
-        out = []
-        for sign, op_class in signed:
+        out = ()
+        for sign in signs:
             phi = phase(weight * sign) % tau
+            z = sign * scaled
             # a tiny negative phase rounds up to TAU itself, which is 0.0
-            out.append(new(row, (phi if phi < tau else 0.0, sign * scaled, theta, op_class)))
+            out += (theta, phi if phi < tau else 0.0, z.real, z.imag)
         return out
 
-    return rows
+    return values
+
+
+def _rows(values: tuple[float, ...], op_classes: tuple[OpClass, ...]) -> list[ExchangePhase]:
+    """The ExchangePhase rows of the flat values of :func:`_phase_rule`."""
+    return [
+        ExchangePhase(phi, complex(re, im), theta, op_class)
+        for op_class, (theta, phi, re, im) in zip(op_classes, zip(*[iter(values)] * 4))
+    ]
 
 
 def exchange_phase(cls: HomotopyClass, amp: complex, stats: StatisticsSpec) -> ExchangePhase:
@@ -311,7 +325,8 @@ def exchange_phase(cls: HomotopyClass, amp: complex, stats: StatisticsSpec) -> E
     amplitude s exp(i theta w) K^w is reported alongside for diagnostics.  A
     class that is not of exchange kind is refused with NotExchangeKernel.
     """
-    return _phase_rule(cls, amp, (stats.op_class,))(stats.theta)[0]
+    op_classes = (stats.op_class,)
+    return _rows(_phase_rule(cls, amp, op_classes)(stats.theta), op_classes)[0]
 
 
 def theta_sweep(
@@ -334,6 +349,7 @@ def theta_sweep(
     """
     thetas = iter(thetas)
     for theta in thetas:  # the first theta only: the rule built for it takes the rest
-        rows = _phase_rule(*_designated_exchange(geom, params)[1:], op_classes)
-        yield from rows(theta)
-        yield from itertools.chain.from_iterable(map(rows, thetas))
+        op_classes = tuple(op_classes)
+        values = _phase_rule(*_designated_exchange(geom, params)[1:], op_classes)
+        for theta in itertools.chain((theta,), thetas):
+            yield from _rows(values(theta), op_classes)

@@ -12,14 +12,20 @@ number of times: that is what makes half-integer windings possible.
 
 Windings are reported in full counter-clockwise turns: integers for closed
 paths (kind Direct), odd multiples of 1/2 for exchange paths.
+
+The total turning angle is read off the same crossings, with no per-step
+angle: pi per signed crossing, plus the change of the relative vector's
+angle on its sheet between the path's two ends, two atan2 calls.  So it is
+exactly 2*pi*w for a closed path and pi*2w for an exchange path.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections import namedtuple
 
-from .config_space import DiscretePath
+from .config_space import DiscretePath, upper_half_plane
 from .errors import EndpointsNotClosedOrExchanged
 
 
@@ -68,16 +74,30 @@ def endpoint_kind(start: tuple, end: tuple) -> Kind:
     )
 
 
+def _sheet_angle(config: tuple) -> float:
+    """The polar angle, in [0, pi], of the relative vector r = p1 - p2 of
+    config on its half-turn sheet: atan2 of r in its :func:`upper_half_plane`
+    half, of -r in the other."""
+    x1, y1, x2, y2 = config
+    rx, ry = x1 - x2, y1 - y2
+    return math.atan2(ry, rx) if upper_half_plane(rx, ry) else math.atan2(-ry, -rx)
+
+
 def total_angle(path: DiscretePath) -> float:
     """Accumulated signed turning of the relative vector, in radians.
 
-    Additive under concatenation and negated by reversal.  Depends only on
-    the relative coordinate, so translating both particles together changes
-    nothing.  Each step turns by atan2(cross, dot) of its two relative
-    vectors, and the turns are summed by the validating pass that built the
-    path (:func:`~anyonsim.config_space.validate_path`).
+    The lifted polar angle of r lies on sheet h in [h*pi, (h+1)*pi), and
+    each of the path's crossings moves h by its sign, so the turning is
+    pi times the signed crossings plus the change of the angle on its sheet
+    from the first configuration to the last: no per-step angle is taken.
+    A closed path's two ends have the same angle on their sheets, so its
+    turning is exactly 2*pi*w; an exchange path's ends have opposite
+    relative vectors, with the same angle too, so its turning is exactly
+    pi*2w.  Negated by reversal; additive under concatenation and unchanged
+    when both particles are translated together, up to rounding.
     """
-    return path._turning
+    w2 = sum(sign for _, sign in path.crossings)
+    return math.pi * w2 + (_sheet_angle(path.end) - _sheet_angle(path.start))
 
 
 def classify(path: DiscretePath) -> HomotopyClass:

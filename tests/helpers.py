@@ -230,6 +230,20 @@ def signed_angle(rx, ry, nrx, nry):
     return math.atan2(cross, dot)
 
 
+def summed_turns(rs):
+    """The per-step oracle of the total angle of relative vectors rs: each
+    step's :func:`signed_angle`, summed by fsum."""
+    return math.fsum(signed_angle(*a, *b) for a, b in zip(rs, rs[1:]))
+
+
+def turn_tolerance(n_steps, angle):
+    """How far total_angle of an n_steps path may lie from its summed_turns
+    angle: one ulp of pi per step, for each step's rounded products and
+    atan2 and for the rounding of pi * w2, plus a few ulps of the angle for
+    the final sums."""
+    return n_steps * math.ulp(math.pi) + 4 * math.ulp(abs(angle) + math.pi)
+
+
 def half_plane_crossings(path):
     """(k, sign) for each step k (config k -> k+1) whose two relative
     vectors, read per config from its four coordinates, lie in different
@@ -265,7 +279,10 @@ def kinetic_sum(configs, dt):
         d1y = by1 - ay1
         d2x = bx2 - ax2
         d2y = by2 - ay2
-        total += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / (2.0 * dt)
+        try:
+            total += (d1x * d1x + d1y * d1y + d2x * d2x + d2y * d2y) / (2.0 * dt)
+        except OverflowError:  # an int sum of squares that no float holds, inf as a float sum
+            total = math.inf
     return total
 
 

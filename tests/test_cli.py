@@ -21,6 +21,9 @@ from anyonsim import (
     PhysicsParams,
     StatisticsSpec,
     build_exchange_path,
+    classify,
+    exchange_phase,
+    path_amplitude,
     path_from_json_dict,
     step_factors,
     theta_sweep,
@@ -502,6 +505,30 @@ class TestSweep:
         classes = [OpClass.BOSON, OpClass.FERMION] if op_class == "both" else [OpClass(op_class)]
         assert out == "theta,op_class,phi,re_amp,im_amp\n" + _expected_sweep(9, classes)
 
+    @pytest.mark.parametrize("op_class", ["boson", "fermion", "both"])
+    @pytest.mark.parametrize(
+        "theta_min, theta_max, points", [(-2.5, 9.75, 9), (-1e-20, 0.0, 2), (-40.0, 40.0, 5)]
+    )
+    def test_rows_are_exchange_phase_formatted(self, capsys, op_class, theta_min, theta_max, points):
+        # each row is exchange_phase's for its theta and class, formatted field
+        # by field; theta_sweep shares the CLI's phase rule, so it is not used here
+        argv = ["sweep", f"--theta-min={theta_min!r}", f"--theta-max={theta_max!r}",
+                "--points", str(points), "--op-class", op_class,
+                "--steps", "12", "--dt", "0.07", "--mass", "1.3"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        path = build_exchange_path(ExchangeGeometry(1.0, 12, 0.07))
+        cls, amp = classify(path), path_amplitude(path, PhysicsParams(mass=1.3))
+        classes = [OpClass.BOSON, OpClass.FERMION] if op_class == "both" else [OpClass(op_class)]
+        rows = ["theta,op_class,phi,re_amp,im_amp"]
+        for i in range(points):
+            theta = theta_min + i * (theta_max - theta_min) / (points - 1)
+            for c in classes:
+                r = exchange_phase(cls, amp, StatisticsSpec(theta, c))
+                fields = (r.theta, r.phi, r.amplitude.real, r.amplitude.imag)
+                rows.append(",".join([format(fields[0], ".12g"), c.value, *(format(v, ".12g") for v in fields[1:])]))
+        assert out == "".join(row + "\n" for row in rows)
+
 
 class TestSweepBlocks:
     """Sweep rows are written in blocks of at most BLOCK rows; the bytes do not depend on it."""
@@ -587,6 +614,61 @@ class TestSweepBlocks:
         assert (result.returncode, result.stdout, result.stderr) == (2, b"", err)
 
 
+def _loaded_modules(argv):
+    """The anyonsim modules that a fresh interpreter has loaded after importing
+    the package, and, given argv, after running the CLI's main on it."""
+    script = (
+        "import json, sys, anyonsim\n"
+        "if sys.argv[1:]:\n"
+        "    from anyonsim.cli import main\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('anyonsim'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(anyonsim.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env,
+                          text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], {"anyonsim"}),
+        (["winding", "loop.json"], {"anyonsim", "anyonsim.cli", "anyonsim.config_space",
+                                    "anyonsim.errors", "anyonsim.homotopy"}),
+        (["kernel", "--extent", "1", "--steps", "2", "--start", "1", "0", "0", "0", "--end", "1", "0", "0", "0"],
+         {"anyonsim", "anyonsim.amplitudes", "anyonsim.cli", "anyonsim.config_space",
+          "anyonsim.errors", "anyonsim.homotopy"}),
+    ],
+    ids=["import", "winding", "kernel"],
+)
+def test_subcommand_loads_only_its_modules(tmp_path, monkeypatch, argv, loaded):
+    # the package exports its names lazily, and the CLI imports amplitudes and
+    # exchange only in the subcommands that run them: start-up is most of a
+    # short job's time
+    monkeypatch.chdir(tmp_path)
+    write_path_json(tmp_path, "loop.json", 0.5, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)])
+    assert _loaded_modules(argv) == loaded
+
+
+def test_package_exports_each_name_of_its_modules():
+    from anyonsim import amplitudes, config_space, exchange, homotopy
+
+    modules = {m.__name__.rpartition(".")[2]: m for m in (amplitudes, config_space, exchange, homotopy)}
+    assert anyonsim.__all__ == sorted(anyonsim._EXPORTS)
+    for name, module in anyonsim._EXPORTS.items():
+        assert getattr(anyonsim, name) is getattr(modules[module], name), name
+        assert name in dir(anyonsim)
+    assert anyonsim.DEFAULT_BUDGET is amplitudes.DEFAULT_BUDGET
+    with pytest.raises(AttributeError, match="^module 'anyonsim' has no attribute 'nonexistent'$"):
+        anyonsim.nonexistent
+
+
 SWEEP_ARGS = ["sweep", "--theta-min", "0", "--theta-max", "1"]
 
 
@@ -611,26 +693,26 @@ def test_size_cap_refused_before_allocating(capsys, argv, what, n):
     [
         (
             ["exchange", "--theta", "0.9"],
-            '{"kind": "Exchange", "winding": 0.5, "total_angle": 3.1415926535897927, '
+            '{"kind": "Exchange", "winding": 0.5, "total_angle": 3.141592653589793, '
             '"n_flipped": 1, "theta": 0.9, "op_class": "boson", "phi": 0.45, '
             '"amplitude": {"re": 0.9459241500007938, "im": 0.3243878888695999}}\n'
         ),
         (
             ["exchange", "--theta", "0.9", "--op-class", "fermion"],
-            '{"kind": "Exchange", "winding": 0.5, "total_angle": 3.1415926535897927, '
+            '{"kind": "Exchange", "winding": 0.5, "total_angle": 3.141592653589793, '
             '"n_flipped": 1, "theta": 0.9, "op_class": "fermion", '
             '"phi": 3.591592653589793, "amplitude": {"re": -0.9459241500007938, '
             '"im": -0.3243878888695999}}\n'
         ),
         (
             ["exchange", "--direction", "cw", "--theta", "0.9"],
-            '{"kind": "Exchange", "winding": -0.5, "total_angle": -3.1415926535897927, '
+            '{"kind": "Exchange", "winding": -0.5, "total_angle": -3.141592653589793, '
             '"n_flipped": 1, "theta": 0.9, "op_class": "boson", "phi": 5.833185307179586, '
             '"amplitude": {"re": 0.8420976433772558, "im": -0.539325095854506}}\n'
         ),
         (
             ["exchange", "--direction", "cw", "--theta", "0.9", "--op-class", "fermion"],
-            '{"kind": "Exchange", "winding": -0.5, "total_angle": -3.1415926535897927, '
+            '{"kind": "Exchange", "winding": -0.5, "total_angle": -3.141592653589793, '
             '"n_flipped": 1, "theta": 0.9, "op_class": "fermion", '
             '"phi": 2.6915926535897934, "amplitude": {"re": -0.8420976433772558, '
             '"im": 0.539325095854506}}\n'

@@ -256,6 +256,13 @@ def _rel(x, y):
 @example([_rel(5e-324, 0.0), _rel(-5e-324, -5e-324)], 1.0)
 @example([_rel(-1e200, 1e200), _rel(1e200, -5e199)], 1.0)
 @example([_rel(1.0, 5e-324), _rel(1.0, -5e-324)], 1.0)
+# int coordinates: products past the float range, exact as ints (one crossing each way, and
+# an int kinetic sum that no float holds), and relative vectors that no float holds, one of
+# them with a component sum of 0
+@example([(10**200, 0, 0, 0), (0, 10**200, 0, 0)], 1.0)
+@example([(10**200, 10**200, 0, 0), (10**200, -10**200, 0, 0), (10**200, 10**200, 0, 0)], 1.0)
+@example([(1, 0, 0, 0), (10**400, 0, 0, 0)], 1.0)
+@example([(1, 0, 0, 0), (10**400, 0, 0, 10**400)], 1.0)
 # a path whose kinetic sum rounds differently if its four squares are added in another order
 @example([(2.736, 2.687, -2.661, -2.491), (2.013, 1.416, 1.018, -1.151), (0.636, 0.641, 0.487, -2.05),
           (-0.416, -0.639, 1.338, 2.969)], 0.05)
@@ -901,6 +908,9 @@ VALID = {
         (Vec2, {"x": math.nan}, ValidationError, "non-finite vector component (nan, 0)"),
         (Vec2, {"y": -math.inf}, ValidationError, "non-finite vector component (0, -inf)"),
         (Vec2, {"x": "1"}, TypeError, "must be real number, not str"),
+        # an int that no float holds is refused as an infinite float
+        (Vec2, {"x": 10**400}, ValidationError, f"non-finite vector component ({10**400}, 0)"),
+        (DiscretePath, {"dt": 10**400}, ValidationError, f"dt must be finite and > 0, got {10**400}"),
         (DiscretePath, {"dt": 0.0}, ValidationError, "dt must be finite and > 0, got 0.0"),
         (DiscretePath, {"dt": math.nan}, ValidationError, "dt must be finite and > 0, got nan"),
         (DiscretePath, {"configs": (A,)}, ValidationError, "a path needs at least two configurations"),
@@ -926,6 +936,9 @@ VALID = {
         # p1's pair is checked before p2's
         (TwoParticleConfig, {"y1": math.nan, "x2": math.inf}, ValidationError, "non-finite vector component (1.0, nan)"),
         (TwoParticleConfig, {"x2": "0"}, TypeError, "must be real number, not str"),
+        (TwoParticleConfig, {"x1": 10**400}, ValidationError, f"non-finite vector component ({10**400}, 0.0)"),
+        (TwoParticleConfig, {"y2": -(10**400)}, ValidationError, f"non-finite vector component (0.0, {-(10**400)})"),
+        (LatticeSpec, {"spacing": 10**400}, ValidationError, f"spacing must be finite and > 0, got {10**400}"),
         # each move is a pair of counts, so walk_census never meets a move it cannot
         # unpack, nor counts a half-site move under a float ssq
         (LatticeSpec, {"moves": ((1, 0, 0),)}, ValidationError, "a move must be a pair (dx, dy), got (1, 0, 0)"),

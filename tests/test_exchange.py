@@ -61,10 +61,12 @@ class TestBuildExchangePath:
         geom = ExchangeGeometry(radius=1.0, n_steps=6, dt=0.5, direction=Direction.CW)
         assert classify(build_exchange_path(geom)) == HomotopyClass(Kind.EXCHANGE, -0.5)
 
-    @pytest.mark.parametrize("n_steps", [2, 3, 5, 16, 64])
-    def test_total_angle_is_half_turn(self, n_steps):
-        geom = ExchangeGeometry(radius=0.7, n_steps=n_steps, dt=0.1)
-        assert total_angle(build_exchange_path(geom)) == pytest.approx(math.pi, abs=1e-9)
+    @pytest.mark.parametrize("n_steps", [2, 3, 5, 16, 64, 1000, 10**5])
+    @pytest.mark.parametrize("direction, half_turn", [(Direction.CCW, math.pi), (Direction.CW, -math.pi)])
+    def test_total_angle_is_half_turn(self, n_steps, direction, half_turn):
+        # pi per signed crossing, exactly, however many steps turn r
+        geom = ExchangeGeometry(radius=0.7, n_steps=n_steps, dt=0.1, direction=direction)
+        assert total_angle(build_exchange_path(geom)) == half_turn
 
     def test_ends_exactly_swapped(self):
         geom = ExchangeGeometry(radius=1.3, n_steps=7, dt=0.2)
