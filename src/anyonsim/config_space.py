@@ -4,38 +4,45 @@ Coincidence of the two particles is forbidden: removing the diagonal from the
 two-particle space punctures the plane of the relative coordinate r = p1 - p2,
 and it is that puncture which gives discrete paths a well-defined winding.
 This module holds the value types (vectors, configurations, paths, lattices),
-path validation, the half-turn sheet step that every winding count uses, and
-the two lattice walk counts that the propagator machinery is built on: the
-walk-by-walk enumeration kept as an oracle, and the transfer-matrix census
-bucketed by winding.  Both step by one rule, :func:`_successors`: each
-particle's moves are filtered on their own, by the lattice bounds and the
-reach to that particle's end site, once per state, and only the pairs of
-moves that both keep are tested together, for coincidence and an exact
-antiparallel flip.
+path validation, the one crossing rule that every winding count uses
+(:func:`_crossing_sign`), and the two lattice walk counts that the propagator
+machinery is built on: the walk-by-walk enumeration kept as an oracle, and
+the transfer-matrix census bucketed by winding.  Both step by one rule,
+:func:`_successors`: each particle's moves are filtered on their own, by the
+lattice bounds and the reach to that particle's end site, once per state,
+and only the pairs of moves that both keep are tested together, for
+coincidence and, where r changes half, an exact antiparallel flip.
 
 A configuration is the tuple of its four coordinates (x1, y1, x2, y2), with
 Vec2 views of the two positions built on demand: a path is up to 10^5
 configurations, every path computation reads only those floats, and a plain
 tuple costs a fraction of the time and memory of two nested objects.  Every
-configuration is built through a check that its coordinates are finite.
+configuration is built through a check that its coordinates are finite.  An
+integer coordinate of a type other than int, such as numpy's, whose
+arithmetic wraps at 2^63, is read as the int it holds where a configuration
+or a path is built.
 
 A path is valid when no configuration is coincident and the relative vector
-turns by strictly less than pi radians per step.  Steps that flip r exactly
-antiparallel are rejected rather than assigned a sign: the winding of such a
-step would be ambiguous.  Every other step has the exact sign of its cross
-product, taken in integers (:func:`_exact_cross_dot`) wherever the float
-product may have lost it to overflow or underflow, so a path's class does not
-depend on its scale.  Every path is built through that check, so every path
-object is valid and can be classified.
+turns by strictly less than pi radians per step.  A step that keeps r in its
+:func:`upper_half_plane` half turns by less than pi and needs no product at
+all.  A step that changes half is signed by :func:`_crossing_sign`: the exact
+sign of its cross product, taken in integers wherever the float product is 0
+or NaN and may have lost it to overflow or underflow, so a path's class does
+not depend on its scale.  An exactly antiparallel step always changes half,
+and it is the only one there whose cross product is 0: it is rejected rather
+than assigned a sign, since its winding would be ambiguous.  Every path is
+built through that check, so every path object is valid and can be
+classified.
 
 The check is one pass, :func:`_walk`, over any iterable of configurations,
 read once: it also records the crossings, the endpoints and, given dt, the
 kinetic sum of the action.  It takes no angle: the total turning of a path is
 fixed by its crossings and the directions of its first and last relative
 vectors (:func:`~anyonsim.homotopy.total_angle`), so it is exact for closed
-and exchange paths.  :class:`DiscretePath` runs the pass on its tuple; the
-CLI's ``exchange`` and ``winding`` run it on configurations as they are made
-or decoded, and hold none of them (:func:`_walk_from_json`).
+and exchange paths.  :class:`DiscretePath` runs the pass on its tuple and
+holds its record; the CLI's ``exchange`` and ``winding`` run it on
+configurations as they are made or decoded, and hold none of them
+(:func:`_walk_from_json`).
 """
 
 from __future__ import annotations
@@ -101,6 +108,26 @@ def check_count(name: str, value) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
+#: the Python types json gives JSON numbers as, and nearly every coordinate
+#: has; bool, an int subclass, is not one
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _read_ints(values):
+    """values, or, when they include an integer of a type other than int, such
+    as numpy's, whose arithmetic wraps at 2^63, the tuple of them with each
+    such integer read as the int it holds; values that are not iterable as
+    they are."""
+    try:
+        if {*map(type, values)} <= _JSON_NUMBERS:
+            return values
+        read = tuple(v if isinstance(v, (int, float)) or not hasattr(type(v), "__index__")
+                     else operator.index(v) for v in values)
+    except TypeError:
+        return values
+    return values if all(map(operator.is_, read, values)) else read
+
+
 class Vec2(namedtuple("Vec2", "x y")):
     """A point or displacement in the plane. Components must be finite floats,
     or numbers that a finite float holds."""
@@ -119,9 +146,10 @@ class TwoParticleConfig(namedtuple("TwoParticleConfig", "x1 y1 x2 y2")):
     Unpacks, indexes, orders and compares equal like the plain 4-tuple of its
     coordinates; ``p1`` and ``p2`` are read back as Vec2.  Built, also by
     ``_replace``, through the check that its coordinates are finite, p1's
-    pair first, with the message Vec2 gives.  Coincidence is refused by
-    the path that holds the configuration, with the index of the
-    configuration in it (:func:`validate_path`).
+    pair first, with the message Vec2 gives, and holds them as
+    :func:`_read_ints` reads them.  Coincidence is refused by the path that
+    holds the configuration, with the index of the configuration in it
+    (:func:`validate_path`).
     """
 
     __slots__ = ()
@@ -130,7 +158,7 @@ class TwoParticleConfig(namedtuple("TwoParticleConfig", "x1 y1 x2 y2")):
     def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> TwoParticleConfig:
         _check_pair(x1, y1)
         _check_pair(x2, y2)
-        return tuple.__new__(cls, (x1, y1, x2, y2))
+        return tuple.__new__(cls, _read_ints((x1, y1, x2, y2)))
 
     @property
     def p1(self) -> Vec2:
@@ -159,14 +187,16 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
 
     Unpacks, orders, compares and hashes as the tuple (dt, configs); built,
     also by ``_replace``, copy and pickle, through the checks below and then
-    :func:`validate_path`, so every path is valid.  The instance dict holds
-    only what that pass records: ``crossings``, the steps whose relative
-    vector changes :func:`upper_half_plane` half, as (k, sign) for step k
-    (config k -> k+1) in path order, sign that step's :func:`sheet_step`
-    (+1 counter-clockwise, -1 clockwise, the exact sign of the step's cross
-    product, so the signs sum to twice the winding), which
-    :func:`~anyonsim.homotopy.classify` and
-    :func:`~anyonsim.homotopy.total_angle` read; and the kinetic sum that
+    :func:`validate_path`, so every path is valid.  Each configuration is
+    held as :func:`_read_ints` reads it, a TwoParticleConfig as its
+    constructor has read it.  The instance dict holds only what that pass
+    records, as :class:`_Walk` names it: ``crossings``, the steps whose
+    relative vector changes :func:`upper_half_plane` half, as (k, sign) for
+    step k (config k -> k+1) in path order, sign that step's
+    :func:`_crossing_sign` (+1 counter-clockwise, -1 clockwise, so the signs
+    sum to twice the winding), which :func:`~anyonsim.homotopy.classify` and
+    :func:`~anyonsim.homotopy.total_angle` read; ``start`` and ``end``, the
+    first and last configuration; ``n_steps``; and the kinetic sum that
     :func:`~anyonsim.amplitudes.action` reads.
     """
 
@@ -174,6 +204,8 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
 
     def __new__(cls, dt: float, configs: Sequence[TwoParticleConfig]) -> DiscretePath:
         configs = tuple(_iterate(configs, "configs must be an iterable of configurations"))
+        if set(map(type, configs)) != {TwoParticleConfig}:  # whose constructor has read them
+            configs = tuple(map(_read_ints, configs))
         _check_dt_and_length(dt, len(configs))
         path = tuple.__new__(cls, (dt, configs))
         validate_path(path)
@@ -182,18 +214,6 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     def __reduce__(self):
         # a copy or a pickle is built anew, through the validating pass
         return type(self), tuple(self)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.configs) - 1
-
-    @property
-    def start(self) -> TwoParticleConfig:
-        return self.configs[0]
-
-    @property
-    def end(self) -> TwoParticleConfig:
-        return self.configs[-1]
 
 
 class EndpointPair(namedtuple("EndpointPair", "start end")):
@@ -237,60 +257,45 @@ class LatticeSpec(namedtuple("LatticeSpec", "extent spacing moves")):
 def upper_half_plane(rx: float, ry: float) -> bool:
     """True when the polar angle of (rx, ry) lies in [0, pi).
 
-    Exactly one of r and -r satisfies this for r != 0.  The comparisons are
-    exact, with no trigonometry.
+    Exactly one of r and -r satisfies this for r != 0, so an exactly
+    antiparallel step always changes half, and a positive multiple of r
+    never does.  The comparisons are exact, with no trigonometry.  The
+    fundamental domain: a step is signed by :func:`_crossing_sign` only
+    where it changes this half, a test that :func:`_walk` and
+    :func:`_successors` write inline, each reading a state's half once.
     """
     return ry > 0 or (ry == 0 and rx > 0)
 
 
-def _exact_cross_dot(rx: float, ry: float, nrx: float, nry: float) -> tuple[int, int]:
-    """The exact signs (+1, 0 or -1) of the cross and dot products of
-    r = (rx, ry) and nr = (nrx, nry).
+def _crossing_sign(rx: float, ry: float, nrx: float, nry: float) -> int:
+    """The exact sign (+1, 0 or -1) of the cross product of r = (rx, ry) and
+    nr = (nrx, nry), the one crossing rule: taken only where r steps to nr
+    across the boundary of the :func:`upper_half_plane` halves, where it is
+    the change of the half-turn sheet index (sheet h holds the lifted polar
+    angles in [h*pi, (h+1)*pi)), and where it is 0 only for an exactly
+    antiparallel step, which has no sign and is refused.
 
-    The products are built in integers from the exact ratios of the four
-    components (an integer type without ``as_integer_ratio``, such as
-    numpy's, is read through operator.index), so nothing rounds, overflows
-    or underflows.
+    Rounding is monotone, so a float cross product that is neither 0 nor NaN
+    has that sign; any other is built in integers from the exact ratios of
+    the four components, so nothing rounds, overflows or underflows.  Int
+    components give an int product, exact already.
     """
-    (a, b), (c, d), (e, f), (g, h) = (
-        v.as_integer_ratio() if hasattr(v, "as_integer_ratio") else (operator.index(v), 1)
-        for v in (rx, ry, nrx, nry)
-    )
-    # both products times the positive b * d * f * h
-    cross = a * g * d * f - c * e * b * h
-    dot = a * e * d * h + c * g * b * f
-    return (cross > 0) - (cross < 0), (dot > 0) - (dot < 0)
-
-
-def sheet_step(rx: float, ry: float, nrx: float, nry: float) -> int:
-    """Change of the half-turn sheet index when r = (rx, ry) steps to (nrx, nry).
-
-    Sheet h holds the lifted polar angles in [h*pi, (h+1)*pi).  A step turns
-    r by less than pi, so h changes only when r leaves its
-    :func:`upper_half_plane` half, and then by the exact sign of the cross
-    product; summed along a path this is twice the winding.  Rounding is
-    monotone, so a float cross product that is neither 0 nor NaN has that
-    sign; any other is signed by :func:`_exact_cross_dot`.  Only an exactly
-    antiparallel pair (or a zero vector) has no sign, and raises
-    ValidationError.
-    """
-    if upper_half_plane(nrx, nry) == upper_half_plane(rx, ry):
-        return 0
     cross = rx * nry - ry * nrx
     if not cross or cross != cross:
-        cross = _exact_cross_dot(rx, ry, nrx, nry)[0]
-        if not cross:
-            raise ValidationError(f"turn from ({rx}, {ry}) to ({nrx}, {nry}) has no sign")
-    return 1 if cross > 0 else -1
+        (a, b), (c, d), (e, f), (g, h) = (v.as_integer_ratio() for v in (rx, ry, nrx, nry))
+        # the cross product times the positive b * d * f * h
+        cross = a * g * d * f - c * e * b * h
+    return (cross > 0) - (cross < 0)
 
 
 class _Walk:
-    """What the one validating pass, :func:`_walk`, records of a path.
+    """What the one validating pass, :func:`_walk`, records of a path, and
+    what a :class:`DiscretePath`, on which the pass records it, holds.
 
-    ``crossings`` and the kinetic sum, as :class:`DiscretePath` keeps them
-    (the kinetic sum when the pass was given dt); ``start`` and ``end``, the
-    first and last configuration; and ``n_steps``, the index of the last
-    configuration read.  :func:`~anyonsim.homotopy.classify`,
+    ``crossings`` and the kinetic sum (when the pass was given dt);
+    ``start`` and ``end``, the first and last configuration; and
+    ``n_steps``, the index of the last configuration read.
+    :func:`~anyonsim.homotopy.classify`,
     :func:`~anyonsim.homotopy.total_angle` and
     :func:`~anyonsim.amplitudes.action` read it as they read a path.
     """
@@ -298,24 +303,23 @@ class _Walk:
     __slots__ = ("crossings", "_kinetic", "start", "end", "n_steps")
 
 
-def _walk(configs: Iterable, dt: float | None, walked: _Walk) -> _Walk:
+def _walk(configs: Iterable, dt: float | None, walked: _Walk | DiscretePath) -> _Walk | DiscretePath:
     """The one validating pass over configs, any iterable of configurations,
     read once and never held: the checks of :func:`validate_path`, in its
-    order, with its errors.  Records on walked, and returns it, what
-    :class:`_Walk` holds, ``n_steps`` also when it raises: ``crossings``,
-    the steps that change :func:`upper_half_plane` half, as (k, sign), and,
-    given dt (else None), the kinetic sum that
-    :func:`~anyonsim.amplitudes.action` reads.  An error raised by configs
-    itself is not caught.  A path of fewer than two configurations, or a dt,
-    is not refused here.
+    order, with its errors.  Records on walked, a :class:`_Walk` or the path
+    of configs, and returns it, what :class:`_Walk` holds, ``n_steps`` also
+    when it raises: ``crossings``, the steps that change
+    :func:`upper_half_plane` half, as (k, sign), and, given dt (else None),
+    the kinetic sum that :func:`~anyonsim.amplitudes.action` reads.  An
+    error raised by configs itself is not caught.  A path of fewer than two
+    configurations, or a dt, is not refused here.
 
-    The float cross product of a step has its exact sign unless it is 0 or
-    NaN, as in :func:`sheet_step`; only then, and only where the sign
-    decides (at a crossing, or with a dot product that is not positive, as
-    an exactly antiparallel step has), are the exact signs of
-    :func:`_exact_cross_dot` taken.  So every crossing of a valid path has
-    its exact sign, and only an exactly antiparallel step is refused.  Int
-    coordinates give int products, which are exact already.
+    Only a step that changes half is signed, by :func:`_crossing_sign`, so
+    every crossing of a valid path has its exact sign; a zero sign there is
+    an exactly antiparallel step, the only one refused.  A step that stays
+    in its half takes no product.  Coordinates are read as they are: an
+    integer type whose arithmetic wraps is read as an int where a path is
+    built (:func:`_read_ints`), not here.
 
     Given dt, each step's m = 1 kinetic term (|dp1|^2 + |dp2|^2) / (2 dt) is
     added up with ``+=`` in path order; a term whose int sum of squares no
@@ -339,13 +343,11 @@ def _walk(configs: Iterable, dt: float | None, walked: _Walk) -> _Walk:
                     _check_pair(nrx, nry)  # raises its ValidationError
                 nupper = nry > 0 or (nry == 0 and nrx > 0)
                 if k:  # rx, ry, upper and ax1 .. ay2 are configuration k - 1's, set below
-                    cross = rx * nry - ry * nrx
-                    if (not cross or cross != cross) and (nupper != upper or not rx * nrx + ry * nry > 0):
-                        cross, dot = _exact_cross_dot(rx, ry, nrx, nry)
-                        if not cross and dot < 0:
-                            raise TurnTooLargeAtStep(k - 1)
                     if nupper != upper:
-                        flips.append((k - 1, 1 if cross > 0 else -1))
+                        sign = _crossing_sign(rx, ry, nrx, nry)
+                        if not sign:
+                            raise TurnTooLargeAtStep(k - 1)
+                        flips.append((k - 1, sign))
                     if two_dt is not None:
                         d1x, d1y = x1 - ax1, y1 - ay1
                         d2x, d2y = x2 - ax2, y2 - ay2
@@ -376,13 +378,14 @@ def validate_path(path: DiscretePath) -> None:
     (CoincidenceAtStep with the config index), a finite relative vector
     r = p1 - p2 (ValidationError), a turn of strictly less than pi from the
     previous r (TurnTooLargeAtStep with the step index, config k -> k+1;
-    only an exactly antiparallel step, by the exact cross product).  Every
-    crossing of a path that passes has the exact sign of :func:`sheet_step`,
-    so a valid path can always be classified, at any scale.  Stores on the
-    path what :func:`_walk` records: its ``crossings`` and its kinetic sum.
+    only an exactly antiparallel step, the zero sign of
+    :func:`_crossing_sign` at a change of half).  Every crossing of a path
+    that passes has the exact sign of :func:`_crossing_sign`, so a valid
+    path can always be classified, at any scale.  :func:`_walk` records on
+    the path what :class:`_Walk` holds: its ``crossings``, ``start``,
+    ``end``, ``n_steps`` and kinetic sum.
     """
-    walked = _walk(path.configs, path.dt, _Walk())
-    path.crossings, path._kinetic = walked.crossings, walked._kinetic
+    _walk(path.configs, path.dt, path)
 
 
 def reverse_path(path: DiscretePath) -> DiscretePath:
@@ -399,10 +402,6 @@ def concat_paths(first: DiscretePath, second: DiscretePath) -> DiscretePath:
 
 
 # --- JSON form used by the CLI: {"dt": ..., "configs": [[[x1,y1],[x2,y2]], ...]}
-
-
-#: the Python types json gives JSON numbers as; bool, an int subclass, is not one
-_JSON_NUMBERS = frozenset((int, float))
 
 
 def _configs_from_json(pairs) -> Iterator[tuple[float, float, float, float]]:
@@ -541,7 +540,10 @@ def _successors(lattice: LatticeSpec, end4: tuple[int, int, int, int]):
     each particle's own: its moves are filtered by them once per state, and
     only the pairs of moves that both keep are tested together.  ``ssq`` is
     the squared site displacement of the joint move.  ``dh`` is the change of
-    the half-turn sheet index, :func:`sheet_step`.
+    the half-turn sheet index: 0 for a move that keeps r in its
+    :func:`upper_half_plane` half, which the state's own half is read once
+    for, and else :func:`_crossing_sign`, whose zero is the antiparallel
+    flip that is skipped.
     """
     extent = lattice.extent
     moves = tuple((dx, dy, dx * dx + dy * dy) for dx, dy in lattice.moves)
@@ -563,6 +565,7 @@ def _successors(lattice: LatticeSpec, end4: tuple[int, int, int, int]):
         x1, y1, x2, y2 = sites
         rx = x1 - x2
         ry = y1 - y2
+        upper = ry > 0 or (ry == 0 and rx > 0)
         slack = (left - 1) * reach
         second = kept(x2, y2, e2x, e2y, slack)
         for nx1, ny1, cost1 in kept(x1, y1, e1x, e1y, slack):
@@ -571,9 +574,12 @@ def _successors(lattice: LatticeSpec, end4: tuple[int, int, int, int]):
                 nry = ny1 - ny2
                 if nrx == 0 and nry == 0:
                     continue
-                if rx * nry - ry * nrx == 0 and rx * nrx + ry * nry < 0:
-                    continue
-                yield (nx1, ny1, nx2, ny2), cost1 + cost2, sheet_step(rx, ry, nrx, nry)
+                dh = 0
+                if (nry > 0 or (nry == 0 and nrx > 0)) != upper:
+                    dh = _crossing_sign(rx, ry, nrx, nry)
+                    if not dh:
+                        continue
+                yield (nx1, ny1, nx2, ny2), cost1 + cost2, dh
 
     return step
 

@@ -29,7 +29,7 @@ from anyonsim import (
     walk_census,
 )
 from anyonsim import config_space
-from anyonsim.config_space import _as_configs, _configs_from_json, sheet_step
+from anyonsim.config_space import _as_configs, _configs_from_json
 from anyonsim.errors import (
     CoincidenceAtStep,
     EndpointOffLattice,
@@ -252,10 +252,16 @@ def _rel(x, y):
 @example([_rel(1e200, 0), _rel(1e200, 1e199), _rel(1e199, 1e200), _rel(-1e200, 0), _rel(0, -1e200), _rel(1e200, 0)], 1.0)
 @example([_rel(1e-300, 0), _rel(3, -1e-300), _rel(0, -3), _rel(-3, 0), _rel(0, 3), _rel(1e-300, 0)], 1.0)
 @example([_rel(1e-300, 0), _rel(0, 3), _rel(-3, 0), _rel(0, -3), _rel(3, -1e-300), _rel(1e-300, 0)], 1.0)
-# sheet_step's rows: both products underflow, the cross product is inf - inf, the least subnormal cross product
+# crossings signed exactly: both products underflow, the cross product is inf - inf, the least subnormal cross product
 @example([_rel(5e-324, 0.0), _rel(-5e-324, -5e-324)], 1.0)
 @example([_rel(-1e200, 1e200), _rel(1e200, -5e199)], 1.0)
 @example([_rel(1.0, 5e-324), _rel(1.0, -5e-324)], 1.0)
+# steps that stay in their half, accepted with no crossing although the float cross product
+# is 0 (it underflows) or NaN (inf - inf); and the exactly antiparallel steps at those scales, refused
+@example([_rel(5e-324, 5e-324), _rel(1e-323, 5e-324)], 1.0)
+@example([_rel(1e200, 1e200), _rel(1e200, 2e200)], 1.0)
+@example([_rel(5e-324, 5e-324), _rel(-5e-324, -5e-324)], 1.0)
+@example([_rel(1e200, 1e200), _rel(-1e200, -1e200)], 1.0)
 # int coordinates: products past the float range, exact as ints (one crossing each way, and
 # an int kinetic sum that no float holds), and relative vectors that no float holds, one of
 # them with a component sum of 0
@@ -326,38 +332,60 @@ def test_every_built_path_is_validated_once(monkeypatch, maker):
     paths = built if isinstance(built, list) else [built]
     assert paths and all(type(p) is DiscretePath for p in paths)
     assert [id(p) for p in seen] == [id(p) for p in paths]
+    # each path holds its pass's record of its own configurations
+    for p in paths:
+        assert p.start is p.configs[0] and p.end is p.configs[-1]
+        assert p.n_steps == len(p.configs) - 1
 
 
 @pytest.mark.parametrize(
-    "r, nr, step",
+    "r, nr, crossings",
     [
-        ((1.0, 0.0), (0.0, 1.0), 0),
-        ((1.0, 0.0), (0.0, -1.0), -1),
-        ((0.0, -1.0), (1.0, 0.0), 1),
+        ((1.0, 0.0), (0.0, 1.0), ()),
+        ((1.0, 0.0), (0.0, -1.0), ((0, -1),)),
+        ((0.0, -1.0), (1.0, 0.0), ((0, 1),)),
         # the cross and dot products underflow to 0, so the exact products give the sign
-        ((5e-324, 0.0), (-5e-324, -5e-324), -1),
+        ((5e-324, 0.0), (-5e-324, -5e-324), ((0, -1),)),
         # the dot product is normal and the cross product alone underflows to -0.0
-        ((1e-300, 0.0), (3.0, -1e-300), -1),
+        ((1e-300, 0.0), (3.0, -1e-300), ((0, -1),)),
         # the float cross product is inf - inf = NaN
-        ((-1e200, 1e200), (1e200, -5e199), -1),
+        ((-1e200, 1e200), (1e200, -5e199), ((0, -1),)),
         # the cross product is subnormal; halving it would underflow to 0
-        ((1.0, 5e-324), (1.0, -5e-324), -1),
+        ((1.0, 5e-324), (1.0, -5e-324), ((0, -1),)),
     ],
     ids=["same-half", "clockwise", "counter-clockwise", "subnormal", "cross-underflow",
          "cross-overflow", "least-subnormal-cross"],
 )
-def test_sheet_step(r, nr, step):
-    assert sheet_step(*r, *nr) == step
+def test_a_step_is_signed_only_at_a_crossing(r, nr, crossings):
+    path = DiscretePath(1.0, [_rel(*r), _rel(*nr)])
+    assert path.crossings == crossings == tuple(half_plane_crossings(path))
 
 
 @pytest.mark.parametrize("number", [int, float, np.int64], ids=["int", "float", "numpy-int64"])
-def test_sheet_step_refuses_a_half_turn(number):
+def test_a_half_turn_is_refused(number):
     one, zero = number(1), number(0)
-    with pytest.raises(ValidationError, match=r"^turn from \(1.*\) to \(-1.*\) has no sign$"):
-        sheet_step(one, zero, -one, zero)
-    # the same step in a path is refused as the half-turn it is
-    with pytest.raises(TurnTooLargeAtStep, match="during step 0$"):
-        DiscretePath(1.0, [TwoParticleConfig(one, zero, zero, zero), TwoParticleConfig(-one, zero, zero, zero)])
+    for config in (TwoParticleConfig, lambda *coords: coords):
+        with pytest.raises(TurnTooLargeAtStep, match="during step 0$"):
+            DiscretePath(1.0, [config(one, zero, zero, zero), config(-one, zero, zero, zero)])
+
+
+def test_numpy_int_coordinates_are_read_as_ints():
+    # products of these coordinates pass 2^63, where numpy's int64 arithmetic wraps: the
+    # path reads them as the ints they hold, so its crossings and kinetic sum are its int twin's
+    a, zero = np.int64(3 * 2**31), np.int64(0)
+    path = DiscretePath(1.0, [(a, a, zero, zero), (a, -a, zero, zero), (a, a, zero, zero)])
+    b = 3 * 2**31
+    twin = DiscretePath(1.0, [(b, b, 0, 0), (b, -b, 0, 0), (b, b, 0, 0)])
+    for p in (path, twin):
+        assert p.crossings == ((0, -1), (1, 1)) == tuple(half_plane_crossings(p))
+        assert classify(p).winding == 0
+        assert p._kinetic == 1.6602069666338596e20 == 2 * (2 * b) ** 2 / 2.0
+    assert path == twin
+    assert {type(v) for c in path.configs for v in c} == {int}
+    # a configuration reads them in its constructor, and a path holds it as it is
+    config = TwoParticleConfig(a, -a, zero, zero)
+    assert config == (b, -b, 0, 0) and {type(v) for v in config} == {int}
+    assert DiscretePath(1.0, [config, (b, b, 0, 0)]).configs[0] is config
 
 
 class TestPathHelpers:
