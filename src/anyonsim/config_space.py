@@ -20,7 +20,8 @@ tuple costs a fraction of the time and memory of two nested objects.  Every
 configuration is built through a check that its coordinates are finite.  An
 integer coordinate of a type other than int, such as numpy's, whose
 arithmetic wraps at 2^63, is read as the int it holds where a configuration
-or a path is built.
+or a path is built, and a path holds every configuration as a tuple, so no
+caller's list is held.
 
 A path is valid when no configuration is coincident and the relative vector
 turns by strictly less than pi radians per step.  A step that keeps r in its
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 
@@ -114,18 +115,23 @@ _JSON_NUMBERS = frozenset((int, float))
 
 
 def _read_ints(values):
-    """values, or, when they include an integer of a type other than int, such
-    as numpy's, whose arithmetic wraps at 2^63, the tuple of them with each
-    such integer read as the int it holds; values that are not iterable as
-    they are."""
+    """The configuration that a path holds for values, a tuple of numbers: a
+    tuple as it is, unless it includes an integer of a type other than int,
+    such as numpy's, whose arithmetic wraps at 2^63; any other iterable of
+    numbers, such as a list, read into a tuple; and in either, each such
+    integer read as the int it holds.  Values that are not iterable, are a
+    one-shot iterator or include an item that is not a number (nor an
+    integer) are returned as they are, for the path's pass to refuse."""
     try:
-        if {*map(type, values)} <= _JSON_NUMBERS:
-            return values
-        read = tuple(v if isinstance(v, (int, float)) or not hasattr(type(v), "__index__")
-                     else operator.index(v) for v in values)
-    except TypeError:
+        if {*map(type, values)} <= _JSON_NUMBERS or iter(values) is values:
+            # a tuple as it is; a list, the common case after it, read into one
+            # with no further test; a one-shot iterator, spent by the type scan, as it is
+            kept = isinstance(values, tuple) or type(values) is not list and iter(values) is values
+            return values if kept else tuple(values)
+        read = tuple(v if isinstance(v, (int, float)) else operator.index(v) for v in values)
+    except TypeError:  # not iterable, or an item that is neither a float nor an integer
         return values
-    return values if all(map(operator.is_, read, values)) else read
+    return values if isinstance(values, tuple) and all(map(operator.is_, read, values)) else read
 
 
 class Vec2(namedtuple("Vec2", "x y")):
@@ -188,10 +194,11 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     Unpacks, orders, compares and hashes as the tuple (dt, configs); built,
     also by ``_replace``, copy and pickle, through the checks below and then
     :func:`validate_path`, so every path is valid.  Each configuration is
-    held as :func:`_read_ints` reads it, a TwoParticleConfig as its
-    constructor has read it.  The instance dict holds only what that pass
-    records, as :class:`_Walk` names it: ``crossings``, the steps whose
-    relative vector changes :func:`upper_half_plane` half, as (k, sign) for
+    held as :func:`_read_ints` reads it, as a tuple, so no caller's list is
+    held and a path hashes; a TwoParticleConfig as its constructor has read
+    it.  The instance dict holds only what that pass records, as
+    :class:`_Walk` names it: ``crossings``, the steps whose relative vector
+    changes :func:`upper_half_plane` half, as (k, sign) for
     step k (config k -> k+1) in path order, sign that step's
     :func:`_crossing_sign` (+1 counter-clockwise, -1 clockwise, so the signs
     sum to twice the winding), which :func:`~anyonsim.homotopy.classify` and
@@ -637,12 +644,10 @@ def walk_census(
 
     frontier = {start4: {(0, 0): 1}}
     for left in range(n_steps, 0, -1):
-        following: dict[tuple, dict[tuple[int, int], int]] = {}
+        following = defaultdict(dict)
         for sites, buckets in frontier.items():
             for nxt, cost, dh in step(sites, left):
-                target = following.get(nxt)
-                if target is None:
-                    target = following[nxt] = {}
+                target = following[nxt]
                 for (h, ssq), n in buckets.items():
                     key = (h + dh, ssq + cost)
                     target[key] = target.get(key, 0) + n

@@ -27,7 +27,9 @@ That pass takes no per-step angle: the exchange's total turning is pi * 2w
 exactly, from its one crossing (:func:`~anyonsim.homotopy.total_angle`).
 The phase rule computes all the classes of one theta at once, as flat
 values (:func:`_phase_rule`), which the CLI's sweep formats with one ``%``
-per theta.
+per theta.  :func:`dephasing_exponent` reads only the two configurations of
+each grid point's first step, as they are made (:func:`_exchange_configs`),
+and builds no geometry, configuration or path for them.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .config_space import (
     _Walk,
     check_count,
     check_finite_positive,
-    swap,
 )
 from .errors import BudgetExceeded, DegenerateGrid, NotExchangeKernel, ValidationError
 from .homotopy import HomotopyClass, Kind, classify
@@ -77,8 +78,10 @@ class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt directi
 
     Unpacks, orders, compares and hashes as the tuple (radius, n_steps, dt,
     direction); built, also by ``_replace``, through the checks below.
-    n_steps is capped by :func:`build_exchange_path`, not here:
-    :func:`dephasing_exponent` builds only a geometry's first step.
+    n_steps is capped by :func:`build_exchange_path`, not here, and only an
+    exchange built as a path or walked as one needs a geometry:
+    :func:`dephasing_exponent` reads the first step's two configurations
+    from :func:`_exchange_configs` alone.
     """
 
     __slots__ = ()
@@ -95,15 +98,15 @@ class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt directi
         return tuple.__new__(cls, (radius, n_steps, dt, direction))
 
 
-def _exchange_configs(geom: ExchangeGeometry, count: int) -> Iterator[tuple[float, float, float, float]]:
+def _exchange_configs(radius: float, n: int, sign: int, count: int) -> Iterator[tuple[float, float, float, float]]:
     """The coordinates (x1, y1, x2, y2), in plain tuples, of the first count
-    configurations of the exchange, configuration k the pair rotated by
-    pi * k / n_steps about the origin, each made as it is asked for.  A
+    configurations of the exchange of the pair at distance 2*radius about the
+    origin in n steps, configuration k the pair rotated by pi * sign * k / n,
+    each made as it is asked for: sign is 1 counter-clockwise and -1
+    clockwise, an int, so the angle pi * (sign * k) / n is that of the float
+    sign, save that the first is 0.0 in both directions, never -0.0.  A
     finite radius gives finite coordinates."""
-    radius, n, pi, cos, sin = geom.radius, geom.n_steps, math.pi, math.cos, math.sin
-    # an integer sign: the angle pi * (sign * k) / n is that of the float sign,
-    # save that the first is 0.0 in both directions, never -0.0
-    sign = 1 if geom.direction is Direction.CCW else -1
+    pi, cos, sin = math.pi, math.cos, math.sin
     for k in range(0, sign * count, sign):
         phi = pi * k / n
         x, y = radius * cos(phi), radius * sin(phi)
@@ -112,13 +115,14 @@ def _exchange_configs(geom: ExchangeGeometry, count: int) -> Iterator[tuple[floa
 
 def _exchange_path_configs(geom: ExchangeGeometry) -> Iterator[tuple[float, float, float, float]]:
     """The coordinates of the exchange path of geom, the last configuration
-    snapped to the swap of the first; more than MAX_SIZE steps are refused
-    with BudgetExceeded before any is made."""
+    snapped to the first with the two particles swapped; more than MAX_SIZE
+    steps are refused with BudgetExceeded before any is made."""
     if geom.n_steps > MAX_SIZE:
         raise BudgetExceeded(f"{geom.n_steps} exchange steps exceed the cap {MAX_SIZE}")
-    configs = _exchange_configs(geom, geom.n_steps)
-    first = next(configs)
-    return itertools.chain((first,), configs, (swap(first),))
+    sign = 1 if geom.direction is Direction.CCW else -1
+    configs = _exchange_configs(geom.radius, geom.n_steps, sign, geom.n_steps)
+    x1, y1, x2, y2 = first = next(configs)
+    return itertools.chain((first,), configs, ((x2, y2, x1, y1),))
 
 
 def build_exchange_path(geom: ExchangeGeometry) -> DiscretePath:
@@ -144,16 +148,17 @@ class StepFactor(namedtuple("StepFactor", "alpha_dir alpha_op flipped action_dir
     alpha_dir propagates to the next configuration as-is, alpha_op to its
     swap; flipped marks the path's :attr:`DiscretePath.crossings`, the steps
     where the two labels exchange roles.  The raw action increments are kept
-    because the dephasing analysis needs phases without mod-2*pi wrapping.
+    for a caller's phases without mod-2*pi wrapping.
     """
 
     __slots__ = ()
 
 
-def _step_actions(path: DiscretePath, params: PhysicsParams) -> Iterator[tuple[float, float]]:
-    """Each step's direct and opposite actions (s_dir, s_op), in path order."""
-    scale = params.mass / (2.0 * path.dt)
-    for (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) in itertools.pairwise(path.configs):
+def _step_actions(configs: Iterable, dt: float, params: PhysicsParams) -> Iterator[tuple[float, float]]:
+    """Each step's direct and opposite actions (s_dir, s_op), in the order of
+    configs, any iterable of configurations, steps of duration dt."""
+    scale = params.mass / (2.0 * dt)
+    for (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) in itertools.pairwise(configs):
         # squared displacements p1 -> p1, p2 -> p2 (direct) and p1 -> p2, p2 -> p1 (opposite)
         d11x, d11y, d22x, d22y = bx1 - ax1, by1 - ay1, bx2 - ax2, by2 - ay2
         d12x, d12y, d21x, d21y = bx2 - ax1, by2 - ay1, bx1 - ax2, by1 - ay2
@@ -181,7 +186,7 @@ def step_factors(
             action_dir=s_dir,
             action_op=s_op,
         )
-        for k, (s_dir, s_op) in enumerate(_step_actions(path, params))
+        for k, (s_dir, s_op) in enumerate(_step_actions(path.configs, path.dt, params))
     )
 
 
@@ -212,8 +217,14 @@ def dephasing_exponent(
     direct-step phase shrinks linearly in dt.  Phases come from exact
     per-step actions, never from arg of the amplitude, which is blind to
     multiples of 2*pi.  Every step of the semicircle is congruent, and its
-    squared displacements are the same in either direction, so only the
-    first step of the counter-clockwise exchange is built.
+    squared displacements are the same in either direction, so only the two
+    configurations of the first step of the counter-clockwise exchange are
+    read, as :func:`_exchange_configs` makes them, and no geometry or path
+    is built: radius and each dt are checked once, here.  No pass could
+    refuse them: the predicted slope is checked finite and > 0 first, so 2R
+    is finite and nonzero, the two configurations are finite and never
+    coincident (max(|cos|, |sin|) >= 1/sqrt(2)), and the step turns by
+    pi/n <= pi/2, never pi.
     """
     check_finite_positive("radius", radius)
     check_finite_positive("duration", duration)
@@ -239,9 +250,8 @@ def dephasing_exponent(
             raise DegenerateGrid(
                 f"dt {dt} leaves fewer than 2 steps of the exchange of duration {duration}"
             )
-        first_step = DiscretePath(dt, _as_configs(_exchange_configs(ExchangeGeometry(radius, n, dt), 2)))
         # the phases alone: no exp(i * phase), which phase_factor refuses past 2^53
-        ((action_dir, action_op),) = _step_actions(first_step, params)
+        ((action_dir, action_op),) = _step_actions(_exchange_configs(radius, n, 1, 2), dt, params)
         phase_dir, phase_op = action_dir / params.hbar, action_op / params.hbar
         for phase in (phase_dir, phase_op):
             if not math.isfinite(phase):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -283,7 +284,9 @@ def test_pass_over_an_iterator_is_the_paths_pass(configs, dt):
     assert got.crossings == want.crossings == tuple(half_plane_crossings(want))
     assert total_angle(got).hex() == total_angle(want).hex()
     assert got._kinetic.hex() == want._kinetic.hex() == kinetic_sum(configs, dt).hex()
-    assert (got.start, got.end, got.n_steps) == (want.start, want.end, want.n_steps)
+    # the path holds a list configuration as the tuple of its values
+    assert (tuple(got.start), tuple(got.end), got.n_steps) == (want.start, want.end, want.n_steps)
+    assert type(want.start) is tuple and type(want.end) is tuple
     assert got.start is configs[0] and got.end is configs[-1]
 
 
@@ -386,6 +389,31 @@ def test_numpy_int_coordinates_are_read_as_ints():
     config = TwoParticleConfig(a, -a, zero, zero)
     assert config == (b, -b, 0, 0) and {type(v) for v in config} == {int}
     assert DiscretePath(1.0, [config, (b, b, 0, 0)]).configs[0] is config
+
+
+def test_a_path_holds_a_list_configuration_as_a_tuple():
+    # a path held the caller's lists themselves: a later write to one made the
+    # path coincident behind its record, and the path did not hash, nor equal
+    # or join its twin of tuples
+    lists = [[1, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, -1, 0, 0], [1, 0, 0, 0]]
+    path = DiscretePath(1.0, lists)
+    twin = DiscretePath(1.0, [tuple(c) for c in lists])
+    assert path.configs == twin.configs and {type(c) for c in path.configs} == {tuple}
+    with pytest.raises(TypeError):
+        path.configs[2][0] = 0
+    lists[2][0] = 0  # the caller's list is not the path's
+    assert classify(path).winding == 1 and reverse_path(path).configs == path.configs[::-1]
+    assert path == twin and hash(path) == hash(twin)
+    assert concat_paths(path, DiscretePath(1.0, [(1, 0, 0, 0), (0, 1, 0, 0)])).n_steps == 5
+    assert concat_paths(DiscretePath(1.0, [(0, -1, 0, 0), (1, 0, 0, 0)]), path).n_steps == 5
+    # a numeric list of the wrong length is named as the tuple it was read into; a
+    # string, a number and a one-shot iterator are refused as they are
+    for item, shown in (([1, 0, 0], "(1, 0, 0)"), ("abcd", "'abcd'"), (5, "5")):
+        with pytest.raises(ValidationError, match=re.escape(f"configuration 1 is not four coordinates: {shown}")):
+            DiscretePath(1.0, [(1, 0, 0, 0), item])
+    once = iter([0, 1, 0, 0])
+    with pytest.raises(ValidationError, match=re.escape(f"configuration 1 is not four coordinates: {once!r}")):
+        DiscretePath(1.0, [(1, 0, 0, 0), once])
 
 
 class TestPathHelpers:

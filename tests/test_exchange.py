@@ -32,6 +32,7 @@ from anyonsim import (
     theta_sweep,
     total_angle,
 )
+from anyonsim import config_space
 from anyonsim.config_space import upper_half_plane
 from anyonsim.errors import BudgetExceeded, DegenerateGrid, NotExchangeKernel, ValidationError
 from anyonsim.exchange import MAX_SIZE
@@ -412,6 +413,42 @@ def test_dephasing_samples_match_the_closed_form(radius, duration, mass, hbar, s
         scale = mass * 8.0 * radius**2 / (2.0 * s.dt * hbar)
         assert math.isclose(s.phase_op, scale * math.cos(half) ** 2, rel_tol=1e-12)
         assert math.isclose(s.phase_dir, scale * math.sin(half) ** 2, rel_tol=1e-12)
+
+
+#: the range in which the first step's phases stay below 2^53, where phase_factor refuses
+MODERATE = st.floats(1e-2, 1e2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    radius=MODERATE,
+    duration=MODERATE,
+    mass=MODERATE,
+    hbar=MODERATE,
+    steps=st.lists(st.integers(2, 500), min_size=3, max_size=5, unique=True),
+)
+def test_dephasing_reads_the_exchanges_own_first_step(radius, duration, mass, hbar, steps):
+    # each sample's phases are, bit for bit, those of the first step factor of the
+    # exchange path of its step count and dt, built and walked as a path
+    params = PhysicsParams(mass=mass, hbar=hbar)
+    fit = dephasing_exponent(radius, duration, params, [duration / n for n in steps])
+    assert len(fit.samples) == len(steps)
+    for s in fit.samples:
+        first = step_factors(build_exchange_path(ExchangeGeometry(radius, s.n_steps, s.dt)), params)[0]
+        assert s.phase_dir.hex() == (first.action_dir / hbar).hex()
+        assert s.phase_op.hex() == (first.action_op / hbar).hex()
+
+
+def test_dephasing_walks_no_path(monkeypatch):
+    # the fit reads the first step's two configurations, and builds no path to walk
+    calls = []
+    walk = config_space._walk
+    monkeypatch.setattr(config_space, "_walk", lambda *args: calls.append(args) or walk(*args))
+    fit = dephasing_exponent(1.0, 1.0, PhysicsParams(), [0.1, 0.05, 0.02])
+    assert len(fit.samples) == 3 and calls == []
+    # the patched pass is the one a path runs
+    build_exchange_path(ExchangeGeometry(1.0, 4, 0.1))
+    assert len(calls) == 1
 
 
 # --- the record types: named tuples built through their checks ---------------
