@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import itertools
 import math
-from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
 from .config_space import (
@@ -29,6 +27,7 @@ from .config_space import (
     EndpointPair,
     LatticeSpec,
     _iterate,
+    _record,
     _snap_to_sites,
     check_count,
     check_finite_positive,
@@ -48,11 +47,10 @@ def _as_dict(value, what: str) -> dict:
     return dict(value if hasattr(value, "keys") else _iterate(value, what))
 
 
-class PhysicsParams(namedtuple("PhysicsParams", "mass hbar")):
+class PhysicsParams(_record("PhysicsParams", "mass hbar")):
     """Particle mass and hbar; natural units by default."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, mass: float = 1.0, hbar: float = 1.0) -> PhysicsParams:
         check_finite_positive("mass", mass)
@@ -67,12 +65,11 @@ class OpClass(enum.Enum):
     FERMION = "fermion"
 
 
-class StatisticsSpec(namedtuple("StatisticsSpec", "theta op_class")):
+class StatisticsSpec(_record("StatisticsSpec", "theta op_class")):
     """Statistics angle theta (phase of one full CCW rotation) plus the
     operational class. theta is 4*pi-periodic in every observable here."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, theta: float, op_class: OpClass) -> StatisticsSpec:
         if not math.isfinite(theta):
@@ -80,11 +77,11 @@ class StatisticsSpec(namedtuple("StatisticsSpec", "theta op_class")):
         return tuple.__new__(cls, (theta, op_class))
 
 
-class ResolvedKernel(namedtuple("ResolvedKernel", "endpoints n_steps partials")):
+class ResolvedKernel(_record("ResolvedKernel", "endpoints n_steps partials")):
     """Propagator split into per-winding-class partial amplitudes, stored in
     rising winding order, the order every sum over them and the JSON form take."""
 
-    _make = classmethod(lambda cls, it: cls(*it))
+    __slots__ = ()
 
     def __new__(
         cls, endpoints: EndpointPair, n_steps: int, partials: Mapping[HomotopyClass, complex]
@@ -98,9 +95,9 @@ class ResolvedKernel(namedtuple("ResolvedKernel", "endpoints n_steps partials"))
                 raise ValidationError(f"partial of kind {c.kind.value} in a {kind.value} kernel")
         return self
 
-    @functools.cached_property
+    @property
     def kind(self) -> Kind:
-        """Direct or Exchange, from the endpoints; computed once, since the kernel is frozen."""
+        """Direct or Exchange, read from the endpoints each time it is asked for."""
         return endpoint_kind(self.endpoints.start, self.endpoints.end)
 
     def total(self) -> complex:
@@ -259,7 +256,7 @@ def probability(a: complex) -> float:
 # --- operational combination of distinguishable-particle amplitudes ----------
 
 
-class PermutationAmplitudes(namedtuple("PermutationAmplitudes", "n alpha")):
+class PermutationAmplitudes(_record("PermutationAmplitudes", "n alpha")):
     """Transition amplitude for each permutation of the final configuration.
 
     Permutations of range(n) are represented as tuples: sigma maps slot j to
@@ -267,7 +264,6 @@ class PermutationAmplitudes(namedtuple("PermutationAmplitudes", "n alpha")):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, n: int, alpha: Mapping[tuple[int, ...], complex]) -> PermutationAmplitudes:
         if n < 1:

@@ -71,6 +71,21 @@ DEFAULT_BUDGET = 10_000_000
 _SNAP_TOL = 1e-9
 
 
+def _record(name: str, fields: str) -> type:
+    """The named tuple type of the record name with fields, the base of
+    every record type of the package.
+
+    A record unpacks, indexes, orders, compares, hashes and reprs as the
+    named tuple; ``_make``, and so ``_replace``, build it through the
+    subclass's own constructor, so they run its checks.  A record subclass
+    sets ``__slots__ = ()`` and holds no instance dict; only a
+    :class:`DiscretePath` has one, which holds its pass record.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, it: cls(*it))
+    return base
+
+
 def check_finite_positive(name: str, value) -> None:
     """Raise ValidationError unless value is a finite number > 0 (an int
     past the float range is refused as an infinite float)."""
@@ -134,19 +149,18 @@ def _read_ints(values):
     return values if isinstance(values, tuple) and all(map(operator.is_, read, values)) else read
 
 
-class Vec2(namedtuple("Vec2", "x y")):
+class Vec2(_record("Vec2", "x y")):
     """A point or displacement in the plane. Components must be finite floats,
     or numbers that a finite float holds."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, x: float, y: float) -> Vec2:
         _check_pair(x, y)
         return tuple.__new__(cls, (x, y))
 
 
-class TwoParticleConfig(namedtuple("TwoParticleConfig", "x1 y1 x2 y2")):
+class TwoParticleConfig(_record("TwoParticleConfig", "x1 y1 x2 y2")):
     """Positions of the two labeled particles, the coordinates (x1, y1, x2, y2).
 
     Unpacks, indexes, orders and compares equal like the plain 4-tuple of its
@@ -159,7 +173,6 @@ class TwoParticleConfig(namedtuple("TwoParticleConfig", "x1 y1 x2 y2")):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> TwoParticleConfig:
         _check_pair(x1, y1)
@@ -188,7 +201,7 @@ def _check_dt_and_length(dt: float, n_configs: int) -> None:
         raise ValidationError("a path needs at least two configurations")
 
 
-class DiscretePath(namedtuple("DiscretePath", "dt configs")):
+class DiscretePath(_record("DiscretePath", "dt configs")):
     """A uniformly time-stepped sequence of two-particle configurations.
 
     Unpacks, orders, compares and hashes as the tuple (dt, configs); built,
@@ -207,7 +220,6 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
     :func:`~anyonsim.amplitudes.action` reads.
     """
 
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, dt: float, configs: Sequence[TwoParticleConfig]) -> DiscretePath:
         configs = tuple(_iterate(configs, "configs must be an iterable of configurations"))
@@ -223,7 +235,7 @@ class DiscretePath(namedtuple("DiscretePath", "dt configs")):
         return type(self), tuple(self)
 
 
-class EndpointPair(namedtuple("EndpointPair", "start end")):
+class EndpointPair(_record("EndpointPair", "start end")):
     """Initial and final configuration of a propagator."""
 
     __slots__ = ()
@@ -239,11 +251,10 @@ def _check_move(move) -> tuple[int, int]:
     return check_count("move dx", move[0]), check_count("move dy", move[1])
 
 
-class LatticeSpec(namedtuple("LatticeSpec", "extent spacing moves")):
+class LatticeSpec(_record("LatticeSpec", "extent spacing moves")):
     """Square lattice of sites (i, j) * spacing with |i|, |j| <= extent."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(
         cls, extent: int, spacing: float = 1.0, moves: Sequence[tuple[int, int]] = DEFAULT_MOVES

@@ -38,7 +38,6 @@ import cmath
 import enum
 import itertools
 import math
-from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
 from .amplitudes import (
@@ -53,6 +52,7 @@ from .config_space import (
     DiscretePath,
     _as_configs,
     _walk,
+    _record,
     _Walk,
     check_count,
     check_finite_positive,
@@ -72,7 +72,7 @@ class Direction(enum.Enum):
     CW = "cw"
 
 
-class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt direction")):
+class ExchangeGeometry(_record("ExchangeGeometry", "radius n_steps dt direction")):
     """Semicircular exchange of a pair at distance 2*radius about the origin,
     in n_steps uniform angular increments of duration dt each.
 
@@ -85,7 +85,6 @@ class ExchangeGeometry(namedtuple("ExchangeGeometry", "radius n_steps dt directi
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(
         cls, radius: float, n_steps: int, dt: float, direction: Direction = Direction.CCW
@@ -142,7 +141,7 @@ def _designated_exchange(geom: ExchangeGeometry, params: PhysicsParams) -> tuple
     return walked, classify(walked), path_amplitude(walked, params)
 
 
-class StepFactor(namedtuple("StepFactor", "alpha_dir alpha_op flipped action_dir action_op")):
+class StepFactor(_record("StepFactor", "alpha_dir alpha_op flipped action_dir action_op")):
     """One step's operational pair of one-step amplitudes.
 
     alpha_dir propagates to the next configuration as-is, alpha_op to its
@@ -190,13 +189,11 @@ def step_factors(
     )
 
 
-class DephasingSample(namedtuple("DephasingSample", "dt n_steps phase_op phase_dir")):
+class DephasingSample(_record("DephasingSample", "dt n_steps phase_op phase_dir")):
     __slots__ = ()
 
 
-class DephasingFit(
-    namedtuple("DephasingFit", "slope intercept residual predicted rel_error samples")
-):
+class DephasingFit(_record("DephasingFit", "slope intercept residual predicted rel_error samples")):
     """Least-squares fit of the opposite-step phase against 1/dt."""
 
     __slots__ = ()
@@ -282,7 +279,7 @@ def dephasing_exponent(
     )
 
 
-class ExchangePhase(namedtuple("ExchangePhase", "phi amplitude theta op_class")):
+class ExchangePhase(_record("ExchangePhase", "phi amplitude theta op_class")):
     """Total exchange phase phi in [0, 2*pi) with its diagnostic amplitude."""
 
     __slots__ = ()

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import namedtuple
 
-from .config_space import DiscretePath, upper_half_plane
+from .config_space import DiscretePath, _record, upper_half_plane
 from .errors import EndpointsNotClosedOrExchanged
 
 
@@ -36,7 +35,7 @@ class Kind(enum.Enum):
     EXCHANGE = "Exchange"
 
 
-class HomotopyClass(namedtuple("HomotopyClass", "kind winding")):
+class HomotopyClass(_record("HomotopyClass", "kind winding")):
     """Winding number plus the direct/exchange endpoint tag.
 
     Direct classes carry integer windings, exchange classes half-odd-integer
@@ -44,7 +43,6 @@ class HomotopyClass(namedtuple("HomotopyClass", "kind winding")):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, kind: Kind, winding: float) -> HomotopyClass:
         w2 = 2.0 * winding
