@@ -161,8 +161,8 @@ def resolved_kernel(
 
     partials[w] sums exp(i S / hbar) over every valid walk of winding w;
     classes without walks are absent.  Both endpoints are first snapped to
-    lattice sites (EndpointOffLattice if one is not within 1e-9 spacings of
-    a site), and the endpoint kind is decided on those sites: they must be
+    lattice sites (ValidationError if one is not four numbers,
+    EndpointOffLattice if one is not within 1e-9 spacings of a site), and the endpoint kind is decided on those sites: they must be
     closed or swapped, otherwise winding has no absolute half-integer value.
     The returned kernel's endpoints are the lattice configurations of the
     sites.  The request is refused up front when the joint-move sequence

@@ -133,18 +133,25 @@ def _read_ints(values):
     """The configuration that a path holds for values, a tuple of numbers: a
     tuple as it is, unless it includes an integer of a type other than int,
     such as numpy's, whose arithmetic wraps at 2^63; any other iterable of
-    numbers, such as a list, read into a tuple; and in either, each such
-    integer read as the int it holds.  Values that are not iterable, are a
-    one-shot iterator or include an item that is not a number (nor an
-    integer) are returned as they are, for the path's pass to refuse."""
+    numbers, such as a list or a numpy array row, read into a tuple; and in
+    either, each such integer read as the int it holds.  A number is what
+    has ``__float__``: numpy's floats and a Fraction are held as they are.
+    Values that are not iterable, are a one-shot iterator or include an item
+    that is not a number (such as a string) are returned as they are, for
+    the path's pass to refuse."""
     try:
         if {*map(type, values)} <= _JSON_NUMBERS or iter(values) is values:
             # a tuple as it is; a list, the common case after it, read into one
             # with no further test; a one-shot iterator, spent by the type scan, as it is
             kept = isinstance(values, tuple) or type(values) is not list and iter(values) is values
             return values if kept else tuple(values)
-        read = tuple(v if isinstance(v, (int, float)) else operator.index(v) for v in values)
-    except TypeError:  # not iterable, or an item that is neither a float nor an integer
+        read = tuple(
+            v if isinstance(v, (int, float)) or not hasattr(v, "__index__") else operator.index(v)
+            for v in values
+        )
+    except TypeError:  # not iterable, or an __index__ that refuses
+        return values
+    if not all(hasattr(v, "__float__") for v in read):
         return values
     return values if isinstance(values, tuple) and all(map(operator.is_, read, values)) else read
 
@@ -303,7 +310,7 @@ def _crossing_sign(rx: float, ry: float, nrx: float, nry: float) -> int:
         (a, b), (c, d), (e, f), (g, h) = (v.as_integer_ratio() for v in (rx, ry, nrx, nry))
         # the cross product times the positive b * d * f * h
         cross = a * g * d * f - c * e * b * h
-    return (cross > 0) - (cross < 0)
+    return 1 if cross > 0 else -1 if cross < 0 else 0
 
 
 class _Walk:
@@ -516,25 +523,32 @@ def _walk_from_json(data: dict) -> _Walk:
 
 
 def _snap_to_sites(lattice: LatticeSpec, config: TwoParticleConfig) -> tuple[int, int, int, int]:
-    """Map a configuration to integer site coordinates, or fail."""
+    """Map a lattice endpoint, a configuration, to integer site coordinates,
+    or fail: anything but four numbers with ValidationError, which names the
+    endpoint, and a coordinate off the lattice with EndpointOffLattice."""
     sites = []
-    for v in config:
-        scaled = v / lattice.spacing
-        # a huge v or a tiny spacing overflows the quotient to inf, which round() refuses
-        i = round(scaled) if math.isfinite(scaled) else None
-        if i is None or abs(scaled - i) > _SNAP_TOL or abs(i) > lattice.extent:
-            raise EndpointOffLattice(
-                f"coordinate {v} is not a lattice site (spacing {lattice.spacing}, extent {lattice.extent})"
-            )
-        sites.append(i)
+    try:
+        x1, y1, x2, y2 = config
+        for v in (x1, y1, x2, y2):
+            scaled = v / lattice.spacing
+            # a huge v or a tiny spacing overflows the quotient to inf, which round() refuses
+            i = round(scaled) if math.isfinite(scaled) else None
+            if i is None or abs(scaled - i) > _SNAP_TOL or abs(i) > lattice.extent:
+                raise EndpointOffLattice(
+                    f"coordinate {v} is not a lattice site (spacing {lattice.spacing}, extent {lattice.extent})"
+                )
+            sites.append(i)
+    except (TypeError, ValueError):
+        raise ValidationError(f"a lattice endpoint must be four numbers, got {config!r}") from None
     return tuple(sites)
 
 
 def _walk_setup(lattice: LatticeSpec, endpoints: EndpointPair, n_steps: int):
     """The setup of both lattice walk counts: the start and end snapped to
-    sites (EndpointOffLattice, start first), then n_steps an integer >= 1 and
-    neither end coincident (ValidationError, in that order); returns the
-    start sites, the end sites and the step rule :func:`_successors` to them.
+    sites (:func:`_snap_to_sites`, start first), then n_steps an integer
+    >= 1 and neither end coincident (ValidationError, in that order);
+    returns the start sites, the end sites and the step rule
+    :func:`_successors` to them.
     """
     start4 = _snap_to_sites(lattice, endpoints.start)
     end4 = _snap_to_sites(lattice, endpoints.end)

@@ -39,14 +39,19 @@ class HomotopyClass(_record("HomotopyClass", "kind winding")):
     """Winding number plus the direct/exchange endpoint tag.
 
     Direct classes carry integer windings, exchange classes half-odd-integer
-    ones; the constructor enforces that pairing.
+    ones; the constructor enforces that pairing, after refusing a winding
+    that is not a finite half-integer, each with ValueError.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: Kind, winding: float) -> HomotopyClass:
-        w2 = 2.0 * winding
-        if w2 != round(w2):
+        try:
+            w2 = 2.0 * winding
+            half_integer = math.isfinite(w2) and w2 == round(w2)
+        except OverflowError:  # an int past the float range
+            half_integer = False
+        if not half_integer:
             raise ValueError(f"winding must be a half-integer, got {winding}")
         is_integer = round(w2) % 2 == 0
         if is_integer != (kind is Kind.DIRECT):

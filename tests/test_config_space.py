@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from anyonsim import (
     concat_paths,
     enumerate_walks,
     path_from_json_dict,
+    resolved_kernel,
     reverse_path,
     swap,
     total_angle,
@@ -364,7 +366,11 @@ def test_a_step_is_signed_only_at_a_crossing(r, nr, crossings):
     assert path.crossings == crossings == tuple(half_plane_crossings(path))
 
 
-@pytest.mark.parametrize("number", [int, float, np.int64], ids=["int", "float", "numpy-int64"])
+@pytest.mark.parametrize(
+    "number",
+    [int, float, np.int64, np.float64, np.float32],
+    ids=["int", "float", "numpy-int64", "numpy-float64", "numpy-float32"],
+)
 def test_a_half_turn_is_refused(number):
     one, zero = number(1), number(0)
     for config in (TwoParticleConfig, lambda *coords: coords):
@@ -414,6 +420,51 @@ def test_a_path_holds_a_list_configuration_as_a_tuple():
     once = iter([0, 1, 0, 0])
     with pytest.raises(ValidationError, match=re.escape(f"configuration 1 is not four coordinates: {once!r}")):
         DiscretePath(1.0, [(1, 0, 0, 0), once])
+
+
+#: one counter-clockwise lap of particle 1 about particle 2
+LAP = ((1, 0, 0, 0), (0, 1, 0, 0), (-1, 0, 0, 0), (0, -1, 0, 0), (1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("number", [np.float64, np.float32], ids=["numpy-float64", "numpy-float32"])
+def test_numpy_float_coordinates_make_the_path_of_their_floats(number):
+    # numpy's comparisons give numpy.bool_, which has no subtraction: the sign of
+    # the first crossing raised TypeError, and the path was refused as "not four
+    # coordinates"; rows of a float32 array were held as the arrays themselves
+    twin = DiscretePath(1.0, [tuple(map(float, c)) for c in LAP])
+    builds = {
+        "tuples": [tuple(map(number, c)) for c in LAP],
+        "configurations": [TwoParticleConfig(*map(number, c)) for c in LAP],
+        "array rows": np.array(LAP, dtype=number),
+    }
+    for name, configs in builds.items():
+        path = DiscretePath(1.0, configs)
+        assert path.crossings == ((1, 1), (3, 1)) == twin.crossings, name
+        assert classify(path).winding == 1.0 == classify(twin).winding
+        assert total_angle(path) == 2 * math.pi == total_angle(twin)
+        assert path._kinetic == 4.0 == twin._kinetic
+        assert {type(c) for c in path.configs} <= {tuple, TwoParticleConfig}
+        assert path == twin and hash(path) == hash(twin)
+
+
+def test_numpy_float_spacing_walks_tally_to_the_census():
+    # every walk with a crossing was refused by enumerate_walks, which walk_census counted
+    lattice = LatticeSpec(2, spacing=np.float64(1.0))
+    start = lattice.config((-1, 0), (1, 0))
+    endpoints = EndpointPair(start, swap(start))
+    census = walk_census(lattice, endpoints, 4)
+    assert sum(census.values()) == 126
+    assert _census_by_enumeration(lattice, endpoints, 4) == census
+
+
+def test_a_list_of_fractions_is_held_as_a_tuple():
+    # a list with an item that is a number but neither a float nor an integer
+    # was held as the caller's list, and the path did not hash
+    lists = [[x1, y1, Fraction(0), y2] for x1, y1, _, y2 in LAP]
+    path = DiscretePath(1.0, lists)
+    assert {type(c) for c in path.configs} == {tuple}
+    assert path.configs[0][2] is lists[0][2]
+    assert classify(path).winding == 1 and hash(path) == hash(DiscretePath(1.0, LAP))
 
 
 class TestPathHelpers:
@@ -598,6 +649,30 @@ class TestEnumerateWalks:
         ep = EndpointPair(lattice.config((0, 0), (2, 0)), lattice.config((0, 0), (2, 0)))
         walk = next(enumerate_walks(lattice, ep, 1))
         assert walk.configs[0].p2 == Vec2(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [walk_census, lambda *args: list(enumerate_walks(*args)), resolved_kernel],
+    ids=["walk_census", "enumerate_walks", "resolved_kernel"],
+)
+@pytest.mark.parametrize(
+    "start, end, named",
+    [
+        ("ab", "cd", "'ab'"),
+        ((0, 0, 1, 0), (0, 0, 1), "(0, 0, 1)"),
+        (None, None, "None"),
+        (("a", 0, 1, 0), (0, 0, 1, 0), "('a', 0, 1, 0)"),
+        ((0, 0, 1, 0), (1j, 0, 0, 0), "(1j, 0, 0, 0)"),
+    ],
+    ids=["strings", "three-numbers", "none", "a-string-coordinate", "complex"],
+)
+def test_a_lattice_endpoint_that_is_not_four_numbers_is_refused(count, start, end, named):
+    # these raised the bare TypeError or ValueError of the arithmetic or unpacking
+    message = f"a lattice endpoint must be four numbers, got {named}"
+    with pytest.raises(ValidationError) as err:
+        count(LatticeSpec(2), EndpointPair(start, end), 2)
+    assert type(err.value) is ValidationError and str(err.value) == message
 
 
 class TestLatticeSpec:

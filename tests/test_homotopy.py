@@ -399,8 +399,14 @@ def test_class_is_the_tuple_of_its_fields():
         ({"winding": 1.0}, ValueError, "Exchange class cannot have winding 1.0"),
         ({"kind": Kind.DIRECT}, ValueError, "Direct class cannot have winding 0.5"),
         ({"kind": Kind.DIRECT, "winding": -0.25}, ValueError, "winding must be a half-integer, got -0.25"),
-        ({"winding": math.nan}, ValueError, "cannot convert float NaN to integer"),
-        ({"winding": math.inf}, OverflowError, "cannot convert float infinity to integer"),
+        ({"winding": math.nan}, ValueError, "winding must be a half-integer, got nan"),
+        ({"winding": math.inf}, ValueError, "winding must be a half-integer, got inf"),
+        pytest.param(
+            {"kind": Kind.DIRECT, "winding": 10**400},
+            ValueError,
+            f"winding must be a half-integer, got {10**400}",
+            id="int-past-the-float-range",
+        ),
     ],
 )
 def test_invalid_class_refused(bad, error, message):

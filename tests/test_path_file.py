@@ -202,6 +202,8 @@ def path_files(draw):
 @example(text='{"dt": 1, "configs": [[[2, 0], [0, 0]], [[0, 2], [0, 0]]}')
 # a block is cut at a trailing comma, and the block after it is empty
 @example(text='{"dt": 1, "configs": [[[2, 0], [0, 0]], [[0, 2.' + "0" * cli._JSON_BLOCK + '], [0, 0]],]}')
+# the top level is an array, not an object
+@example(text='["configs", [[[1, 0], [0, 0]], [[0, 1], [0, 0]]], "dt", 1]')
 def test_loader_reads_as_the_whole_tree(capsys, tmp_path, text):
     # the loader gives the reference's record or error, and the CLI its line
     path_file = write(tmp_path, text)
