@@ -26,10 +26,12 @@ from .config_space import (
     DiscretePath,
     EndpointPair,
     LatticeSpec,
+    _count_at_least,
     _iterate,
     _record,
     _snap_to_sites,
     check_count,
+    check_finite,
     check_finite_positive,
     walk_census,
 )
@@ -53,9 +55,7 @@ class PhysicsParams(_record("PhysicsParams", "mass hbar")):
     __slots__ = ()
 
     def __new__(cls, mass: float = 1.0, hbar: float = 1.0) -> PhysicsParams:
-        check_finite_positive("mass", mass)
-        check_finite_positive("hbar", hbar)
-        return tuple.__new__(cls, (mass, hbar))
+        return tuple.__new__(cls, (check_finite_positive("mass", mass), check_finite_positive("hbar", hbar)))
 
 
 class OpClass(enum.Enum):
@@ -72,9 +72,7 @@ class StatisticsSpec(_record("StatisticsSpec", "theta op_class")):
     __slots__ = ()
 
     def __new__(cls, theta: float, op_class: OpClass) -> StatisticsSpec:
-        if not math.isfinite(theta):
-            raise ValidationError(f"theta must be finite, got {theta}")
-        return tuple.__new__(cls, (theta, op_class))
+        return tuple.__new__(cls, (check_finite("theta", theta), op_class))
 
 
 class ResolvedKernel(_record("ResolvedKernel", "endpoints n_steps partials")):
@@ -125,10 +123,7 @@ def action(path: DiscretePath, params: PhysicsParams = PhysicsParams()) -> float
     kinetic sum that the path's validating pass added up in path order
     (:func:`~anyonsim.config_space.validate_path`).  An action that
     overflows is refused with ValidationError."""
-    s = params.mass * path._kinetic
-    if not math.isfinite(s):
-        raise ValidationError(f"action must be finite, got {s}")
-    return s
+    return check_finite("action", params.mass * path._kinetic)
 
 
 def phase_factor(phase: float) -> complex:
@@ -136,8 +131,7 @@ def phase_factor(phase: float) -> complex:
     (S/hbar overflowing although S is finite), or past 2^53 in magnitude,
     where one ulp is >= 2 and exp(i * phase) has no significant digit, is
     refused with ValidationError."""
-    if not math.isfinite(phase):
-        raise ValidationError(f"phase S/hbar must be finite, got {phase}")
+    phase = check_finite("phase S/hbar", phase)
     if abs(phase) > 2.0**53:
         raise ValidationError(f"phase S/hbar must be at most 2^53 in magnitude, got {phase}")
     return cmath.exp(1j * phase)
@@ -167,13 +161,14 @@ def resolved_kernel(
     The returned kernel's endpoints are the lattice configurations of the
     sites.  The request is refused up front when the joint-move sequence
     bound (moves**2)**n_steps, 25**n_steps for the default moves, exceeds
-    the budget.
+    the budget, an integer >= 1 (ValidationError otherwise).
     """
     start4 = _snap_to_sites(lattice, endpoints.start)
     end4 = _snap_to_sites(lattice, endpoints.end)
     kind = endpoint_kind(start4, end4)
-    check_finite_positive("dt", dt)
+    dt = check_finite_positive("dt", dt)
     n_steps = check_count("n_steps", n_steps)
+    budget = _count_at_least("budget", budget, 1)
     base = len(lattice.moves) ** 2
     # the power is built only while it is within the budget, since at n_steps
     # in the thousands it has thousands of digits; one built in full is
@@ -189,10 +184,7 @@ def resolved_kernel(
         action_unit = params.mass * lattice.spacing**2 / (2.0 * dt * params.hbar)
     except (OverflowError, ZeroDivisionError):  # ** overflow, or 2*dt*hbar underflow to 0
         action_unit = math.inf
-    if not math.isfinite(action_unit):
-        raise ValidationError(
-            f"action unit m*spacing^2/(2*dt*hbar) must be finite, got {action_unit}"
-        )
+    action_unit = check_finite("action unit m*spacing^2/(2*dt*hbar)", action_unit)
     sites = EndpointPair(
         lattice.config(start4[:2], start4[2:]), lattice.config(end4[:2], end4[2:])
     )
@@ -218,7 +210,10 @@ def anyonic_weight(cls: HomotopyClass, theta: float) -> complex:
     half a rotation, so a +1/2 class accrues exp(i theta / 2).  An angle
     theta*w that is not finite is refused with ValidationError.
     """
-    angle = theta * cls.winding
+    try:
+        angle = theta * cls.winding
+    except OverflowError:  # an int theta past the float range
+        angle = math.inf
     if not math.isfinite(angle):
         raise ValidationError(
             f"theta*w must be finite, got {angle} (theta {theta}, w {cls.winding})"
@@ -230,8 +225,7 @@ def anyonic_kernel(resolved: ResolvedKernel, theta: float) -> complex:
     """Winding-weighted propagator: sum over classes of exp(i theta w) K^w.
     A theta that is not finite is refused with ValidationError, also when
     the kernel has no classes."""
-    if not math.isfinite(theta):
-        raise ValidationError(f"theta must be finite, got {theta}")
+    theta = check_finite("theta", theta)
     return sum((anyonic_weight(c, theta) * amp for c, amp in resolved.partials.items()), 0j)
 
 
@@ -266,8 +260,7 @@ class PermutationAmplitudes(_record("PermutationAmplitudes", "n alpha")):
     __slots__ = ()
 
     def __new__(cls, n: int, alpha: Mapping[tuple[int, ...], complex]) -> PermutationAmplitudes:
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n}")
+        n = _count_at_least("n", n, 1)
         alpha = _as_dict(alpha, "alpha must be a mapping of permutations to amplitudes")
         return tuple.__new__(cls, (n, alpha))
 
@@ -316,16 +309,16 @@ def noninteracting_alpha(single_kernel: Sequence[Sequence[complex]]) -> Permutat
     Entry (j, k) of the matrix is the single-particle amplitude from start j
     to end k; the amplitude of permutation sigma is the product over j of
     M[j][sigma(j)].  Combining these gives the permanent (boson) or the
-    determinant (fermion) of the matrix.
+    determinant (fermion) of the matrix.  An entry that is not a number is
+    refused with ValidationError.
     """
-    rows = [tuple(complex(v) for v in row) for row in single_kernel]
+    try:
+        rows = [tuple(complex(v) for v in row) for row in single_kernel]
+    except (TypeError, ValueError):
+        raise ValidationError(f"the single-particle amplitudes must be rows of numbers, got {single_kernel!r}") from None
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise NonSquare(f"expected a square matrix, got rows of lengths {[len(r) for r in rows]}")
-    alpha = {}
-    for sigma in itertools.permutations(range(n)):
-        prod = 1 + 0j
-        for j in range(n):
-            prod *= rows[j][sigma[j]]
-        alpha[sigma] = prod
+    # the product over the rows j of entry sigma[j], taken in row order
+    alpha = {s: math.prod(map(tuple.__getitem__, rows, s), start=1 + 0j) for s in itertools.permutations(range(n))}
     return PermutationAmplitudes(n=n, alpha=alpha)

@@ -17,11 +17,14 @@ A configuration is the tuple of its four coordinates (x1, y1, x2, y2), with
 Vec2 views of the two positions built on demand: a path is up to 10^5
 configurations, every path computation reads only those floats, and a plain
 tuple costs a fraction of the time and memory of two nested objects.  Every
-configuration is built through a check that its coordinates are finite.  An
-integer coordinate of a type other than int, such as numpy's, whose
-arithmetic wraps at 2^63, is read as the int it holds where a configuration
-or a path is built, and a path holds every configuration as a tuple, so no
-caller's list is held.
+configuration is built through a check that its coordinates are finite.
+
+Every number is read once, where it enters the package, and held as an int
+or a float (:func:`_read_number`): an integer of another type, such as
+numpy's, whose arithmetic wraps at 2^63, as the int it holds, and any other
+number, such as numpy's float32, a Fraction or a Decimal, as its float, so
+every computation runs in Python's exact ints and correctly rounded floats.
+A path holds every configuration as a tuple, so no caller's list is held.
 
 A path is valid when no configuration is coincident and the relative vector
 turns by strictly less than pi radians per step.  A step that keeps r in its
@@ -86,15 +89,50 @@ def _record(name: str, fields: str) -> type:
     return base
 
 
-def check_finite_positive(name: str, value) -> None:
-    """Raise ValidationError unless value is a finite number > 0 (an int
-    past the float range is refused as an infinite float)."""
+#: the types that the package holds a number as, and that json gives a JSON
+#: number as; bool, an int subclass, is not one
+_NUMBERS = frozenset((int, float))
+
+
+def _read_number(value):
+    """value as the package holds a number: an int or a float as it is; any
+    other integer, which has ``__index__`` (numpy's, a bool), as the int it
+    holds; any other number, which has ``__float__`` (numpy's floats, a
+    Fraction, a Decimal), as its float, a signaling NaN, which float()
+    refuses, as a NaN.  Anything else, and a number that refuses its read
+    (a Fraction past the float range), is returned as it is, for the
+    caller's check to refuse."""
     try:
-        valid = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
-    except OverflowError:
-        valid = False
-    if not valid:
-        raise ValidationError(f"{name} must be finite and > 0, got {value}")
+        if hasattr(value, "__index__"):
+            return operator.index(value)
+        return float(value) if hasattr(value, "__float__") else value
+    except (TypeError, OverflowError):
+        return value
+    except ValueError:  # a signaling NaN
+        return math.nan
+
+
+def _check_number(name: str, value, rule: str, above: float) -> int | float:
+    """value as :func:`_read_number` reads it; ValidationError, which names
+    the rule, unless that is an int or a float, finite and > above (an int
+    past the float range is refused as an infinite float)."""
+    read = _read_number(value)
+    try:
+        if type(read) in _NUMBERS and math.isfinite(read) and read > above:
+            return read
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValidationError(f"{name} must be {rule}, got {value}")
+
+
+def check_finite(name: str, value) -> int | float:
+    """value as :func:`_read_number` reads it; ValidationError unless it is finite."""
+    return _check_number(name, value, "finite", -math.inf)
+
+
+def check_finite_positive(name: str, value) -> int | float:
+    """value as :func:`_read_number` reads it; ValidationError unless it is finite and > 0."""
+    return _check_number(name, value, "finite and > 0", 0)
 
 
 def _iterate(value, what: str) -> Iterator:
@@ -105,12 +143,14 @@ def _iterate(value, what: str) -> Iterator:
         raise ValidationError(f"{what}, got {value!r}") from None
 
 
-def _check_pair(x, y) -> None:
-    """Raise ValidationError unless x and y are finite numbers that a float
-    can hold (an int past the float range is refused as an infinite float)."""
+def _check_pair(x, y) -> tuple:
+    """(x, y) as :func:`_read_number` reads them; ValidationError unless
+    both are finite (an int past the float range is refused as an infinite
+    float), and math.isfinite's TypeError for what is not a number."""
+    x, y = _read_number(x), _read_number(y)
     try:
         if math.isfinite(x) and math.isfinite(y):
-            return
+            return x, y
     except OverflowError:
         pass
     raise ValidationError(f"non-finite vector component ({x}, {y})")
@@ -124,47 +164,41 @@ def check_count(name: str, value) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
-#: the Python types json gives JSON numbers as, and nearly every coordinate
-#: has; bool, an int subclass, is not one
-_JSON_NUMBERS = frozenset((int, float))
+def _count_at_least(name: str, value, least: int) -> int:
+    """value as :func:`check_count` reads it; ValidationError unless it is >= least."""
+    count = check_count(name, value)
+    if count < least:
+        raise ValidationError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
-def _read_ints(values):
-    """The configuration that a path holds for values, a tuple of numbers: a
-    tuple as it is, unless it includes an integer of a type other than int,
-    such as numpy's, whose arithmetic wraps at 2^63; any other iterable of
-    numbers, such as a list or a numpy array row, read into a tuple; and in
-    either, each such integer read as the int it holds.  A number is what
-    has ``__float__``: numpy's floats and a Fraction are held as they are.
+def _read_config(values):
+    """The configuration that a path holds for values, an iterable of
+    numbers: a tuple of ints and floats as it is, a list of them, the common
+    case after it, read into a tuple, and any other read into a tuple of
+    :func:`_read_number`'s ints and floats, such as a numpy array row.
     Values that are not iterable, are a one-shot iterator or include an item
     that is not a number (such as a string) are returned as they are, for
     the path's pass to refuse."""
     try:
-        if {*map(type, values)} <= _JSON_NUMBERS or iter(values) is values:
-            # a tuple as it is; a list, the common case after it, read into one
-            # with no further test; a one-shot iterator, spent by the type scan, as it is
+        if {*map(type, values)} <= _NUMBERS or iter(values) is values:
+            # a one-shot iterator, spent by the type scan, is kept as it is
             kept = isinstance(values, tuple) or type(values) is not list and iter(values) is values
             return values if kept else tuple(values)
-        read = tuple(
-            v if isinstance(v, (int, float)) or not hasattr(v, "__index__") else operator.index(v)
-            for v in values
-        )
-    except TypeError:  # not iterable, or an __index__ that refuses
+        read = tuple(map(_read_number, values))
+    except TypeError:  # not iterable
         return values
-    if not all(hasattr(v, "__float__") for v in read):
-        return values
-    return values if isinstance(values, tuple) and all(map(operator.is_, read, values)) else read
+    return read if {*map(type, read)} <= _NUMBERS else values
 
 
 class Vec2(_record("Vec2", "x y")):
-    """A point or displacement in the plane. Components must be finite floats,
-    or numbers that a finite float holds."""
+    """A point or displacement in the plane. Components must be finite
+    numbers, held as :func:`_read_number` reads them."""
 
     __slots__ = ()
 
     def __new__(cls, x: float, y: float) -> Vec2:
-        _check_pair(x, y)
-        return tuple.__new__(cls, (x, y))
+        return tuple.__new__(cls, _check_pair(x, y))
 
 
 class TwoParticleConfig(_record("TwoParticleConfig", "x1 y1 x2 y2")):
@@ -174,7 +208,7 @@ class TwoParticleConfig(_record("TwoParticleConfig", "x1 y1 x2 y2")):
     coordinates; ``p1`` and ``p2`` are read back as Vec2.  Built, also by
     ``_replace``, through the check that its coordinates are finite, p1's
     pair first, with the message Vec2 gives, and holds them as
-    :func:`_read_ints` reads them.  Coincidence is refused by the path that
+    :func:`_read_number` reads them.  Coincidence is refused by the path that
     holds the configuration, with the index of the configuration in it
     (:func:`validate_path`).
     """
@@ -182,9 +216,7 @@ class TwoParticleConfig(_record("TwoParticleConfig", "x1 y1 x2 y2")):
     __slots__ = ()
 
     def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> TwoParticleConfig:
-        _check_pair(x1, y1)
-        _check_pair(x2, y2)
-        return tuple.__new__(cls, _read_ints((x1, y1, x2, y2)))
+        return tuple.__new__(cls, _check_pair(x1, y1) + _check_pair(x2, y2))
 
     @property
     def p1(self) -> Vec2:
@@ -201,11 +233,13 @@ def swap(config: TwoParticleConfig) -> TwoParticleConfig:
     return TwoParticleConfig(x2, y2, x1, y1)
 
 
-def _check_dt_and_length(dt: float, n_configs: int) -> None:
-    """The checks of a path before its validating pass: dt, then its length."""
-    check_finite_positive("dt", dt)
+def _check_dt_and_length(dt: float, n_configs: int) -> int | float:
+    """The checks of a path before its validating pass: dt, then its
+    length; returns dt as :func:`check_finite_positive` reads it."""
+    dt = check_finite_positive("dt", dt)
     if n_configs < 2:
         raise ValidationError("a path needs at least two configurations")
+    return dt
 
 
 class DiscretePath(_record("DiscretePath", "dt configs")):
@@ -214,7 +248,7 @@ class DiscretePath(_record("DiscretePath", "dt configs")):
     Unpacks, orders, compares and hashes as the tuple (dt, configs); built,
     also by ``_replace``, copy and pickle, through the checks below and then
     :func:`validate_path`, so every path is valid.  Each configuration is
-    held as :func:`_read_ints` reads it, as a tuple, so no caller's list is
+    held as :func:`_read_config` reads it, as a tuple, so no caller's list is
     held and a path hashes; a TwoParticleConfig as its constructor has read
     it.  The instance dict holds only what that pass records, as
     :class:`_Walk` names it: ``crossings``, the steps whose relative vector
@@ -231,9 +265,8 @@ class DiscretePath(_record("DiscretePath", "dt configs")):
     def __new__(cls, dt: float, configs: Sequence[TwoParticleConfig]) -> DiscretePath:
         configs = tuple(_iterate(configs, "configs must be an iterable of configurations"))
         if set(map(type, configs)) != {TwoParticleConfig}:  # whose constructor has read them
-            configs = tuple(map(_read_ints, configs))
-        _check_dt_and_length(dt, len(configs))
-        path = tuple.__new__(cls, (dt, configs))
+            configs = tuple(map(_read_config, configs))
+        path = tuple.__new__(cls, (_check_dt_and_length(dt, len(configs)), configs))
         validate_path(path)
         return path
 
@@ -266,10 +299,8 @@ class LatticeSpec(_record("LatticeSpec", "extent spacing moves")):
     def __new__(
         cls, extent: int, spacing: float = 1.0, moves: Sequence[tuple[int, int]] = DEFAULT_MOVES
     ) -> LatticeSpec:
-        extent = check_count("extent", extent)
-        if extent < 1:
-            raise ValidationError(f"extent must be >= 1, got {extent}")
-        check_finite_positive("spacing", spacing)
+        extent = _count_at_least("extent", extent, 1)
+        spacing = check_finite_positive("spacing", spacing)
         moves = _iterate(moves, "moves must be an iterable of (dx, dy) pairs")
         return tuple.__new__(cls, (extent, spacing, tuple(_check_move(m) for m in moves)))
 
@@ -342,9 +373,9 @@ def _walk(configs: Iterable, dt: float | None, walked: _Walk | DiscretePath) -> 
     Only a step that changes half is signed, by :func:`_crossing_sign`, so
     every crossing of a valid path has its exact sign; a zero sign there is
     an exactly antiparallel step, the only one refused.  A step that stays
-    in its half takes no product.  Coordinates are read as they are: an
-    integer type whose arithmetic wraps is read as an int where a path is
-    built (:func:`_read_ints`), not here.
+    in its half takes no product.  Coordinates are taken as they are: every
+    number was read once, as an int or a float, where its configuration or
+    path was built (:func:`_read_number`), not here.
 
     Given dt, each step's m = 1 kinetic term (|dp1|^2 + |dp2|^2) / (2 dt) is
     added up with ``+=`` in path order; a term whose int sum of squares no
@@ -441,7 +472,7 @@ def _configs_from_json(pairs) -> Iterator[tuple[float, float, float, float]]:
     TwoParticleConfig's ValidationError.
     """
     isfinite = math.isfinite
-    number = _JSON_NUMBERS
+    number = _NUMBERS
     for (x1, y1), (x2, y2) in pairs:
         if not (type(x1) in number and type(y1) in number
                 and type(x2) in number and type(y2) in number):
@@ -462,7 +493,7 @@ def _as_configs(coords: Iterable[tuple]) -> Iterator[TwoParticleConfig]:
 
 def _dt_from_json(data: dict) -> float:
     dt = data["dt"]
-    if type(dt) not in _JSON_NUMBERS:
+    if type(dt) not in _NUMBERS:
         raise TypeError(f"dt must be a number, got {dt!r}")
     return float(dt)
 
@@ -525,14 +556,18 @@ def _walk_from_json(data: dict) -> _Walk:
 def _snap_to_sites(lattice: LatticeSpec, config: TwoParticleConfig) -> tuple[int, int, int, int]:
     """Map a lattice endpoint, a configuration, to integer site coordinates,
     or fail: anything but four numbers with ValidationError, which names the
-    endpoint, and a coordinate off the lattice with EndpointOffLattice."""
+    endpoint, and a coordinate off the lattice, as :func:`_read_number`
+    reads it, with EndpointOffLattice."""
     sites = []
     try:
         x1, y1, x2, y2 = config
-        for v in (x1, y1, x2, y2):
-            scaled = v / lattice.spacing
-            # a huge v or a tiny spacing overflows the quotient to inf, which round() refuses
-            i = round(scaled) if math.isfinite(scaled) else None
+        for v in map(_read_number, (x1, y1, x2, y2)):
+            try:
+                scaled = v / lattice.spacing
+                # a huge v or a tiny spacing overflows the quotient to inf, which round() refuses
+                i = round(scaled) if math.isfinite(scaled) else None
+            except OverflowError:  # an int past the float range
+                i = None
             if i is None or abs(scaled - i) > _SNAP_TOL or abs(i) > lattice.extent:
                 raise EndpointOffLattice(
                     f"coordinate {v} is not a lattice site (spacing {lattice.spacing}, extent {lattice.extent})"
@@ -552,8 +587,7 @@ def _walk_setup(lattice: LatticeSpec, endpoints: EndpointPair, n_steps: int):
     """
     start4 = _snap_to_sites(lattice, endpoints.start)
     end4 = _snap_to_sites(lattice, endpoints.end)
-    if check_count("n_steps", n_steps) < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    _count_at_least("n_steps", n_steps, 1)
     if start4[0] == start4[2] and start4[1] == start4[3]:
         raise ValidationError("start configuration is coincident")
     if end4[0] == end4[2] and end4[1] == end4[3]:

@@ -53,11 +53,14 @@ from .config_space import (
     _as_configs,
     _walk,
     _record,
+    _NUMBERS,
     _Walk,
-    check_count,
+    _count_at_least,
+    _read_number,
+    check_finite,
     check_finite_positive,
 )
-from .errors import BudgetExceeded, DegenerateGrid, NotExchangeKernel, ValidationError
+from .errors import BudgetExceeded, DegenerateGrid, NotExchangeKernel
 from .homotopy import HomotopyClass, Kind, classify
 
 TAU = 2.0 * math.pi
@@ -89,12 +92,9 @@ class ExchangeGeometry(_record("ExchangeGeometry", "radius n_steps dt direction"
     def __new__(
         cls, radius: float, n_steps: int, dt: float, direction: Direction = Direction.CCW
     ) -> ExchangeGeometry:
-        check_finite_positive("radius", radius)
-        n_steps = check_count("n_steps", n_steps)
-        if n_steps < 2:
-            raise ValidationError(f"n_steps must be >= 2, got {n_steps}")
-        check_finite_positive("dt", dt)
-        return tuple.__new__(cls, (radius, n_steps, dt, direction))
+        radius = check_finite_positive("radius", radius)
+        n_steps = _count_at_least("n_steps", n_steps, 2)
+        return tuple.__new__(cls, (radius, n_steps, check_finite_positive("dt", dt), direction))
 
 
 def _exchange_configs(radius: float, n: int, sign: int, count: int) -> Iterator[tuple[float, float, float, float]]:
@@ -217,19 +217,19 @@ def dephasing_exponent(
     squared displacements are the same in either direction, so only the two
     configurations of the first step of the counter-clockwise exchange are
     read, as :func:`_exchange_configs` makes them, and no geometry or path
-    is built: radius and each dt are checked once, here.  No pass could
-    refuse them: the predicted slope is checked finite and > 0 first, so 2R
+    is built: radius, duration and each dt are read, as ints or floats,
+    and checked once, here, and a grid value that is not a number is no
+    positive dt (DegenerateGrid).  No pass could refuse them: the predicted slope is checked finite and > 0 first, so 2R
     is finite and nonzero, the two configurations are finite and never
     coincident (max(|cos|, |sin|) >= 1/sqrt(2)), and the step turns by
     pi/n <= pi/2, never pi.
     """
-    check_finite_positive("radius", radius)
-    check_finite_positive("duration", duration)
-    dts = sorted(set(float(v) for v in dt_grid), reverse=True)
-    if len(dts) < 3 or any(v <= 0 for v in dts):
+    radius = check_finite_positive("radius", radius)
+    duration = check_finite_positive("duration", duration)
+    grid = {_read_number(v) for v in dt_grid}
+    if len(grid) < 3 or any(type(v) not in _NUMBERS or v <= 0 for v in grid):
         raise DegenerateGrid("need at least 3 distinct positive dt values")
-    for dt in dts:
-        check_finite_positive("dt", dt)
+    dts = [check_finite_positive("dt", dt) for dt in sorted(grid, reverse=True)]
     try:
         predicted = params.mass * (2.0 * radius) ** 2 / params.hbar
     except OverflowError:  # float ** raises where * would give inf
@@ -249,10 +249,8 @@ def dephasing_exponent(
             )
         # the phases alone: no exp(i * phase), which phase_factor refuses past 2^53
         ((action_dir, action_op),) = _step_actions(_exchange_configs(radius, n, 1, 2), dt, params)
-        phase_dir, phase_op = action_dir / params.hbar, action_op / params.hbar
-        for phase in (phase_dir, phase_op):
-            if not math.isfinite(phase):
-                raise ValidationError(f"phase S/hbar must be finite, got {phase}")
+        phase_dir = check_finite("phase S/hbar", action_dir / params.hbar)
+        phase_op = check_finite("phase S/hbar", action_op / params.hbar)
         samples.append(DephasingSample(dt=dt, n_steps=n, phase_op=phase_op, phase_dir=phase_dir))
     xs = [1.0 / s.dt for s in samples]
     ys = [s.phase_op for s in samples]

@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,7 +317,7 @@ class TestAnyonicWeight:
             theta = rng.uniform(-20, 20)
             assert abs(anyonic_weight(HomotopyClass(kind, w2 / 2), theta)) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("theta, winding", [(1e308, -2.0), (-1e308, 2.0), (math.inf, 0.5)])
+    @pytest.mark.parametrize("theta, winding", [(1e308, -2.0), (-1e308, 2.0), (math.inf, 0.5), (10**400, 0.5)])
     def test_non_finite_angle_refused(self, theta, winding):
         kind = Kind.DIRECT if winding.is_integer() else Kind.EXCHANGE
         with pytest.raises(ValidationError, match=r"^theta\*w must be finite, got -?inf "):
@@ -581,6 +583,13 @@ SWAPPED_HALF = {HomotopyClass(Kind.EXCHANGE, 0.5): 1j}
             "partials must be a mapping of winding classes to amplitudes, got 5",
         ),
         (PermutationAmplitudes, {"n": 0}, ValidationError, "n must be >= 1, got 0"),
+        # a count that is not an integer raised a bare TypeError from the comparison
+        (PermutationAmplitudes, {"n": "2"}, ValidationError, "n must be an integer, got '2'"),
+        (PermutationAmplitudes, {"n": 2.5}, ValidationError, "n must be an integer, got 2.5"),
+        (PermutationAmplitudes, {"n": None}, ValidationError, "n must be an integer, got None"),
+        (StatisticsSpec, {"theta": 10**400}, ValidationError, f"theta must be finite, got {10**400}"),
+        (StatisticsSpec, {"theta": Decimal("sNaN")}, ValidationError, "theta must be finite, got sNaN"),
+        (PhysicsParams, {"hbar": 10**400}, ValidationError, f"hbar must be finite and > 0, got {10**400}"),
         # n is checked before alpha is made a dict
         (PermutationAmplitudes, {"n": 0, "alpha": 5}, ValidationError, "n must be >= 1, got 0"),
         (
@@ -593,3 +602,56 @@ SWAPPED_HALF = {HomotopyClass(Kind.EXCHANGE, 0.5): 1j}
 )
 def test_invalid_record_refused(cls, bad, error, message):
     check_refusal(cls, VALID[cls], bad, error, message)
+
+
+def test_noninteracting_entries_that_are_not_numbers_refused():
+    # complex("a") raised a bare ValueError, complex(None) a bare TypeError
+    for matrix in ([[1, "a"], [1, 1]], [[1, None], [1, 1]], [[1, 1], 5]):
+        with pytest.raises(ValidationError, match="^the single-particle amplitudes must be rows of numbers, got "):
+            noninteracting_alpha(matrix)
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (math.nan, "budget must be an integer, got nan"),
+        ("10", "budget must be an integer, got '10'"),
+        (1e7, "budget must be an integer, got 10000000.0"),
+        (0, "budget must be >= 1, got 0"),
+        (-5, "budget must be >= 1, got -5"),
+    ],
+)
+def test_budget_that_is_not_a_count_refused(budget, message):
+    # a NaN budget compared false with every estimate, so any request was
+    # computed; a string raised a bare TypeError
+    lattice = LatticeSpec(extent=2)
+    ep = EndpointPair(lattice.config((0, 0), (2, 0)), lattice.config((0, 0), (2, 0)))
+    with pytest.raises(ValidationError) as caught:
+        resolved_kernel(lattice, ep, 9, budget=budget)
+    assert str(caught.value) == message
+    assert resolved_kernel(lattice, ep, 2, budget=np.int64(625)).n_steps == 2
+
+
+@pytest.mark.parametrize(
+    "number, held",
+    [(np.int64(2), 2), (np.float32(0.5), 0.5), (Fraction(1, 2), 0.5), (Decimal("0.5"), 0.5), (True, 1)],
+    ids=["numpy-int64", "numpy-float32", "fraction", "decimal", "bool"],
+)
+def test_foreign_scalars_are_held_as_ints_or_floats(number, held):
+    # they were refused as "must be finite and > 0", and a bool was held as itself
+    held_values = [*PhysicsParams(number, number), StatisticsSpec(number, OpClass.BOSON).theta]
+    assert held_values == [held] * 3 and {type(v) for v in held_values} == {type(held)}
+    ends = TwoParticleConfig(1, 0, -1, 0)
+    kernel = resolved_kernel(LatticeSpec(2), EndpointPair(ends, ends), 2, dt=number)
+    twin = resolved_kernel(LatticeSpec(2), EndpointPair(ends, ends), 2, dt=held)
+    assert kernel == twin and anyonic_kernel(kernel, number) == anyonic_kernel(twin, held)
+
+
+def test_numbers_past_the_float_range_refused():
+    # each raised a bare OverflowError
+    ends = TwoParticleConfig(1.0, 0.0, -1.0, 0.0)
+    kernel = ResolvedKernel(EndpointPair(ends, swap(ends)), 3, {HomotopyClass(Kind.EXCHANGE, 0.5): 1j})
+    with pytest.raises(ValidationError, match=f"^theta must be finite, got {10**400}$"):
+        anyonic_kernel(kernel, 10**400)
+    with pytest.raises(ValidationError, match=f"^phase S/hbar must be finite, got {10**400}$"):
+        amplitudes.phase_factor(10**400)

@@ -4,6 +4,8 @@ import json
 import math
 import random
 import re
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +36,7 @@ from anyonsim import (
 from anyonsim import config_space
 from anyonsim.config_space import _as_configs, _configs_from_json
 from anyonsim.errors import (
+    AnyonSimError,
     CoincidenceAtStep,
     EndpointOffLattice,
     TurnTooLargeAtStep,
@@ -426,7 +429,9 @@ def test_a_path_holds_a_list_configuration_as_a_tuple():
 LAP = ((1, 0, 0, 0), (0, 1, 0, 0), (-1, 0, 0, 0), (0, -1, 0, 0), (1, 0, 0, 0))
 
 
-@pytest.mark.parametrize("number", [np.float64, np.float32], ids=["numpy-float64", "numpy-float32"])
+@pytest.mark.parametrize(
+    "number", [np.float64, np.float32, Fraction, Decimal], ids=["numpy-float64", "numpy-float32", "fraction", "decimal"]
+)
 def test_numpy_float_coordinates_make_the_path_of_their_floats(number):
     # numpy's comparisons give numpy.bool_, which has no subtraction: the sign of
     # the first crossing raised TypeError, and the path was refused as "not four
@@ -463,8 +468,122 @@ def test_a_list_of_fractions_is_held_as_a_tuple():
     lists = [[x1, y1, Fraction(0), y2] for x1, y1, _, y2 in LAP]
     path = DiscretePath(1.0, lists)
     assert {type(c) for c in path.configs} == {tuple}
-    assert path.configs[0][2] is lists[0][2]
+    assert path.configs[0][2] == 0 and type(path.configs[0][2]) is float
     assert classify(path).winding == 1 and hash(path) == hash(DiscretePath(1.0, LAP))
+
+
+@pytest.mark.parametrize("side", [0.1, 1e30])
+def test_a_float32_path_sums_its_kinetic_term_in_float64(side):
+    # numpy's float32 coordinates kept float32 arithmetic: a lap of side 0.1 summed
+    # to float32(0.040000003), and the squares of a lap of side 1e30 overflowed
+    lap = np.array(LAP, dtype=np.float32) * np.float32(side)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = DiscretePath(1.0, lap)
+    twin = DiscretePath(1.0, [tuple(map(float, c)) for c in lap])
+    assert type(path._kinetic) is float and path._kinetic == twin._kinetic
+    assert path.configs == twin.configs and {type(v) for c in path.configs for v in c} == {float}
+    if side == 0.1:
+        assert path._kinetic == 0.040000001192092904
+
+
+def test_decimal_paths_and_lattice_endpoints_are_read_as_floats():
+    # a Decimal path was refused as "not four coordinates", a Decimal endpoint as
+    # "not four numbers", since a Decimal takes no arithmetic with a float
+    path = DiscretePath(Decimal("0.5"), [tuple(map(Decimal, c)) for c in LAP])
+    twin = DiscretePath(0.5, [tuple(map(float, c)) for c in LAP])
+    assert path == twin and path.crossings == twin.crossings and path._kinetic == twin._kinetic == 8.0
+    assert type(path.dt) is float and {type(v) for c in path.configs for v in c} == {float}
+    start = (Decimal("-0.5"), Decimal(0), Decimal("0.5"), Decimal(0))
+    census = walk_census(LatticeSpec(2, Decimal("0.5")), EndpointPair(start, start[2:] + start[:2]), 4)
+    floats = tuple(map(float, start))
+    assert census and census == walk_census(LatticeSpec(2, 0.5), EndpointPair(floats, floats[2:] + floats[:2]), 4)
+
+
+@pytest.mark.parametrize(
+    "number, held",
+    [(np.int64(2), 2), (np.float32(0.5), 0.5), (Fraction(1, 2), 0.5), (Decimal("0.5"), 0.5), (True, 1)],
+    ids=["numpy-int64", "numpy-float32", "fraction", "decimal", "bool"],
+)
+def test_foreign_scalars_are_held_as_ints_or_floats(number, held):
+    # these were refused as "must be finite and > 0, got 2", and a bool was held as itself
+    held_values = [
+        DiscretePath(number, LAP).dt,
+        LatticeSpec(2, number).spacing,
+        *Vec2(number, number),
+        *TwoParticleConfig(number, number, 0, 0)[:2],
+        ExchangeGeometry(number, 4, number).radius,
+        ExchangeGeometry(number, 4, number).dt,
+    ]
+    assert held_values == [held] * len(held_values)
+    assert {type(v) for v in held_values} == {type(held)}
+
+
+def test_an_int_endpoint_past_the_float_range_is_off_the_lattice():
+    # it raised a bare OverflowError from the division by the spacing
+    huge = (10**400, 0, 0, 0)
+    endpoints = EndpointPair(huge, huge)
+    for count in (walk_census, lambda *args: list(enumerate_walks(*args)), resolved_kernel):
+        with pytest.raises(EndpointOffLattice, match=f"^coordinate {10**400} is not a lattice site "):
+            count(LatticeSpec(2), endpoints, 2)
+
+
+def test_a_signaling_nan_is_refused_as_not_finite():
+    # it raised a bare ValueError from the configuration, and a bare
+    # decimal.InvalidOperation from the path's first comparison
+    with pytest.raises(ValidationError, match=re.escape("non-finite vector component (nan, 0)")):
+        TwoParticleConfig(Decimal("sNaN"), 0, 1, 0)
+    with pytest.raises(ValidationError, match=re.escape("non-finite vector component (nan, 0)")):
+        DiscretePath(1.0, [(Decimal("sNaN"), 0, 1, 0), (1, 0, 0, 0)])
+    with pytest.raises(ValidationError, match="^dt must be finite and > 0, got sNaN$"):
+        DiscretePath(Decimal("sNaN"), LAP)
+
+
+#: each foreign number type, and its twin of an exact rational q
+FOREIGN_TWINS = {
+    "numpy-int64": lambda q: np.int64(q),
+    "numpy-float64": lambda q: np.float64(float(q)),
+    "numpy-float32": lambda q: np.float32(float(q)),
+    "fraction": lambda q: q,
+    "decimal": lambda q: Decimal(q.numerator) / Decimal(q.denominator),
+}
+
+
+def _path_outcome(dt, configs):
+    """The dt, configurations, crossings, total angle and kinetic sum of the
+    path, with the class and total angle of it and its reverse joined, or
+    the type and message of the error that refuses it, as one repr."""
+    try:
+        path = DiscretePath(dt, configs)
+        closed = concat_paths(path, reverse_path(path))
+        return repr((path.dt, path.configs, path.crossings, total_angle(path), path._kinetic,
+                     classify(closed), total_angle(closed)))
+    except AnyonSimError as exc:
+        return repr((type(exc), str(exc)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(sorted(FOREIGN_TWINS)),
+    st.sampled_from((Fraction(1), Fraction(10**6), Fraction(1, 10), Fraction(3, 7), Fraction(1, 2**40), Fraction(10**30))),
+)
+def test_foreign_number_twins_make_the_path_of_their_floats(seed, kind, scale):
+    # each coordinate and dt of a twin is read once, into the int or float it
+    # holds, so the twin is bit for bit the path of those ints and floats
+    if kind == "numpy-int64":
+        scale = Fraction(scale.numerator % 10**6 or 1)
+    twin_of = FOREIGN_TWINS[kind]
+    sites = random_valid_walk(random.Random(seed), extent=3, n_steps=8).configs
+    configs = [tuple(twin_of(Fraction(v) * scale) for v in c) for c in sites]
+    dt = twin_of(Fraction(1, 2))
+    if kind == "numpy-int64":
+        dt = np.int64(1)
+    def held(v):
+        return int(v) if isinstance(v, np.integer) else float(v)
+    floats = [tuple(map(held, c)) for c in configs]
+    assert _path_outcome(dt, configs) == _path_outcome(held(dt), floats)
+    assert _path_outcome(dt, np.array(configs, dtype=object)) == _path_outcome(held(dt), floats)
 
 
 class TestPathHelpers:

@@ -1,7 +1,10 @@
 import math
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -513,3 +516,18 @@ def test_geometry_defaults():
 )
 def test_invalid_geometry_refused(bad, error, message):
     check_refusal(ExchangeGeometry, GEOMETRY, bad, error, message)
+
+
+def test_dephasing_reads_each_number_once():
+    # an int dt past the float range raised a bare OverflowError from float()
+    with pytest.raises(ValidationError, match=f"^dt must be finite and > 0, got {10**400}$"):
+        dephasing_exponent(1.0, 2.0, PhysicsParams(), [10**400, 0.1, 0.05])
+    # a grid value that is not a number is no positive dt
+    with pytest.raises(DegenerateGrid, match="^need at least 3 distinct positive dt values$"):
+        dephasing_exponent(1.0, 2.0, PhysicsParams(), ["0.1", 0.05, 0.02])
+    # foreign numbers are read as the floats they hold, and give the fit of those floats
+    grid = [np.float32(0.1), Fraction(1, 20), Decimal("0.02")]
+    fit = dephasing_exponent(np.int64(1), Decimal("2"), PhysicsParams(Fraction(1), np.float64(1)), grid)
+    twin = dephasing_exponent(1, 2.0, PhysicsParams(1.0, 1.0), [float(np.float32(0.1)), 0.05, 0.02])
+    assert fit == twin
+    assert [type(s.dt) for s in fit.samples] == [float] * 3
