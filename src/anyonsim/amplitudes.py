@@ -28,6 +28,7 @@ from .config_space import (
     LatticeSpec,
     _count_at_least,
     _iterate,
+    _read_choice,
     _record,
     _snap_to_sites,
     check_count,
@@ -67,12 +68,16 @@ class OpClass(enum.Enum):
 
 class StatisticsSpec(_record("StatisticsSpec", "theta op_class")):
     """Statistics angle theta (phase of one full CCW rotation) plus the
-    operational class. theta is 4*pi-periodic in every observable here."""
+    operational class. theta is 4*pi-periodic in every observable here.
+
+    theta is read by :func:`check_finite`, and op_class, an OpClass or its
+    value ("boson", "fermion"), is held as the member
+    (:func:`~anyonsim.config_space._read_choice`), theta first."""
 
     __slots__ = ()
 
-    def __new__(cls, theta: float, op_class: OpClass) -> StatisticsSpec:
-        return tuple.__new__(cls, (check_finite("theta", theta), op_class))
+    def __new__(cls, theta: float, op_class: OpClass | str) -> StatisticsSpec:
+        return tuple.__new__(cls, (check_finite("theta", theta), _read_choice("op_class", OpClass, op_class)))
 
 
 class ResolvedKernel(_record("ResolvedKernel", "endpoints n_steps partials")):
@@ -86,7 +91,7 @@ class ResolvedKernel(_record("ResolvedKernel", "endpoints n_steps partials")):
     ) -> ResolvedKernel:
         partials = _as_dict(partials, "partials must be a mapping of winding classes to amplitudes")
         partials = {c: partials[c] for c in sorted(partials, key=lambda c: c.winding)}
-        self = tuple.__new__(cls, (endpoints, n_steps, partials))
+        self = tuple.__new__(cls, (endpoints, check_count("n_steps", n_steps), partials))
         kind = self.kind
         for c in self.partials:
             if c.kind is not kind:
@@ -283,13 +288,17 @@ def permutation_sign(sigma: tuple[int, ...]) -> int:
     return -1 if transpositions % 2 else 1
 
 
-def operational_combine(perms: PermutationAmplitudes, op_class: OpClass) -> complex:
+def operational_combine(perms: PermutationAmplitudes, op_class: OpClass | str) -> complex:
     """Combine distinguishable-particle amplitudes over all permutations:
     a plain sum for bosons, a sign-weighted sum for fermions.
 
     For n = 2 this is alpha_direct + alpha_opposite (boson) or
-    alpha_direct - alpha_opposite (fermion).
+    alpha_direct - alpha_opposite (fermion).  op_class is an OpClass or its
+    value, read first (:func:`~anyonsim.config_space._read_choice`), so
+    "fermion" gives the determinant and anything else is refused with
+    ValidationError.
     """
+    op_class = _read_choice("op_class", OpClass, op_class)
     total = 0j
     for sigma in itertools.permutations(range(perms.n)):
         try:

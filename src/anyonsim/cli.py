@@ -174,12 +174,10 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_grid(
-    args: argparse.Namespace,
-) -> tuple[Iterable[float], tuple[amplitudes.OpClass, ...]]:
+def _sweep_grid(args: argparse.Namespace) -> tuple[Iterable[float], tuple[str, ...]]:
     """The thetas of the sweep rows, lazily and in rising order, and the
-    classes that each theta gets a row for.  Every refusal is raised here,
-    before the first theta is made."""
+    classes, as their --op-class values, that each theta gets a row for.
+    Every refusal is raised here, before the first theta is made."""
     from . import amplitudes, exchange
 
     points, theta_min, theta_max = args.points, args.theta_min, args.theta_max
@@ -192,11 +190,7 @@ def _sweep_grid(
             raise BadRange(f"{flag} must be finite, got {value}")
     if theta_max < theta_min:
         raise BadRange(f"theta-max {theta_max} is below theta-min {theta_min}")
-    classes = {
-        "boson": (amplitudes.OpClass.BOSON,),
-        "fermion": (amplitudes.OpClass.FERMION,),
-        "both": (amplitudes.OpClass.BOSON, amplitudes.OpClass.FERMION),
-    }[args.op_class]
+    classes = ("boson", "fermion") if args.op_class == "both" else (args.op_class,)
     if points == 1:
         return (theta_min,), classes
     gaps = points - 1
@@ -227,7 +221,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # the validating pass, so a refusal leaves stdout empty
     values = exchange._phase_rule(*exchange._designated_exchange(geom, params)[1:], classes)
     # the rows of one theta, all its classes, are formatted by one %
-    line = "".join(f"%.12g,{c.value},%.12g,%.12g,%.12g\n" for c in classes)
+    line = "".join(f"%.12g,{c},%.12g,%.12g,%.12g\n" for c in classes)
     lines = map(line.__mod__, map(values, thetas))
     write = sys.stdout.write
     write("theta,op_class,phi,re_amp,im_amp\n")
@@ -261,11 +255,10 @@ def _cmd_dephase(args: argparse.Namespace) -> int:
 def _cmd_exchange(args: argparse.Namespace) -> int:
     from . import amplitudes, exchange
 
-    direction = exchange.Direction(args.direction)
-    geom = exchange.ExchangeGeometry(args.radius, args.steps, args.dt, direction)
+    geom = exchange.ExchangeGeometry(args.radius, args.steps, args.dt, args.direction)
     params = amplitudes.PhysicsParams(mass=args.mass, hbar=args.hbar)
     walked, cls, amp = exchange._designated_exchange(geom, params)
-    stats = amplitudes.StatisticsSpec(args.theta, amplitudes.OpClass(args.op_class))
+    stats = amplitudes.StatisticsSpec(args.theta, args.op_class)
     result = exchange.exchange_phase(cls, amp, stats)
     report = {
         "kind": cls.kind.value,

@@ -19,12 +19,18 @@ configurations, every path computation reads only those floats, and a plain
 tuple costs a fraction of the time and memory of two nested objects.  Every
 configuration is built through a check that its coordinates are finite.
 
-Every number is read once, where it enters the package, and held as an int
-or a float (:func:`_read_number`): an integer of another type, such as
-numpy's, whose arithmetic wraps at 2^63, as the int it holds, and any other
-number, such as numpy's float32, a Fraction or a Decimal, as its float, so
-every computation runs in Python's exact ints and correctly rounded floats.
-A path holds every configuration as a tuple, so no caller's list is held.
+Every record reads its own fields, where they enter the package, with one
+rule per kind of value.  A number is held as an int or a float
+(:func:`_read_number`): an integer of another type, such as numpy's, whose
+arithmetic wraps at 2^63, as the int it holds, and any other number, such as
+numpy's float32, a 0-d array, a Fraction or a Decimal, as its float, so
+every computation runs in Python's exact ints and correctly rounded floats;
+one test, :func:`_is_finite`, says whether it is finite, and a refusal
+quotes a value that is not a number (:func:`_shown`).  A count is read by
+:func:`check_count`, and a choice, such as a statistics class or the sense
+of an exchange, as the member of its enum that it is or whose value it is
+(:func:`_read_choice`).  A path holds every configuration as a tuple, so no
+caller's list is held.
 
 A path is valid when no configuration is coincident and the relative vector
 turns by strictly less than pi radians per step.  A step that keeps r in its
@@ -98,13 +104,16 @@ def _read_number(value):
     """value as the package holds a number: an int or a float as it is; any
     other integer, which has ``__index__`` (numpy's, a bool), as the int it
     holds; any other number, which has ``__float__`` (numpy's floats, a
-    Fraction, a Decimal), as its float, a signaling NaN, which float()
-    refuses, as a NaN.  Anything else, and a number that refuses its read
-    (a Fraction past the float range), is returned as it is, for the
-    caller's check to refuse."""
+    Fraction, a Decimal, a 0-d numpy array, whose ``__index__`` refuses), as
+    its float, a signaling NaN, which float() refuses, as a NaN.  Anything
+    else, and a number that refuses its read (a Fraction past the float
+    range), is returned as it is, for the caller's check to refuse."""
     try:
         if hasattr(value, "__index__"):
-            return operator.index(value)
+            try:
+                return operator.index(value)
+            except TypeError:  # a 0-d numpy float array
+                pass
         return float(value) if hasattr(value, "__float__") else value
     except (TypeError, OverflowError):
         return value
@@ -112,17 +121,30 @@ def _read_number(value):
         return math.nan
 
 
+def _is_finite(read) -> bool:
+    """True when read, a value as :func:`_read_number` reads it, is an int
+    or a float and finite; an int past the float range is not: the one
+    finiteness test of a read number."""
+    try:
+        return type(read) in _NUMBERS and math.isfinite(read)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _shown(value) -> str:
+    """value as a refusal names it: as it prints when it reads as a number
+    (a signaling NaN as sNaN, a numpy float as its digits), else its repr,
+    so that the string "1" is shown as '1'."""
+    return f"{value}" if type(_read_number(value)) in _NUMBERS else repr(value)
+
+
 def _check_number(name: str, value, rule: str, above: float) -> int | float:
     """value as :func:`_read_number` reads it; ValidationError, which names
-    the rule, unless that is an int or a float, finite and > above (an int
-    past the float range is refused as an infinite float)."""
+    the rule, unless that is finite (:func:`_is_finite`) and > above."""
     read = _read_number(value)
-    try:
-        if type(read) in _NUMBERS and math.isfinite(read) and read > above:
-            return read
-    except OverflowError:  # an int past the float range
-        pass
-    raise ValidationError(f"{name} must be {rule}, got {value}")
+    if _is_finite(read) and read > above:
+        return read
+    raise ValidationError(f"{name} must be {rule}, got {_shown(value)}")
 
 
 def check_finite(name: str, value) -> int | float:
@@ -135,6 +157,17 @@ def check_finite_positive(name: str, value) -> int | float:
     return _check_number(name, value, "finite and > 0", 0)
 
 
+def _read_choice(name: str, choices: type, value):
+    """value as a member of the enum choices, as ``choices(value)`` reads
+    it: a member as it is, and a member's value (such as "boson" or "ccw")
+    as that member.  Anything else, a member of another enum too, is refused
+    with ValidationError, which names the allowed values."""
+    try:
+        return choices(value)
+    except ValueError:
+        raise ValidationError(f"{name} must be {' or '.join(repr(m.value) for m in choices)}, got {value!r}") from None
+
+
 def _iterate(value, what: str) -> Iterator:
     """iter(value); a value that is not iterable is refused with ValidationError."""
     try:
@@ -145,15 +178,11 @@ def _iterate(value, what: str) -> Iterator:
 
 def _check_pair(x, y) -> tuple:
     """(x, y) as :func:`_read_number` reads them; ValidationError unless
-    both are finite (an int past the float range is refused as an infinite
-    float), and math.isfinite's TypeError for what is not a number."""
+    both are finite (:func:`_is_finite`), what is not a number included."""
     x, y = _read_number(x), _read_number(y)
-    try:
-        if math.isfinite(x) and math.isfinite(y):
-            return x, y
-    except OverflowError:
-        pass
-    raise ValidationError(f"non-finite vector component ({x}, {y})")
+    if _is_finite(x) and _is_finite(y):
+        return x, y
+    raise ValidationError(f"non-finite vector component ({_shown(x)}, {_shown(y)})")
 
 
 def check_count(name: str, value) -> int:
@@ -174,17 +203,16 @@ def _count_at_least(name: str, value, least: int) -> int:
 
 def _read_config(values):
     """The configuration that a path holds for values, an iterable of
-    numbers: a tuple of ints and floats as it is, a list of them, the common
-    case after it, read into a tuple, and any other read into a tuple of
-    :func:`_read_number`'s ints and floats, such as a numpy array row.
-    Values that are not iterable, are a one-shot iterator or include an item
-    that is not a number (such as a string) are returned as they are, for
-    the path's pass to refuse."""
+    numbers: a tuple of ints and floats (a TwoParticleConfig among them) as
+    it is, a list of them, the common case after it, copied into a tuple,
+    and any other iterable, such as a numpy array row or a one-shot
+    iterator, read into a tuple of :func:`_read_number`'s ints and floats.
+    Values that are not iterable or include an item that is not a number
+    (such as a string) are returned as they are, for the path's pass to
+    refuse."""
     try:
-        if {*map(type, values)} <= _NUMBERS or iter(values) is values:
-            # a one-shot iterator, spent by the type scan, is kept as it is
-            kept = isinstance(values, tuple) or type(values) is not list and iter(values) is values
-            return values if kept else tuple(values)
+        if isinstance(values, (tuple, list)) and {*map(type, values)} <= _NUMBERS:
+            return values if isinstance(values, tuple) else tuple(values)
         read = tuple(map(_read_number, values))
     except TypeError:  # not iterable
         return values

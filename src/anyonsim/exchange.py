@@ -56,6 +56,7 @@ from .config_space import (
     _NUMBERS,
     _Walk,
     _count_at_least,
+    _read_choice,
     _read_number,
     check_finite,
     check_finite_positive,
@@ -81,8 +82,10 @@ class ExchangeGeometry(_record("ExchangeGeometry", "radius n_steps dt direction"
 
     Unpacks, orders, compares and hashes as the tuple (radius, n_steps, dt,
     direction); built, also by ``_replace``, through the checks below.
-    n_steps is capped by :func:`build_exchange_path`, not here, and only an
-    exchange built as a path or walked as one needs a geometry:
+    direction is a Direction or its value ("ccw", "cw"), held as the member
+    (:func:`~anyonsim.config_space._read_choice`), and read after the
+    numbers.  n_steps is capped by :func:`build_exchange_path`, not here,
+    and only an exchange built as a path or walked as one needs a geometry:
     :func:`dephasing_exponent` reads the first step's two configurations
     from :func:`_exchange_configs` alone.
     """
@@ -90,11 +93,11 @@ class ExchangeGeometry(_record("ExchangeGeometry", "radius n_steps dt direction"
     __slots__ = ()
 
     def __new__(
-        cls, radius: float, n_steps: int, dt: float, direction: Direction = Direction.CCW
+        cls, radius: float, n_steps: int, dt: float, direction: Direction | str = Direction.CCW
     ) -> ExchangeGeometry:
         radius = check_finite_positive("radius", radius)
         n_steps = _count_at_least("n_steps", n_steps, 2)
-        return tuple.__new__(cls, (radius, n_steps, check_finite_positive("dt", dt), direction))
+        return tuple.__new__(cls, (radius, n_steps, check_finite_positive("dt", dt), _read_choice("direction", Direction, direction)))
 
 
 def _exchange_configs(radius: float, n: int, sign: int, count: int) -> Iterator[tuple[float, float, float, float]]:
@@ -284,18 +287,18 @@ class ExchangePhase(_record("ExchangePhase", "phi amplitude theta op_class")):
 
 
 def _phase_rule(
-    cls: HomotopyClass, amp: complex, op_classes: Iterable[OpClass]
+    cls: HomotopyClass, amp: complex, op_classes: Iterable[OpClass | str]
 ) -> Callable[[float], tuple[float, ...]]:
     """values(theta): the :func:`exchange_phase` rows of class cls (kind
     Exchange, winding w) and amplitude amp at theta, one per class of
-    op_classes in turn, as one flat tuple (theta, phi, re, im, theta, phi,
-    ...), re and im the parts of the row's amplitude.  The kind and the signs
-    are checked once, here; each call takes exp(i theta w) and its product
-    with amp once, for all classes.
+    op_classes (each an OpClass or its value) in turn, as one flat tuple
+    (theta, phi, re, im, theta, phi, ...), re and im the parts of the row's
+    amplitude.  The kind and the classes are checked once, here; each call
+    takes exp(i theta w) and its product with amp once, for all classes.
     """
     if cls.kind is not Kind.EXCHANGE:
         raise NotExchangeKernel("exchange phase requires swapped endpoints")
-    signs = [1.0 if c is OpClass.BOSON else -1.0 for c in op_classes]
+    signs = [1.0 if _read_choice("op_class", OpClass, c) is OpClass.BOSON else -1.0 for c in op_classes]
     phase, tau = cmath.phase, TAU
 
     def values(theta: float) -> tuple[float, ...]:
@@ -338,11 +341,13 @@ def theta_sweep(
     geom: ExchangeGeometry,
     params: PhysicsParams,
     thetas: Iterable[float],
-    op_classes: Iterable[OpClass],
+    op_classes: Iterable[OpClass | str],
 ) -> Iterator[ExchangePhase]:
     """Exchange phase across statistics angles and classes, one row per
     theta and class, theta by theta with the classes in the order given,
-    yielded as it is computed.
+    yielded as it is computed.  Each class is an OpClass or its value
+    ("boson", "fermion"), and its rows hold the member; anything else is
+    refused with ValidationError when the first row is asked for.
 
     The path is the designated exchange built from geom (the experiment is
     about that path, not a path sum).  One validating pass over its
@@ -354,7 +359,7 @@ def theta_sweep(
     """
     thetas = iter(thetas)
     for theta in thetas:  # the first theta only: the rule built for it takes the rest
-        op_classes = tuple(op_classes)
+        op_classes = tuple(_read_choice("op_class", OpClass, c) for c in op_classes)
         values = _phase_rule(*_designated_exchange(geom, params)[1:], op_classes)
         for theta in itertools.chain((theta,), thetas):
             yield from _rows(values(theta), op_classes)

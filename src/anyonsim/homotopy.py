@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .config_space import DiscretePath, _record, upper_half_plane
+from .config_space import DiscretePath, _is_finite, _read_number, _record, _shown, upper_half_plane
 from .errors import EndpointsNotClosedOrExchanged
 
 
@@ -39,24 +39,23 @@ class HomotopyClass(_record("HomotopyClass", "kind winding")):
     """Winding number plus the direct/exchange endpoint tag.
 
     Direct classes carry integer windings, exchange classes half-odd-integer
-    ones; the constructor enforces that pairing, after refusing a winding
-    that is not a finite half-integer, each with ValueError.
+    ones.  The constructor reads kind with ``Kind(kind)``, so a member or its
+    value ("Direct"), and the winding as :func:`_read_number` reads it, and
+    holds what it read: a Fraction, a Decimal or a numpy winding is held as
+    its float.  Anything else, a winding that is not a finite half-integer
+    (:func:`_is_finite`) and a winding that does not pair with the kind are
+    refused, each with ValueError.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: Kind, winding: float) -> HomotopyClass:
-        try:
-            w2 = 2.0 * winding
-            half_integer = math.isfinite(w2) and w2 == round(w2)
-        except OverflowError:  # an int past the float range
-            half_integer = False
-        if not half_integer:
-            raise ValueError(f"winding must be a half-integer, got {winding}")
-        is_integer = round(w2) % 2 == 0
-        if is_integer != (kind is Kind.DIRECT):
+        kind, read = Kind(kind), _read_number(winding)
+        if not (_is_finite(read) and read % 0.5 == 0):
+            raise ValueError(f"winding must be a half-integer, got {_shown(winding)}")
+        if (read % 1 == 0) != (kind is Kind.DIRECT):
             raise ValueError(f"{kind.value} class cannot have winding {winding}")
-        return tuple.__new__(cls, (kind, winding))
+        return tuple.__new__(cls, (kind, read))
 
 
 def endpoint_kind(start: tuple, end: tuple) -> Kind:

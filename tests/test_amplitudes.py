@@ -559,7 +559,7 @@ SWAPPED_HALF = {HomotopyClass(Kind.EXCHANGE, 0.5): 1j}
     [
         (PhysicsParams, {"mass": 0.0}, ValidationError, "mass must be finite and > 0, got 0.0"),
         (PhysicsParams, {"hbar": math.nan}, ValidationError, "hbar must be finite and > 0, got nan"),
-        (PhysicsParams, {"mass": "1"}, ValidationError, "mass must be finite and > 0, got 1"),
+        (PhysicsParams, {"mass": "1"}, ValidationError, "mass must be finite and > 0, got '1'"),
         # mass is checked before hbar
         (PhysicsParams, {"mass": -1.0, "hbar": 0.0}, ValidationError, "mass must be finite and > 0, got -1.0"),
         (StatisticsSpec, {"theta": math.inf}, ValidationError, "theta must be finite, got inf"),
@@ -598,6 +598,15 @@ SWAPPED_HALF = {HomotopyClass(Kind.EXCHANGE, 0.5): 1j}
             ValidationError,
             "alpha must be a mapping of permutations to amplitudes, got 5",
         ),
+        (PhysicsParams, {"hbar": None}, ValidationError, "hbar must be finite and > 0, got None"),
+        (StatisticsSpec, {"theta": "0.5"}, ValidationError, "theta must be finite, got '0.5'"),
+        # op_class is read after theta, as a member or its value
+        (StatisticsSpec, {"op_class": None}, ValidationError, "op_class must be 'boson' or 'fermion', got None"),
+        (StatisticsSpec, {"op_class": "Boson"}, ValidationError, "op_class must be 'boson' or 'fermion', got 'Boson'"),
+        (StatisticsSpec, {"theta": math.inf, "op_class": 3}, ValidationError, "theta must be finite, got inf"),
+        # n_steps was held as given, so a kernel's JSON form could hold "n_steps": "2"
+        (ResolvedKernel, {"n_steps": "2"}, ValidationError, "n_steps must be an integer, got '2'"),
+        (ResolvedKernel, {"n_steps": 2.5}, ValidationError, "n_steps must be an integer, got 2.5"),
     ],
 )
 def test_invalid_record_refused(cls, bad, error, message):
@@ -634,13 +643,27 @@ def test_budget_that_is_not_a_count_refused(budget, message):
 
 @pytest.mark.parametrize(
     "number, held",
-    [(np.int64(2), 2), (np.float32(0.5), 0.5), (Fraction(1, 2), 0.5), (Decimal("0.5"), 0.5), (True, 1)],
-    ids=["numpy-int64", "numpy-float32", "fraction", "decimal", "bool"],
+    [
+        (np.int64(2), 2),
+        (np.float32(0.5), 0.5),
+        (Fraction(1, 2), 0.5),
+        (Decimal("0.5"), 0.5),
+        (True, 1),
+        (np.array(0.5), 0.5),
+        (np.float64(0.5), 0.5),
+    ],
+    ids=["numpy-int64", "numpy-float32", "fraction", "decimal", "bool", "numpy-0d", "numpy-float64"],
 )
 def test_foreign_scalars_are_held_as_ints_or_floats(number, held):
-    # they were refused as "must be finite and > 0", and a bool was held as itself
-    held_values = [*PhysicsParams(number, number), StatisticsSpec(number, OpClass.BOSON).theta]
-    assert held_values == [held] * 3 and {type(v) for v in held_values} == {type(held)}
+    # they were refused as "must be finite and > 0", and a bool was held as itself;
+    # a winding was held as given, and a 0-d array theta was refused
+    kind = Kind.EXCHANGE if held == 0.5 else Kind.DIRECT
+    held_values = [
+        *PhysicsParams(number, number),
+        StatisticsSpec(number, OpClass.BOSON).theta,
+        HomotopyClass(kind, number).winding,
+    ]
+    assert held_values == [held] * 4 and {type(v) for v in held_values} == {type(held)}
     ends = TwoParticleConfig(1, 0, -1, 0)
     kernel = resolved_kernel(LatticeSpec(2), EndpointPair(ends, ends), 2, dt=number)
     twin = resolved_kernel(LatticeSpec(2), EndpointPair(ends, ends), 2, dt=held)

@@ -416,13 +416,12 @@ def test_a_path_holds_a_list_configuration_as_a_tuple():
     assert concat_paths(path, DiscretePath(1.0, [(1, 0, 0, 0), (0, 1, 0, 0)])).n_steps == 5
     assert concat_paths(DiscretePath(1.0, [(0, -1, 0, 0), (1, 0, 0, 0)]), path).n_steps == 5
     # a numeric list of the wrong length is named as the tuple it was read into; a
-    # string, a number and a one-shot iterator are refused as they are
+    # string and a number are refused as they are, and a one-shot iterator is read
     for item, shown in (([1, 0, 0], "(1, 0, 0)"), ("abcd", "'abcd'"), (5, "5")):
         with pytest.raises(ValidationError, match=re.escape(f"configuration 1 is not four coordinates: {shown}")):
             DiscretePath(1.0, [(1, 0, 0, 0), item])
     once = iter([0, 1, 0, 0])
-    with pytest.raises(ValidationError, match=re.escape(f"configuration 1 is not four coordinates: {once!r}")):
-        DiscretePath(1.0, [(1, 0, 0, 0), once])
+    assert DiscretePath(1.0, [(1, 0, 0, 0), once]).configs == ((1, 0, 0, 0), (0, 1, 0, 0))
 
 
 #: one counter-clockwise lap of particle 1 about particle 2
@@ -502,11 +501,19 @@ def test_decimal_paths_and_lattice_endpoints_are_read_as_floats():
 
 @pytest.mark.parametrize(
     "number, held",
-    [(np.int64(2), 2), (np.float32(0.5), 0.5), (Fraction(1, 2), 0.5), (Decimal("0.5"), 0.5), (True, 1)],
-    ids=["numpy-int64", "numpy-float32", "fraction", "decimal", "bool"],
+    [
+        (np.int64(2), 2),
+        (np.float32(0.5), 0.5),
+        (Fraction(1, 2), 0.5),
+        (Decimal("0.5"), 0.5),
+        (True, 1),
+        (np.array(0.5), 0.5),
+    ],
+    ids=["numpy-int64", "numpy-float32", "fraction", "decimal", "bool", "numpy-0d"],
 )
 def test_foreign_scalars_are_held_as_ints_or_floats(number, held):
-    # these were refused as "must be finite and > 0, got 2", and a bool was held as itself
+    # these were refused as "must be finite and > 0, got 2", and a bool was held as
+    # itself; a 0-d array coordinate was held as the array
     held_values = [
         DiscretePath(number, LAP).dt,
         LatticeSpec(2, number).spacing,
@@ -546,6 +553,7 @@ FOREIGN_TWINS = {
     "numpy-float32": lambda q: np.float32(float(q)),
     "fraction": lambda q: q,
     "decimal": lambda q: Decimal(q.numerator) / Decimal(q.denominator),
+    "numpy-0d": lambda q: np.array(float(q)),
 }
 
 
@@ -1157,7 +1165,7 @@ VALID = {
     [
         (Vec2, {"x": math.nan}, ValidationError, "non-finite vector component (nan, 0)"),
         (Vec2, {"y": -math.inf}, ValidationError, "non-finite vector component (0, -inf)"),
-        (Vec2, {"x": "1"}, TypeError, "must be real number, not str"),
+        (Vec2, {"x": "1"}, ValidationError, "non-finite vector component ('1', 0)"),
         # an int that no float holds is refused as an infinite float
         (Vec2, {"x": 10**400}, ValidationError, f"non-finite vector component ({10**400}, 0)"),
         (DiscretePath, {"dt": 10**400}, ValidationError, f"dt must be finite and > 0, got {10**400}"),
@@ -1185,7 +1193,7 @@ VALID = {
         (TwoParticleConfig, {"y2": math.nan}, ValidationError, "non-finite vector component (0.0, nan)"),
         # p1's pair is checked before p2's
         (TwoParticleConfig, {"y1": math.nan, "x2": math.inf}, ValidationError, "non-finite vector component (1.0, nan)"),
-        (TwoParticleConfig, {"x2": "0"}, TypeError, "must be real number, not str"),
+        (TwoParticleConfig, {"x2": "0"}, ValidationError, "non-finite vector component ('0', 0.0)"),
         (TwoParticleConfig, {"x1": 10**400}, ValidationError, f"non-finite vector component ({10**400}, 0.0)"),
         (TwoParticleConfig, {"y2": -(10**400)}, ValidationError, f"non-finite vector component (0.0, {-(10**400)})"),
         (LatticeSpec, {"spacing": 10**400}, ValidationError, f"spacing must be finite and > 0, got {10**400}"),

@@ -29,13 +29,15 @@ from anyonsim import (
     concat_paths,
     dephasing_exponent,
     exchange_phase,
+    noninteracting_alpha,
+    operational_combine,
     path_amplitude,
     step_factors,
     swap,
     theta_sweep,
     total_angle,
 )
-from anyonsim import config_space
+from anyonsim import config_space, exchange
 from anyonsim.config_space import upper_half_plane
 from anyonsim.errors import BudgetExceeded, DegenerateGrid, NotExchangeKernel, ValidationError
 from anyonsim.exchange import MAX_SIZE
@@ -512,6 +514,11 @@ def test_geometry_defaults():
         ({"n_steps": math.nan}, ValidationError, "n_steps must be an integer, got nan"),
         ({"n_steps": 4.0, "dt": 0.0}, ValidationError, "n_steps must be an integer, got 4.0"),
         ({"radius": 0.0, "n_steps": 2.5}, ValidationError, "radius must be finite and > 0, got 0.0"),
+        # direction, a member or its value, is read after the numbers
+        ({"direction": "up"}, ValidationError, "direction must be 'ccw' or 'cw', got 'up'"),
+        ({"direction": None}, ValidationError, "direction must be 'ccw' or 'cw', got None"),
+        ({"direction": OpClass.BOSON}, ValidationError, "direction must be 'ccw' or 'cw', got <OpClass.BOSON: 'boson'>"),
+        ({"dt": 0.0, "direction": 3}, ValidationError, "dt must be finite and > 0, got 0.0"),
     ],
 )
 def test_invalid_geometry_refused(bad, error, message):
@@ -531,3 +538,66 @@ def test_dephasing_reads_each_number_once():
     twin = dephasing_exponent(1, 2.0, PhysicsParams(1.0, 1.0), [float(np.float32(0.1)), 0.05, 0.02])
     assert fit == twin
     assert [type(s.dt) for s in fit.samples] == [float] * 3
+
+
+# --- choices: a member or its value, read where the field enters -------------
+
+
+def test_value_strings_are_read_as_their_members():
+    # each was held as the string, which every test of a member took for the other one
+    cls, amp = _one_path_kernel()
+    stats = StatisticsSpec(0.0, "boson")
+    assert stats.op_class is OpClass.BOSON and exchange_phase(cls, amp, stats).phi == 0.0
+    for direction, winding in (("ccw", 0.5), ("cw", -0.5)):
+        geom = ExchangeGeometry(1.0, 4, 0.1, direction)
+        assert geom.direction is Direction(direction)
+        assert classify(build_exchange_path(geom)) == HomotopyClass(Kind.EXCHANGE, winding)
+    perms = noninteracting_alpha([[1, 2], [3, 4]])
+    assert operational_combine(perms, "fermion") == -2 and operational_combine(perms, "boson") == 10
+    geom, thetas = ExchangeGeometry(*GEOMETRY), (0.0, 1.5, -4.0)
+    rows = list(theta_sweep(geom, PhysicsParams(), thetas, ("boson", "fermion")))
+    assert rows == list(theta_sweep(geom, PhysicsParams(), thetas, tuple(OpClass)))
+    assert [row.op_class for row in rows] == [OpClass.BOSON, OpClass.FERMION] * 3
+    for name, choices, make in CHOICE_FIELDS.values():
+        allowed = " or ".join(repr(m.value) for m in choices)
+        for bad in (None, "up", 3):
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} must be {allowed}, got {bad!r}')}$"):
+                make(bad)
+
+
+#: each field that reads a choice: its name, its enum and what it makes of a choice
+CHOICE_FIELDS = {
+    "StatisticsSpec": ("op_class", OpClass, lambda c: StatisticsSpec(0.5, c)),
+    "ExchangeGeometry": ("direction", Direction, lambda c: _exchange_of(ExchangeGeometry(1.0, 4, 0.1, c))),
+    "operational_combine": ("op_class", OpClass, lambda c: operational_combine(noninteracting_alpha([[1, 2], [3, 4]]), c)),
+    "_phase_rule": ("op_class", OpClass, lambda c: exchange._phase_rule(HomotopyClass(Kind.EXCHANGE, 0.5), 1j, [c])(0.5)),
+    "theta_sweep": ("op_class", OpClass, lambda c: list(theta_sweep(ExchangeGeometry(*GEOMETRY), PhysicsParams(), [0.5], [c]))),
+}
+
+
+def _exchange_of(geom):
+    """geom, with the class and the amplitude of its exchange."""
+    return geom, *exchange._designated_exchange(geom, PhysicsParams())[1:]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(CHOICE_FIELDS)), st.data())
+def test_a_choice_is_a_member_or_its_value(field, data):
+    # a member and its value give one result; anything else is refused, naming the values
+    name, choices, make = CHOICE_FIELDS[field]
+    member = data.draw(st.sampled_from(list(choices)), label="member")
+    assert make(member.value) == make(member)
+    other = Direction if choices is OpClass else OpClass
+    values = [m.value for m in choices]
+    bad = data.draw(
+        st.one_of(
+            st.none(),
+            st.integers(),
+            st.sampled_from([m.value for m in other]),
+            st.text().filter(lambda text: text not in values),
+        ),
+        label="bad",
+    )
+    allowed = " or ".join(map(repr, values))
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} must be {allowed}, got {bad!r}')}$"):
+        make(bad)

@@ -106,6 +106,13 @@ class TestHomotopyClass:
         with pytest.raises(ValueError):
             HomotopyClass(Kind.DIRECT, 0.25)
 
+    def test_kind_value_is_its_member(self):
+        # a value string was held as given, so HomotopyClass("Direct", 0.5) was built
+        cls = HomotopyClass("Direct", 1)
+        assert cls == HomotopyClass(Kind.DIRECT, 1) and cls.kind is Kind.DIRECT
+        with pytest.raises(ValueError, match="^Direct class cannot have winding 0.5$"):
+            HomotopyClass("Direct", 0.5)
+
 
 class TestClassify:
     def test_ccw_square_loop_is_direct_plus_one(self):
@@ -407,6 +414,14 @@ def test_class_is_the_tuple_of_its_fields():
             f"winding must be a half-integer, got {10**400}",
             id="int-past-the-float-range",
         ),
+        # kind is read as Kind(kind), so a value string is its member and anything
+        # else is refused; a winding that is not a number raised a bare TypeError
+        ({"kind": "Direct"}, ValueError, "Direct class cannot have winding 0.5"),
+        ({"kind": "direct"}, ValueError, "'direct' is not a valid Kind"),
+        ({"kind": None}, ValueError, "None is not a valid Kind"),
+        ({"winding": "0.5"}, ValueError, "winding must be a half-integer, got '0.5'"),
+        ({"winding": None}, ValueError, "winding must be a half-integer, got None"),
+        ({"winding": 1e308}, ValueError, "Exchange class cannot have winding 1e+308"),
     ],
 )
 def test_invalid_class_refused(bad, error, message):
