@@ -4,6 +4,20 @@ Outputs are machine-readable (single-line JSON, or CSV for sweeps) and
 byte-identical across runs for identical invocations.  Every error exits
 nonzero with a single diagnostic line ``anyonsim: <ErrorName>: <detail>`` on
 stderr, where ErrorName is the exception class from :mod:`anyonsim.errors`.
+
+Each question is one process, so a run's fixed cost, the interpreter's
+start-up, the imports and its teardown, is most of a short run: a kernel's
+census takes under 1 ms of a ~60 ms ``kernel`` run.  The process entry point
+is :func:`run`, which both ``python -m anyonsim.cli`` and the ``anyonsim``
+script call: it runs :func:`main` and freezes the cyclic collector before the
+process exits.  The interpreter's teardown ends with a cyclic collection that
+runs even while the collector is disabled and walks the ~13,000 objects that
+``site`` and the package leave tracked, only to find no garbage; after
+``gc.freeze()`` it skips them, which saves ~5 ms of every run.  stdout and
+stderr are still flushed, so every output, refusal line and exit code is as
+it was.  :func:`main` is the in-process entry point, of the tests and of the
+benchmark's traced view: it pauses the collector only while a subcommand
+runs, and never freezes.
 """
 
 from __future__ import annotations
@@ -375,5 +389,16 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The process entry point: exits with the status of :func:`main` on
+    sys.argv, with every object tracked by then frozen, so the interpreter's
+    teardown collection skips them (see the module docstring)."""
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -103,22 +103,32 @@ _NUMBERS = frozenset((int, float))
 def _read_number(value):
     """value as the package holds a number: an int or a float as it is; any
     other integer, which has ``__index__`` (numpy's, a bool), as the int it
-    holds; any other number, which has ``__float__`` (numpy's floats, a
-    Fraction, a Decimal, a 0-d numpy array, whose ``__index__`` refuses), as
-    its float, a signaling NaN, which float() refuses, as a NaN.  Anything
-    else, and a number that refuses its read (a Fraction past the float
-    range), is returned as it is, for the caller's check to refuse."""
+    holds, and a numpy bool, a scalar or a 0-d array, which has none, as the
+    int that its bool holds; any other number, which has ``__float__``
+    (numpy's floats, a Fraction, a Decimal, a 0-d numpy array, whose
+    ``__index__`` refuses), as its float, a signaling NaN, which float()
+    refuses, as a NaN.  Anything else, and a value that refuses its read (a
+    Fraction past the float range, a 0-d numpy string array that does not
+    parse), is returned as it is, for the caller's check to refuse and
+    quote."""
+    if type(value) in _NUMBERS:
+        return value
     try:
         if hasattr(value, "__index__"):
             try:
                 return operator.index(value)
-            except TypeError:  # a 0-d numpy float array
+            except TypeError:  # a 0-d numpy float or bool array
                 pass
+        kind = getattr(getattr(value, "dtype", None), "kind", None)
+        if kind == "b" and getattr(value, "ndim", None) == 0:  # a numpy bool
+            return operator.index(bool(value))
         return float(value) if hasattr(value, "__float__") else value
     except (TypeError, OverflowError):
         return value
-    except ValueError:  # a signaling NaN
-        return math.nan
+    except ValueError:
+        # float() refuses a signaling NaN, and a string that does not parse
+        is_snan = getattr(value, "is_snan", None)
+        return math.nan if is_snan is not None and is_snan() else value
 
 
 def _is_finite(read) -> bool:

@@ -607,6 +607,9 @@ SWAPPED_HALF = {HomotopyClass(Kind.EXCHANGE, 0.5): 1j}
         # n_steps was held as given, so a kernel's JSON form could hold "n_steps": "2"
         (ResolvedKernel, {"n_steps": "2"}, ValidationError, "n_steps must be an integer, got '2'"),
         (ResolvedKernel, {"n_steps": 2.5}, ValidationError, "n_steps must be an integer, got 2.5"),
+        # a 0-d string array that float() cannot parse was read as a NaN, and shown unquoted
+        (PhysicsParams, {"mass": np.array("x")}, ValidationError, "mass must be finite and > 0, got array('x', dtype='<U1')"),
+        (StatisticsSpec, {"theta": np.array("x")}, ValidationError, "theta must be finite, got array('x', dtype='<U1')"),
     ],
 )
 def test_invalid_record_refused(cls, bad, error, message):
@@ -651,12 +654,16 @@ def test_budget_that_is_not_a_count_refused(budget, message):
         (True, 1),
         (np.array(0.5), 0.5),
         (np.float64(0.5), 0.5),
+        (np.array(True), 1),
+        (np.True_, 1),
     ],
-    ids=["numpy-int64", "numpy-float32", "fraction", "decimal", "bool", "numpy-0d", "numpy-float64"],
+    ids=["numpy-int64", "numpy-float32", "fraction", "decimal", "bool", "numpy-0d", "numpy-float64",
+         "numpy-0d-bool", "numpy-bool"],
 )
 def test_foreign_scalars_are_held_as_ints_or_floats(number, held):
     # they were refused as "must be finite and > 0", and a bool was held as itself;
-    # a winding was held as given, and a 0-d array theta was refused
+    # a winding was held as given, and a 0-d array theta was refused; a numpy bool
+    # was held as the float 1.0
     kind = Kind.EXCHANGE if held == 0.5 else Kind.DIRECT
     held_values = [
         *PhysicsParams(number, number),

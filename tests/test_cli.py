@@ -570,15 +570,9 @@ class TestSweepBlocks:
 
     @staticmethod
     def _run(argv, unbuffered):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(pathlib.Path(anyonsim.__file__).parents[1])]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
         return subprocess.run(
-            [sys.executable, "-m", "anyonsim.cli", *argv], capture_output=True, env=env, timeout=120
+            [sys.executable, "-m", "anyonsim.cli", *argv], capture_output=True,
+            env=_child_env(unbuffered), timeout=120,
         )
 
     def test_unbuffered_stdout_prints_the_same_bytes(self):
@@ -614,6 +608,21 @@ class TestSweepBlocks:
         assert (result.returncode, result.stdout, result.stderr) == (2, b"", err)
 
 
+def _child_env(unbuffered=None):
+    """The environment of a child interpreter that imports this package, with
+    PYTHONUNBUFFERED set (True), unset (False) or as it is (None)."""
+    env = dict(os.environ)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(anyonsim.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
 def _loaded_modules(argv):
     """The anyonsim modules that a fresh interpreter has loaded after importing
     the package, and, given argv, after running the CLI's main on it."""
@@ -624,13 +633,8 @@ def _loaded_modules(argv):
         "    assert main(sys.argv[1:]) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('anyonsim'))))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(pathlib.Path(anyonsim.__file__).parents[1])]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          env=_child_env(), text=True, timeout=120)
     assert done.returncode == 0 and done.stderr == "", done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
 
@@ -667,6 +671,76 @@ def test_package_exports_each_name_of_its_modules():
     assert anyonsim.DEFAULT_BUDGET is amplitudes.DEFAULT_BUDGET
     with pytest.raises(AttributeError, match="^module 'anyonsim' has no attribute 'nonexistent'$"):
         anyonsim.nonexistent
+
+
+# --- the process entry point: run() ends the process as main() ends a call ---
+
+ENTRY_ARGVS = {
+    "kernel": ["kernel", "--extent", "2", "--steps", "3", "--start", "-1", "0", "1", "0",
+               "--end", "1", "0", "-1", "0", "--theta", "0.5", "--resolve"],
+    "sweep": ["sweep", "--theta-min", "-1", "--theta-max", "2", "--points", "5"],
+    "refused": ["kernel", "--extent", "2", "--steps", "6", "--start", "-1", "0", "1", "0",
+                "--end", "1", "0", "-1", "0"],
+    "usage-error": ["kernel", "--extent", "2", "--steps", "2.5"],
+}
+
+
+def _in_process(argv):
+    """The exit code, stdout and stderr of main(argv), as bytes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+@pytest.mark.parametrize("argv", ENTRY_ARGVS.values(), ids=ENTRY_ARGVS.keys())
+def test_a_process_prints_what_main_returns(tmp_path, argv, sink, unbuffered):
+    # python -m anyonsim.cli ends through run(), which freezes the collector
+    # before the interpreter's teardown: its bytes and exit code are main's
+    command = [sys.executable, "-m", "anyonsim.cli", *argv]
+    env = _child_env(unbuffered)
+    if sink == "pipe":
+        done = subprocess.run(command, capture_output=True, env=env, timeout=120)
+        result = done.returncode, done.stdout, done.stderr
+    else:
+        target = tmp_path / "stdout"
+        with open(target, "wb") as fh:
+            done = subprocess.run(command, stdout=fh, stderr=subprocess.PIPE, env=env, timeout=120)
+        result = done.returncode, target.read_bytes(), done.stderr
+    assert result == _in_process(argv)
+
+
+def test_main_freezes_nothing():
+    # main() is the in-process entry point: only run() freezes, as a process ends
+    before = gc.get_freeze_count()
+    codes = [_in_process(argv)[0] for argv in ENTRY_ARGVS.values()]
+    assert codes == [0, 0, 2, 2]
+    assert gc.get_freeze_count() == before and gc.isenabled()
+
+
+@pytest.mark.parametrize("argv", [ENTRY_ARGVS["kernel"], ENTRY_ARGVS["refused"]], ids=["ok", "refused"])
+def test_run_freezes_the_collector_before_it_exits(argv):
+    # an exit handler runs after run()'s SystemExit and before the teardown
+    # collection, which then skips every frozen object
+    script = (
+        "import atexit, gc, sys\n"
+        "from anyonsim import cli\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "cli.run()\n"
+        "print('not reached', file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          env=_child_env(), timeout=120)
+    code, out, err = _in_process(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err + b"frozen True\n")
+
+
+def test_the_anyonsim_script_is_run():
+    pyproject = (pathlib.Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^anyonsim = "anyonsim\.cli:run"$', pyproject, re.MULTILINE)
 
 
 SWEEP_ARGS = ["sweep", "--theta-min", "0", "--theta-max", "1"]

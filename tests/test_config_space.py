@@ -508,12 +508,16 @@ def test_decimal_paths_and_lattice_endpoints_are_read_as_floats():
         (Decimal("0.5"), 0.5),
         (True, 1),
         (np.array(0.5), 0.5),
+        (np.array(True), 1),
+        (np.True_, 1),
     ],
-    ids=["numpy-int64", "numpy-float32", "fraction", "decimal", "bool", "numpy-0d"],
+    ids=["numpy-int64", "numpy-float32", "fraction", "decimal", "bool", "numpy-0d", "numpy-0d-bool",
+         "numpy-bool"],
 )
 def test_foreign_scalars_are_held_as_ints_or_floats(number, held):
     # these were refused as "must be finite and > 0, got 2", and a bool was held as
-    # itself; a 0-d array coordinate was held as the array
+    # itself; a 0-d array coordinate was held as the array; a numpy bool, which has
+    # no __index__, was held as the float 1.0
     held_values = [
         DiscretePath(number, LAP).dt,
         LatticeSpec(2, number).spacing,
@@ -1203,6 +1207,15 @@ VALID = {
         (LatticeSpec, {"moves": ((0.5, 0), (0, 0))}, ValidationError, "move dx must be an integer, got 0.5"),
         (LatticeSpec, {"moves": ((0, 0), (1, math.nan))}, ValidationError, "move dy must be an integer, got nan"),
         (LatticeSpec, {"moves": 5}, ValidationError, "moves must be an iterable of (dx, dy) pairs, got 5"),
+        # a 0-d string array that float() cannot parse is no number, not a NaN
+        (Vec2, {"x": np.array("x")}, ValidationError, "non-finite vector component (array('x', dtype='<U1'), 0)"),
+        (
+            TwoParticleConfig,
+            {"y2": np.array("x")},
+            ValidationError,
+            "non-finite vector component (0.0, array('x', dtype='<U1'))",
+        ),
+        (DiscretePath, {"dt": np.array("x")}, ValidationError, "dt must be finite and > 0, got array('x', dtype='<U1')"),
     ],
 )
 def test_invalid_record_refused(cls, bad, error, message):

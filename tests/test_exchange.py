@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import statistics
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -195,6 +197,26 @@ class TestDephasing:
         message = f"dt grid {grid} gives a fit with a non-finite slope, intercept or residual"
         with pytest.raises(DegenerateGrid, match=f"^{re.escape(message)}$"):
             dephasing_exponent(1.0, 2.0, PhysicsParams(hbar=hbar), grid)
+
+    @pytest.mark.parametrize(
+        "radius, duration, mass, hbar, grid",
+        [
+            # 1/dt ~ 1e-180 and its centred values ~ 1e-196, whose squares underflow to 0
+            (1.0, 1e200, 1.0, 1.0, [1e180, 9.999999999999999e179, 9.999999999999998e179]),
+            # the centred products overflow to both +inf and -inf
+            (
+                2.4261874159018766, 2.0, 2.3761022301708716, 1.5,
+                [1e-300, 9.999999999999999e-301, 9.999999999999997e-301, 9.999999999999995e-301],
+            ),
+        ],
+        ids=["no-spread", "both-infinities"],
+    )
+    def test_fit_of_no_line_rejected(self, radius, duration, mass, hbar, grid):
+        # statistics.linear_regression raised a bare StatisticsError ("x is
+        # constant"), and fsum a bare ValueError ("-inf + inf in fsum")
+        message = f"dt grid {grid} gives a fit with a non-finite slope, intercept or residual"
+        with pytest.raises(DegenerateGrid, match=f"^{re.escape(message)}$"):
+            dephasing_exponent(radius, duration, PhysicsParams(mass=mass, hbar=hbar), grid)
 
     def test_overflowing_phase_refused(self):
         # the opposite-step action ~ 2e300 is finite, its phase S/hbar is not
@@ -418,6 +440,34 @@ def test_dephasing_samples_match_the_closed_form(radius, duration, mass, hbar, s
         scale = mass * 8.0 * radius**2 / (2.0 * s.dt * hbar)
         assert math.isclose(s.phase_op, scale * math.cos(half) ** 2, rel_tol=1e-12)
         assert math.isclose(s.phase_dir, scale * math.sin(half) ** 2, rel_tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    radius=POSITIVE,
+    duration=POSITIVE,
+    mass=POSITIVE,
+    hbar=POSITIVE,
+    steps=st.lists(st.integers(2, 10**7), min_size=3, max_size=6, unique=True),
+)
+def test_dephasing_fit_is_the_least_squares_line(radius, duration, mass, hbar, steps):
+    # within a few ulps of the exact least-squares line through the samples, and,
+    # on Python 3.11, whose statistics.linear_regression takes the fsum of the
+    # centred products (3.12 on take math.sumprod), that line bit for bit
+    fit = dephasing_exponent(radius, duration, PhysicsParams(mass=mass, hbar=hbar),
+                             [duration / n for n in steps])
+    xs = [1.0 / s.dt for s in fit.samples]
+    ys = [s.phase_op for s in fit.samples]
+    exact_x, exact_y = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    xbar, ybar = sum(exact_x) / len(xs), sum(exact_y) / len(ys)
+    slope = sum((x - xbar) * (y - ybar) for x, y in zip(exact_x, exact_y)) / sum(
+        (x - xbar) ** 2 for x in exact_x
+    )
+    assert math.isclose(fit.slope, slope, rel_tol=1e-9)
+    assert math.isclose(fit.intercept, ybar - slope * xbar, rel_tol=1e-9, abs_tol=1e-9 * abs(ybar))
+    if sys.version_info[:2] == (3, 11):
+        line = statistics.linear_regression(xs, ys)
+        assert (fit.slope.hex(), fit.intercept.hex()) == (line.slope.hex(), line.intercept.hex())
 
 
 #: the range in which the first step's phases stay below 2^53, where phase_factor refuses
