@@ -3,7 +3,16 @@
 Outputs are machine-readable (single-line JSON, or CSV for sweeps) and
 byte-identical across runs for identical invocations.  Every error exits
 nonzero with a single diagnostic line ``anyonsim: <ErrorName>: <detail>`` on
-stderr, where ErrorName is the exception class from :mod:`anyonsim.errors`.
+stderr, and never a traceback.  A refusal exits 2, ErrorName the exception
+class from :mod:`anyonsim.errors`.  An output that cannot be written exits 2
+too, ErrorName the OSError class of the failed write or of the flush that
+ends every subcommand: ``anyonsim: BrokenPipeError: [Errno 32] Broken pipe``
+for a pipe whose reader has left, ``anyonsim: OSError: [Errno 28] No space
+left on device`` for a full disk; the output still buffered then goes to the
+null device, so the interpreter's teardown does not fail on it again.
+Ctrl-C exits 130, the shell's status for SIGINT, with
+``anyonsim: KeyboardInterrupt: interrupted``.  A path file is read by
+:mod:`anyonsim.config_space` (``_walk_from_text``); the CLI only opens it.
 
 Each question is one process, so a run's fixed cost, the interpreter's
 start-up, the imports and its teardown, is most of a short run: a kernel's
@@ -27,23 +36,14 @@ import gc
 import itertools
 import json
 import math
-import re
+import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 # amplitudes and exchange are imported by the subcommands that run them, so
 # that winding, the subcommand of a path file, loads neither
 from . import config_space, homotopy
-from .errors import AnyonSimError, BadRange, BudgetExceeded, ParseError, ValidationError
-
-#: the characters of a path file's "configs" array decoded as one block
-_JSON_BLOCK = 1 << 14
-#: the end of one configuration [[x1, y1], [x2, y2]] and the comma before the next
-_CONFIG_END = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*,")
-#: json's reader of the one value at an index of a text (no value there is a
-#: ValueError, where scan_once's StopIteration is a RuntimeError in a
-#: generator), and its skip of whitespace
-_DECODE, _WS = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+from .errors import AnyonSimError, BadRange, BudgetExceeded, ParseError
 
 #: sweep rows joined into one write, so memory stays bounded at any --points
 _SWEEP_BLOCK_ROWS = 4096
@@ -60,83 +60,18 @@ def _parse_grid(text: str) -> list[float]:
         raise ParseError(f"bad dt grid {text!r}: {exc}") from exc
 
 
-def _unique(pairs: list) -> dict:
-    """The members of a JSON object as a dict, a repeated key refused."""
-    members = {}
-    for key, value in pairs:
-        if key in members:
-            raise ValueError(f"duplicate key {key!r}")
-        members[key] = value
-    return members
-
-
-def _path_configs(held: list, data: dict) -> Iterator:
-    """The values of a path file's top-level "configs" array, decoded a block
-    at a time, and then the file's other members read into data.
-
-    held is the list of the file's one text, emptied once every character
-    of it has been read, so that a caller that holds the text through it
-    holds it no longer than it may read the text again.  Each block is cut after a "]]," at least _JSON_BLOCK characters on, and
-    the last one ends where json closes the array.  The cuts only choose
-    where to decode: one that falls inside a value leaves it open, so the
-    block does not decode.  json reads the rest of the text with the array
-    replaced by null, so every character is checked by json itself.
-    """
-    text, i, key = held[0], 0, None
-    while key != "configs":  # past each "{" or ",", key and ":"; json checks them below
-        key, i = _DECODE(text, _WS(text, _WS(text, i).end() + 1).end())
-        i = _WS(text, _WS(text, i).end() + 1).end()
-        if key != "configs":
-            i = _DECODE(text, i)[1]
-    start, opening = i, ""  # the first block opens with the array's own "["
-    while True:
-        cut = _CONFIG_END.search(text, i + _JSON_BLOCK)
-        block = opening + (text[i:cut.end() - 1] + "]" if cut else text[i:])
-        values, n = _DECODE(block)
-        if not values:  # "[]" is no path, and after a cut it is a trailing comma
-            raise ValueError("an empty block of configs")
-        yield from values
-        del values  # so that the tree of one block at a time is alive
-        if not cut or n < len(block):  # the array is closed in this block
-            break
-        i, opening = cut.end(), "["
-    stop = i + n - len(opening)
-    rest = json.loads(text[:start] + "null" + text[stop:], object_pairs_hook=_unique)
-    if type(rest) is not dict:
-        raise ValueError(f"expected an object, got {rest!r}")
-    data.update(rest)
-    held.clear()
-
-
 def _load_path(path_file: str) -> config_space._Walk:
-    """The validating pass over the path of a path file, with the outcome of
-    ``path_from_json_dict(json.loads(text, object_pairs_hook=_unique))``: the
-    same record of the same path, or the same error.  The file's "configs"
-    are decoded a block at a time and each configuration is read by the pass
-    as it is decoded, so neither the JSON tree of the whole file nor the
-    path's configurations are held, and the text is dropped once it has been
-    read to its end.  Such a file is valid JSON, so the refusal of its path
-    is the result; on a defect met before, the text is decoded whole, and
-    that read's record or error is the result."""
+    """The record of the path in a path file, read by
+    :func:`config_space._walk_from_text`, with a file that cannot be read or
+    is not JSON refused as ParseError."""
     try:
         with open(path_file, "r", encoding="utf-8") as fh:
-            held = [fh.read()]
+            text = fh.read()
+        return config_space._walk_from_text(text)
     except OSError as exc:
         raise ParseError(f"cannot read {path_file}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8
+    except (ValueError, RecursionError) as exc:  # not UTF-8, bad JSON, too many digits, too deep
         raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
-    data = {}
-    data["configs"] = _path_configs(held, data)
-    try:
-        return config_space._walk_from_json(data)
-    except (ValidationError, RecursionError):  # a defect: a block, a value, the rest or the path
-        if not held:  # the text was read to its end
-            raise
-    try:
-        data = json.loads(held[0], object_pairs_hook=_unique)
-    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
-        raise ParseError(f"invalid JSON in {path_file}: {exc}") from exc
-    return config_space._walk_from_json(data)
 
 
 def _cmd_winding(args: argparse.Namespace) -> int:
@@ -380,8 +315,10 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
-    except AnyonSimError as exc:
+        status = args.func(args)
+        sys.stdout.flush()  # so that a write that fails, fails here
+        return status
+    except (AnyonSimError, OSError) as exc:  # a refusal, or stdout that cannot be written
         print(f"anyonsim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -391,12 +328,22 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """The process entry point: exits with the status of :func:`main` on
-    sys.argv, with every object tracked by then frozen, so the interpreter's
-    teardown collection skips them (see the module docstring)."""
+    sys.argv, or 130 after one line on Ctrl-C, with every object tracked by
+    then frozen, so the interpreter's teardown collection skips them (see
+    the module docstring)."""
     try:
         status = main()
+    except KeyboardInterrupt:
+        print("anyonsim: KeyboardInterrupt: interrupted", file=sys.stderr)
+        status = 130
     finally:
         gc.freeze()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; the output left in the buffer
+        # goes to the null device, so the teardown's flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(status)
 
 

@@ -52,13 +52,23 @@ vectors (:func:`~anyonsim.homotopy.total_angle`), so it is exact for closed
 and exchange paths.  :class:`DiscretePath` runs the pass on its tuple and
 holds its record; the CLI's ``exchange`` and ``winding`` run it on
 configurations as they are made or decoded, and hold none of them
-(:func:`_walk_from_json`).
+(:func:`_walk_from_json`).  The text of ``winding``'s path file is read here
+too, and only here (:func:`_walk_from_text`): its "configs" array is decoded
+a block at a time into that pass, and the file is decoded whole only when
+it has a defect that the blocks met before its end.
+
+The census (:func:`walk_census`) carries, per pair of sites and half-turn
+sheet, one int that packs the walk counts of every squared displacement,
+one fixed-width digit each, so a step adds every bucket of a sheet with one
+shift and one int addition.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
+import re
 from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
@@ -588,6 +598,82 @@ def _walk_from_json(data: dict) -> _Walk:
     return walked
 
 
+#: the characters of a path file's "configs" array decoded as one block
+_JSON_BLOCK = 1 << 14
+#: the end of one configuration [[x1, y1], [x2, y2]] and the comma before the next
+_CONFIG_END = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*,")
+#: json's reader of the one value at an index of a text (no value there is a
+#: ValueError, where scan_once's StopIteration is a RuntimeError in a
+#: generator), and its skip of whitespace
+_DECODE, _WS = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+
+
+def _unique(pairs: list) -> dict:
+    """The members of a JSON object as a dict, a repeated key refused."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ValueError(f"duplicate key {key!r}")
+        members[key] = value
+    return members
+
+
+def _walk_from_text(text: str) -> _Walk:
+    """The :func:`_walk_from_json` of a path file's text, with the outcome of
+    ``_walk_from_json(json.loads(text, object_pairs_hook=_unique))``: the
+    same record of the same path, or the same error, json's ValueError or
+    RecursionError where the text is not such JSON.
+
+    The "configs" array is decoded a block at a time, and each configuration
+    is read by the pass as it is decoded, so neither the JSON tree of the
+    whole text nor the path's configurations are held.  Each block is cut
+    after a "]]," at least _JSON_BLOCK characters on, and the last one ends
+    where json closes the array.  The cuts only choose where to decode: one
+    that falls inside a value leaves it open, so the block does not decode.
+    json reads the rest of the text with the array replaced by null, so
+    every character is checked by json itself.  A text read to its end is
+    valid JSON, so the refusal of its path is the result; on a defect met
+    before, the text is decoded whole, and that read's record or error is
+    the result.
+    """
+    data, read = {}, False
+
+    def configs():
+        nonlocal read
+        i, key = 0, None
+        while key != "configs":  # past each "{" or ",", key and ":"; json checks them below
+            key, i = _DECODE(text, _WS(text, _WS(text, i).end() + 1).end())
+            i = _WS(text, _WS(text, i).end() + 1).end()
+            if key != "configs":
+                i = _DECODE(text, i)[1]
+        start, opening = i, ""  # the first block opens with the array's own "["
+        while True:
+            cut = _CONFIG_END.search(text, i + _JSON_BLOCK)
+            block = opening + (text[i:cut.end() - 1] + "]" if cut else text[i:])
+            values, n = _DECODE(block)
+            if not values:  # "[]" is no path, and after a cut it is a trailing comma
+                raise ValueError("an empty block of configs")
+            yield from values
+            del values  # so that the tree of one block at a time is alive
+            if not cut or n < len(block):  # the array is closed in this block
+                break
+            i, opening = cut.end(), "["
+        stop = i + n - len(opening)
+        rest = json.loads(text[:start] + "null" + text[stop:], object_pairs_hook=_unique)
+        if type(rest) is not dict:
+            raise ValueError(f"expected an object, got {rest!r}")
+        data.update(rest)
+        read = True
+
+    data["configs"] = configs()
+    try:
+        return _walk_from_json(data)
+    except (ValidationError, RecursionError):  # a defect: a block, a value, the rest or the path
+        if read:
+            raise
+    return _walk_from_json(json.loads(text, object_pairs_hook=_unique))
+
+
 # --- lattice walks -----------------------------------------------------------
 
 
@@ -733,21 +819,36 @@ def walk_census(
     One transfer-matrix pass over the steps carries exact integer counts per
     (sites, h, ssq).  h indexes the half-turn sheet [h*pi, (h+1)*pi) of the
     lifted polar angle of r, counted from the start's sheet, so the final h
-    is w2 itself: no angles and no rounding.  The endpoints are snapped to
-    lattice sites (EndpointOffLattice when one is not a site); whether they
-    are closed or swapped is for the caller to decide.
+    is w2 itself: no angles and no rounding.  The counts of one (sites, h)
+    are packed into one int (Kronecker substitution): bucket ssq is its
+    digit of B bits at bit B * ssq, so a move of squared displacement c
+    shifts the whole int by B * c, and one int addition adds every bucket.
+    No bucket exceeds the (moves**2)**n_steps joint-move sequences, which
+    B bits hold, so no digit carries into the next.  The endpoints are
+    snapped to lattice sites (EndpointOffLattice when one is not a site);
+    whether they are closed or swapped is for the caller to decide.
     """
     start4, end4, step = _walk_setup(lattice, endpoints, n_steps)
+    width = ((len(lattice.moves) ** 2) ** n_steps).bit_length()
 
-    frontier = {start4: {(0, 0): 1}}
+    frontier = {start4: {0: 1}}
     for left in range(n_steps, 0, -1):
         following = defaultdict(dict)
-        for sites, buckets in frontier.items():
+        for sites, sheets in frontier.items():
             for nxt, cost, dh in step(sites, left):
                 target = following[nxt]
-                for (h, ssq), n in buckets.items():
-                    key = (h + dh, ssq + cost)
-                    target[key] = target.get(key, 0) + n
+                shift = width * cost
+                for h, packed in sheets.items():
+                    h += dh
+                    target[h] = target.get(h, 0) + (packed << shift)
         frontier = following
     # reachability leaves only the end sites after the last step
-    return frontier.get(end4, {})
+    census, digit = {}, (1 << width) - 1
+    for h, packed in frontier.get(end4, {}).items():
+        ssq = 0
+        while packed:
+            if packed & digit:
+                census[(h, ssq)] = packed & digit
+            packed >>= width
+            ssq += 1
+    return census

@@ -685,3 +685,8 @@ def test_numbers_past_the_float_range_refused():
         anyonic_kernel(kernel, 10**400)
     with pytest.raises(ValidationError, match=f"^phase S/hbar must be finite, got {10**400}$"):
         amplitudes.phase_factor(10**400)
+    # a Fraction whose float() overflows is no number the package holds: it is
+    # refused, and quoted
+    huge = Fraction(10**400, 3)
+    with pytest.raises(ValidationError, match=f"^theta must be finite, got {re.escape(repr(huge))}$"):
+        anyonic_kernel(kernel, huge)

@@ -7,8 +7,10 @@ import os
 import pathlib
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -554,6 +556,9 @@ class TestSweepBlocks:
                 writes.append(text)
                 return len(text)
 
+            def flush(self):  # main flushes stdout before it returns
+                pass
+
         monkeypatch.setattr(sys, "stdout", Recorder())
         argv = ["sweep", "--theta-min=-2.5", "--theta-max", "9.75", "--points", str(points),
                 "--op-class", op_class, "--steps", "12", "--dt", "0.07", "--mass", "1.3"]
@@ -741,6 +746,62 @@ def test_run_freezes_the_collector_before_it_exits(argv):
 def test_the_anyonsim_script_is_run():
     pyproject = (pathlib.Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r'^anyonsim = "anyonsim\.cli:run"$', pyproject, re.MULTILINE)
+
+
+# --- a process whose output cannot be written, or that is interrupted ------------
+
+LONG_SWEEP = ["sweep", "--theta-min", "0", "--theta-max", "6", "--points", "200000"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_is_one_error_line(unbuffered):
+    # ~24 MB of rows into a pipe whose reader leaves after one byte: a write fails with EPIPE
+    command = [sys.executable, "-m", "anyonsim.cli", *LONG_SWEEP]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_child_env(unbuffered)) as proc:
+        assert proc.stdout.read(1) == b"t"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (2, b"anyonsim: BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    # a short report fails in main's flush when stdout is buffered, and the
+    # sweep's rows in one of its writes
+    [ENTRY_ARGVS["kernel"], LONG_SWEEP[:-1] + ["20000"]],
+    ids=["kernel", "sweep"],
+)
+def test_full_device_is_one_error_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "anyonsim.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=_child_env(unbuffered), timeout=120)
+    assert (done.returncode, done.stderr) == (2, b"anyonsim: OSError: [Errno 28] No space left on device\n")
+
+
+def _cpu_seconds(pid):
+    """The user and system CPU seconds that process pid has taken, read from /proc."""
+    fields = pathlib.Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/stat"), reason="reads /proc")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_interrupt_is_one_line_and_status_130(unbuffered):
+    # a census of seconds, interrupted once the child has run for 0.25 s of CPU,
+    # past its start-up (~0.06 s) and well inside the census
+    command = [sys.executable, "-m", "anyonsim.cli", "kernel", "--extent", "3", "--steps", "24",
+               "--start", "-1", "0", "1", "0", "--end", "1", "0", "-1", "0", "--budget", str(10**40)]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_child_env(unbuffered)) as proc:
+        deadline = time.monotonic() + 60
+        while _cpu_seconds(proc.pid) < 0.25 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (130, b"", b"anyonsim: KeyboardInterrupt: interrupted\n")
 
 
 SWEEP_ARGS = ["sweep", "--theta-min", "0", "--theta-max", "1"]

@@ -1041,6 +1041,25 @@ def test_census_exact_beyond_enumeration():
     assert all(census.get((-w2, ssq)) == n for (w2, ssq), n in census.items())
 
 
+def test_census_buckets_past_64_bits_are_exact():
+    # the census packs the buckets of a sheet into one int, a digit each: here
+    # the largest bucket passes 2^64, and the total passes what int64 holds
+    extent, n_steps = 2, 18
+    lattice = LatticeSpec(extent=extent)
+    start, end = ((-1, 0), (1, 0)), ((1, 0), (-1, 0))
+    census = walk_census(lattice, EndpointPair(lattice.config(*start), lattice.config(*end)), n_steps)
+    assert max(census.values()) > 2**64
+    matrix, index = _step_matrix(extent)
+    matrix = matrix.astype(object)
+    row = np.zeros(len(index), dtype=object)
+    row[index[start]] = 1
+    for _ in range(n_steps):
+        row = row @ matrix
+    assert sum(census.values()) == row[index[end]]
+    # reflection y -> -y fixes both endpoints and negates every winding
+    assert all(census.get((-w2, ssq)) == n for (w2, ssq), n in census.items())
+
+
 def _reversal_symmetric(census):
     return all(census.get((-w2, ssq), 0) == n for (w2, ssq), n in census.items())
 

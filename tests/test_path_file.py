@@ -1,7 +1,7 @@
 """winding's path file, read a block at a time.
 
 The CLI's loader is checked against ``path_from_json_dict(json.loads(text,
-object_pairs_hook=cli._unique))``: every file gives the same record of the
+object_pairs_hook=config_space._unique))``: every file gives the same record of the
 same path, and the same CLI line, or the same error.  The loader runs the
 validating pass over the configurations as they are decoded, so a defect of
 the path that it meets first must wait for a later defect of the JSON, of a
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from anyonsim import DiscretePath, cli, classify, path_from_json_dict, total_angle
+from anyonsim import DiscretePath, cli, classify, config_space, path_from_json_dict, total_angle
 from anyonsim.errors import AnyonSimError
 
 #: particle 1's 16-site ring of radius 2 about particle 2 at the origin, counter-clockwise
@@ -45,7 +45,7 @@ def reference(path_file):
     """path_from_json_dict of the file's whole JSON tree, a JSON defect as the CLI's ParseError."""
     try:
         with open(path_file, encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=cli._unique)
+            data = json.load(fh, object_pairs_hook=config_space._unique)
     except (ValueError, RecursionError) as exc:
         return "ParseError", f"invalid JSON in {path_file}: {exc}"
     return outcome(path_from_json_dict, data)
@@ -201,7 +201,7 @@ def path_files(draw):
 # the array is never closed, yet its text up to the "}", read as a "]", decodes
 @example(text='{"dt": 1, "configs": [[[2, 0], [0, 0]], [[0, 2], [0, 0]]}')
 # a block is cut at a trailing comma, and the block after it is empty
-@example(text='{"dt": 1, "configs": [[[2, 0], [0, 0]], [[0, 2.' + "0" * cli._JSON_BLOCK + '], [0, 0]],]}')
+@example(text='{"dt": 1, "configs": [[[2, 0], [0, 0]], [[0, 2.' + "0" * config_space._JSON_BLOCK + '], [0, 0]],]}')
 # the top level is an array, not an object
 @example(text='["configs", [[[1, 0], [0, 0]], [[0, 1], [0, 0]]], "dt", 1]')
 def test_loader_reads_as_the_whole_tree(capsys, tmp_path, text):
@@ -228,11 +228,11 @@ class TestBlocks:
         text = json.dumps({"dt": 0.5, "configs": ring_walk(10**4 + 1)})
         path_file = write(tmp_path, text)
         loads = decoded_sizes(monkeypatch, json, "loads")
-        blocks = decoded_sizes(monkeypatch, cli, "_DECODE")
+        blocks = decoded_sizes(monkeypatch, config_space, "_DECODE")
         walked = cli._load_path(path_file)
         # json.loads reads only the members but configs, never the whole text
-        assert max(loads) < 2 * cli._JSON_BLOCK
-        assert sum(size < 2 * cli._JSON_BLOCK for size in blocks) > len(text) / (2 * cli._JSON_BLOCK)
+        assert max(loads) < 2 * config_space._JSON_BLOCK
+        assert sum(size < 2 * config_space._JSON_BLOCK for size in blocks) > len(text) / (2 * config_space._JSON_BLOCK)
         assert summary(walked) == summary(reference(path_file))
 
     @pytest.mark.parametrize(
@@ -260,7 +260,7 @@ class TestBlocks:
         assert reference(path_file) == (name, message)
         loads = decoded_sizes(monkeypatch, json, "loads")
         assert outcome(cli._load_path, path_file) == (name, message)
-        assert max(loads) < 2 * cli._JSON_BLOCK
+        assert max(loads) < 2 * config_space._JSON_BLOCK
 
     @pytest.mark.parametrize(
         "valid", [True, False], ids=["note-after-configs", "string-coordinate"]
@@ -273,13 +273,13 @@ class TestBlocks:
         if valid:
             document = {"dt": 0.5, "configs": configs, "note": "]], " * 10}
         else:
-            configs[5][0][0] = "a" * cli._JSON_BLOCK + "]],"
+            configs[5][0][0] = "a" * config_space._JSON_BLOCK + "]],"
             document = {"dt": 0.5, "configs": configs}
         text = json.dumps(document)
         path_file = write(tmp_path, text)
         loads = decoded_sizes(monkeypatch, json, "loads")
         got = outcome(cli._load_path, path_file)
-        assert max(loads) < 2 * cli._JSON_BLOCK if valid else max(loads) == len(text)
+        assert max(loads) < 2 * config_space._JSON_BLOCK if valid else max(loads) == len(text)
         want = reference(path_file)
         assert summary(got) == summary(want) if valid else got == want
         if valid:
